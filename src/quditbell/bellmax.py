@@ -9,9 +9,13 @@ perfectness constraint ``tr[rho (B (x) B)] = +-1``.  For states certified by
 :mod:`quditbell.perfectness` the value never exceeds 3/2; the scalar chain
 behind that bound reduces to maximizing ``sqrt(2(1-z)) + z`` over [-1, 1].
 
-The optimizer alternates a closed-form update of A (the normalized image
-``T(b - b~)``, rounded back to the +-1-spectrum family for d > 2) with local
-ascent of B~ over the unitary orbit of a fixed balanced +-1 diagonal.
+The optimizer holds B at a certified perfect observable and alternates exact
+block updates of B~ and A.  With the other two fixed, each branch of the
+absolute value is linear in the free vector, and a linear functional
+``<c, x>`` over the +-1 shell is maximized by the sign rounding of ``c``
+(:func:`quditbell.bloch.pm1_round`, Ky Fan / von Neumann).  So B~ is the
+better of ``round(T(+-b - a))`` and ``round(T(+-b + a))`` and A is
+``round(T(b - b~))``; no step size is involved and the value never falls.
 Restarts are independent and deterministic in ``(seed, restart index)``.
 
 A Monte-Carlo harness over finite local-hidden-variable models checks the
@@ -28,9 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .bloch import BlochVector, QuditObservable, from_bloch, haar_unitary
+from .bloch import BlochVector, QuditObservable, from_bloch, pm1_round
 from .errors import CertificationError, DimensionError, ValidationError
-from .gellmann import build_basis
 from .perfectness import WitnessSearchOptions, find_perfect_observables
 from .serialize import freeze
 from .states import (
@@ -41,24 +44,24 @@ from .states import (
 )
 
 _EIGRANGE_TOL = 1e-9
-_EPS_INITIAL = 0.5
-_EPS_MIN = 1e-6
-# Accepting perturbed B requires near-exact perfectness: the attainable value
-# grows like sqrt(residual) above 3/2, so a loose residual check would let the
-# optimizer leak past the bound.
-_B_FEASIBILITY_TOL = 1e-13
 
 
 @dataclass(frozen=True)
 class MaximizeOptions:
-    """Optimizer knobs; defaults reproduce the d=2 attainment in seconds."""
+    """Optimizer knobs.
+
+    Restart ``i`` fixes B to witness ``i mod witness_count`` (found with
+    perfectness tolerance ``tol``) and stops at the first iteration of block
+    updates that no longer raises the value, or after ``max_iters``
+    iterations; ``threads > 1`` runs restarts in a process pool with results
+    identical to serial runs.
+    """
 
     restarts: int = 64
     seed: int = 0
     tol: float = 1e-9
     max_iters: int = 500
     threads: int = 1
-    perturb_b: bool = False
     witness_count: int = 8
 
 
@@ -167,8 +170,8 @@ def optimal_a(
     """Unit vector maximizing ``|<a, T(b - b~)>|`` over the unit sphere.
 
     Returns ``(vector, degenerate)``; when ``T(b - b~) = 0`` any unit vector
-    gives a zero first term and the degenerate flag is set.  For d > 2 the
-    optimizer rounds this direction back into the +-1 shell before use.
+    gives a zero first term and the degenerate flag is set.  At d = 2 this is
+    the optimizer's A update; for d > 2 it uses the +-1 rounding of ``T(b - b~)``.
     """
     w = tcorr.matrix @ (b.coords - btilde.coords)
     norm = float(np.linalg.norm(w))
@@ -195,43 +198,6 @@ def scalar_bound() -> tuple[float, float]:
 # --------------------------------------------------------------------------
 
 
-class _GeneratorRotations:
-    """Precomputed eigendecompositions for ``exp(i eps L_j)`` factors."""
-
-    def __init__(self, generators: np.ndarray):
-        self._eigs = [np.linalg.eigh(g) for g in generators]
-
-    def __len__(self) -> int:
-        return len(self._eigs)
-
-    def rotation(self, index: int, eps: float) -> np.ndarray:
-        w, v = self._eigs[index]
-        return (v * np.exp(1j * eps * w)) @ v.conj().T
-
-
-def _bloch_coords(matrix: np.ndarray, generators: np.ndarray, d: int) -> np.ndarray:
-    return np.einsum("ij,kji->k", matrix, generators).real / np.sqrt(2.0 * d)
-
-
-def _pm1_rounding_candidates(matrix: np.ndarray, tie_tol: float = 1e-8) -> list[np.ndarray]:
-    """Balanced sign-rounded versions of a hermitian traceless matrix.
-
-    Eigenvalues are sorted; the top half maps to +1, the bottom half to -1.
-    A near-tie at the split produces a second candidate with the boundary
-    pair swapped, so the caller can pick by objective.
-    """
-    d = matrix.shape[0]
-    h = d // 2
-    w, v = np.linalg.eigh(matrix)
-    signs = np.concatenate([-np.ones(h), np.ones(h)])
-    candidates = [(v * signs) @ v.conj().T]
-    if abs(w[h] - w[h - 1]) <= tie_tol:
-        swapped = signs.copy()
-        swapped[h - 1], swapped[h] = 1.0, -1.0
-        candidates.append((v * swapped) @ v.conj().T)
-    return candidates
-
-
 @dataclass(frozen=True)
 class _RestartResult:
     index: int
@@ -244,92 +210,44 @@ class _RestartResult:
 
 
 def _restart_worker(payload) -> _RestartResult:
-    (d, tmat, b_coords, sign, seed, index, tol, max_iters, perturb_b) = payload
-    basis = build_basis(d)
-    generators = basis.generators
-    rots = _GeneratorRotations(generators)
+    (d, tmat, b_coords, sign, seed, index, max_iters) = payload
     rng = np.random.default_rng([seed, index])
-    half = d // 2
-    dvals = np.concatenate([np.ones(half), -np.ones(half)])
-    scale = np.sqrt(d / 2.0)
-    target = sign * 2.0 / d
-
     b = np.asarray(b_coords, dtype=float)
     tb = tmat @ b
 
-    # B~ starts on a random point of the +-1 orbit.
-    u = haar_unitary(d, rng)
-    btil = _bloch_coords((u * dvals) @ u.conj().T, generators, d)
-
-    # Eigenbasis factor of B, used only when perturb_b re-optimizes B.
-    if perturb_b:
-        _, vb = np.linalg.eigh(scale * np.tensordot(b, generators, axes=(0, 0)))
-        ub = vb
-        dvals_b = np.concatenate([-np.ones(half), np.ones(half)])
-
-    def value_of(a_c: np.ndarray, btil_c: np.ndarray, tb_c: np.ndarray, b_c: np.ndarray) -> float:
+    def value_of(a_c: np.ndarray, btil_c: np.ndarray) -> float:
         tbtil = tmat @ btil_c
-        return d / 2.0 * (abs(float(a_c @ (tb_c - tbtil))) + sign * float(b_c @ tbtil))
+        return d / 2.0 * (abs(float(a_c @ (tb - tbtil))) + sign * float(b @ tbtil))
 
-    def update_a(btil_c: np.ndarray) -> np.ndarray:
-        w = tb - tmat @ btil_c
-        norm = np.linalg.norm(w)
-        if norm < 1e-13:
-            direction = np.zeros(d * d - 1)
-            direction[0] = 1.0
-        else:
-            direction = w / norm
-        if d == 2:
-            return direction
-        best_c, best_v = None, -np.inf
-        matrix = scale * np.tensordot(direction, generators, axes=(0, 0))
-        for cand in _pm1_rounding_candidates(matrix):
-            coords = _bloch_coords(cand, generators, d)
-            v = value_of(coords, btil_c, tb, b)
-            if v > best_v:
-                best_c, best_v = coords, v
-        return best_c
+    def rounded(c: np.ndarray) -> np.ndarray:
+        return pm1_round(c, d).coords
 
-    a = update_a(btil)
-    value = value_of(a, btil, tb, b)
+    # Rounding a Gaussian vector gives a Haar-random point of the +-1 orbit.
+    btil = rounded(rng.standard_normal(d * d - 1))
+    a = rounded(tb - tmat @ btil)
+    value = value_of(a, btil)
     trace = [(0, value)]
-    eps = _EPS_INITIAL
     iterations = 0
 
     for iteration in range(1, max_iters + 1):
         iterations = iteration
         start_value = value
-
-        for j in range(len(rots)):
-            for step in (eps, -eps):
-                u2 = rots.rotation(j, step) @ u
-                btil2 = _bloch_coords((u2 * dvals) @ u2.conj().T, generators, d)
-                v2 = value_of(a, btil2, tb, b)
-                if v2 > value + tol:
-                    u, btil, value = u2, btil2, v2
-
-        if perturb_b:
-            for j in range(len(rots)):
-                for step in (eps, -eps):
-                    ub2 = rots.rotation(j, step) @ ub
-                    b2 = _bloch_coords((ub2 * dvals_b) @ ub2.conj().T, generators, d)
-                    if abs(float(b2 @ (tmat @ b2)) - target) > min(tol, _B_FEASIBILITY_TOL):
-                        continue
-                    tb2 = tmat @ b2
-                    v2 = value_of(a, btil, tb2, b2)
-                    if v2 > value + tol:
-                        ub, b, tb, value = ub2, b2, tb2, v2
-
-        a2 = update_a(btil)
-        v2 = value_of(a2, btil, tb, b)
+        # |x| = max over branches sigma of sigma * x; on each branch the value
+        # is linear in b~ with gradient T(sign * b - sigma * a).
+        for sigma in (1.0, -1.0):
+            btil2 = rounded((sign * b - sigma * a) @ tmat)
+            v2 = value_of(a, btil2)
+            if v2 > value:
+                btil, value = btil2, v2
+        a2 = rounded(tb - tmat @ btil)
+        v2 = value_of(a2, btil)
         if v2 > value:
             a, value = a2, v2
-
         trace.append((iteration, value))
-        if value - start_value <= tol:
-            if eps <= _EPS_MIN:
-                break
-            eps = max(eps / 2.0, _EPS_MIN)
+        # The updates are deterministic in (a, b~): an iteration that accepts
+        # none leaves the state, and so every later iteration, unchanged.
+        if value == start_value:
+            break
 
     return _RestartResult(
         index=index,
@@ -351,7 +269,7 @@ def maximize_bell(
     """Multi-restart maximization of the Bell combination under perfectness.
 
     Each restart draws B from the certified perfect observables, then
-    alternates the closed-form A update with unitary-orbit ascent of B~.
+    alternates the exact B~ and A block updates.
     Results are reduced deterministically (best value, ties to the lowest
     restart index); the reported value is recomputed by direct traces.
 
@@ -388,9 +306,7 @@ def maximize_bell(
             sign,
             opts.seed,
             i,
-            opts.tol,
             opts.max_iters,
-            opts.perturb_b,
         )
         for i in range(opts.restarts)
     ]

@@ -144,37 +144,31 @@ def to_bloch(matrix: np.ndarray) -> BlochVector:
 
 def from_bloch(r: BlochVector | np.ndarray, dim: int | None = None) -> QuditObservable:
     """Observable ``sqrt(d/2) (r . L)`` for a Bloch vector ``r``."""
-    if isinstance(r, BlochVector):
-        vec = r
-    else:
-        arr = np.asarray(r, dtype=float)
-        if dim is None:
-            d_guess = int(round(np.sqrt(arr.size + 1)))
-            if d_guess * d_guess - 1 != arr.size:
-                raise ValidationError(
-                    f"coordinate length {arr.size} is not d^2 - 1 for any integer d"
-                )
-            dim = d_guess
-        vec = BlochVector(dim=dim, coords=arr)
+    vec = _as_bloch(r, dim)
     basis = build_basis(vec.dim)
     matrix = np.sqrt(vec.dim / 2.0) * np.tensordot(vec.coords, basis.generators, axes=(0, 0))
     return QuditObservable(dim=vec.dim, matrix=matrix, bloch=vec)
 
 
-def _as_coords(r, d: int | None = None) -> tuple[int, np.ndarray]:
+def _as_bloch(r, d: int | None = None) -> BlochVector:
+    """``r`` as a validated Bloch vector; ``d`` defaults to the one the length implies.
+
+    The length check is :class:`BlochVector`'s, so a length that is not
+    d^2 - 1 raises :class:`ValidationError` instead of being read as a nearby d.
+    """
     if isinstance(r, BlochVector):
-        return r.dim, np.asarray(r.coords, dtype=float)
+        return r
     arr = np.asarray(r, dtype=float)
     if d is None:
         d = int(round(np.sqrt(arr.size + 1)))
-    return d, arr
+    return BlochVector(dim=d, coords=arr)
 
 
 def in_bloch_region(r: BlochVector | np.ndarray, tol: float = SET_TOL) -> bool:
     """True iff the operator norm of ``r . L`` is at most sqrt(2/d) + tol."""
-    d, coords = _as_coords(r)
-    basis = build_basis(d)
-    rdotl = np.tensordot(coords, basis.generators, axes=(0, 0))
+    vec = _as_bloch(r)
+    d = vec.dim
+    rdotl = np.tensordot(vec.coords, build_basis(d).generators, axes=(0, 0))
     return operator_norm(rdotl) <= np.sqrt(2.0 / d) + tol
 
 
@@ -185,13 +179,13 @@ def in_pm1_shell(r: BlochVector | np.ndarray, tol: float = SET_TOL) -> bool:
     False): unit Euclidean norm together with operator norm of ``r . L``
     equal to sqrt(2/d), both within ``tol``.
     """
-    d, coords = _as_coords(r)
+    vec = _as_bloch(r)
+    d = vec.dim
     if d % 2 != 0:
         return False
-    if abs(np.linalg.norm(coords) - 1.0) > tol:
+    if abs(vec.norm - 1.0) > tol:
         return False
-    basis = build_basis(d)
-    rdotl = np.tensordot(coords, basis.generators, axes=(0, 0))
+    rdotl = np.tensordot(vec.coords, build_basis(d).generators, axes=(0, 0))
     return abs(operator_norm(rdotl) - np.sqrt(2.0 / d)) <= tol
 
 
@@ -201,6 +195,24 @@ def _require_even(d: int) -> None:
             f"dimension {d} is not an even integer >= 2; traceless observables "
             "with eigenvalues +-1 need a balanced spectrum"
         )
+
+
+def pm1_round(r: BlochVector | np.ndarray, dim: int | None = None) -> BlochVector:
+    """Point of the +-1 shell maximizing ``<r, x>``: the sign rounding of ``r . L``.
+
+    By von Neumann's trace inequality (Ky Fan, PNAS 35, 652 (1949)), over the
+    unitary orbit of a balanced +-1 diagonal ``tr[X Y]`` is largest when Y
+    shares the eigenvectors of X and puts +1 on the top half of its spectrum,
+    -1 on the bottom half.  A tie at the split leaves the maximum unchanged,
+    and ``r = 0`` still rounds to a valid shell point.
+    """
+    vec = _as_bloch(r, dim)
+    d = vec.dim
+    _require_even(d)
+    matrix = np.sqrt(d / 2.0) * np.tensordot(vec.coords, build_basis(d).generators, axes=(0, 0))
+    _, v = np.linalg.eigh(matrix)
+    signs = np.concatenate([-np.ones(d // 2), np.ones(d // 2)])
+    return to_bloch((v * signs) @ v.conj().T)
 
 
 def make_diag_pm1(d: int, signs) -> QuditObservable:

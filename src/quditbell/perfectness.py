@@ -33,7 +33,7 @@ from .bloch import (
     make_offdiag_imag_pm1,
     make_offdiag_real_pm1,
     operator_norm,
-    to_bloch,
+    pm1_round,
 )
 from .errors import CertificationError, DimensionError, ValidationError
 from .gellmann import build_basis
@@ -282,14 +282,6 @@ def _canonical_pm1_vectors(d: int, sign: int, cap: int):
                 return
 
 
-def _balanced_sign_spectrum(matrix: np.ndarray) -> np.ndarray:
-    """Replace the spectrum of a hermitian matrix by balanced +-1 signs."""
-    d = matrix.shape[0]
-    w, v = np.linalg.eigh(matrix)
-    signs = np.concatenate([-np.ones(d // 2), np.ones(d // 2)])
-    return (v * signs) @ v.conj().T
-
-
 def _orient(coords: np.ndarray) -> np.ndarray:
     """Fix the overall sign so the first significant coordinate is positive.
 
@@ -321,7 +313,6 @@ def _search_witness(
     generators = basis.generators
     target = np.sqrt(2.0 / d)
     k = eigvecs.shape[1]
-    scale = np.sqrt(d / 2.0)
     best_residual = np.inf
     used = 0
 
@@ -337,10 +328,7 @@ def _search_witness(
         for _ in range(opts.projection_iters):
             if res <= tol:
                 break
-            matrix = scale * np.tensordot(coords_of(c), generators, axes=(0, 0))
-            rounded = _balanced_sign_spectrum(matrix)
-            r = to_bloch(rounded).coords
-            c_new = eigvecs.T @ r
+            c_new = eigvecs.T @ pm1_round(coords_of(c), d).coords
             nrm = np.linalg.norm(c_new)
             if nrm < 1e-12:
                 break

@@ -55,6 +55,8 @@ class TwoQuditState:
             raise ValidationError(
                 f"state dimension {rho.shape[0]} is not d^2 for an integer d >= 2"
             )
+        if not np.all(np.isfinite(rho)):
+            raise ValidationError("state entries must be finite")
         herm = float(np.max(np.abs(rho - rho.conj().T)))
         if herm > _HERM_TOL:
             raise ValidationError(f"state is not hermitian: max |rho - rho^dag| = {herm:.3e}")

@@ -175,13 +175,13 @@ def test_criterion_07_bound_holds_up_to_d6():
         for sign in (1, -1):
             report = maximize_bell(ghz(d), sign, MaximizeOptions(restarts=64, seed=0))
             within = report.best_value <= 1.5 + 1e-6
-            ok = ok and within
-            # attainment for d > 2 is an empirical observation, reported only
-            details.append(f"d={d} sign={sign:+d}: {report.best_value:.9f}")
+            attained = abs(report.best_value - 1.5) <= 1e-9
+            ok = ok and within and attained
+            details.append(f"d={d} sign={sign:+d}: {report.best_value:.12f}")
     elapsed = time.perf_counter() - start
     _report(
         7,
-        "3/2 bound for d in {2,4,6}, both signs",
+        "3/2 bound attained for d in {2,4,6}, both signs",
         ok and elapsed < 900.0,
         "; ".join(details) + f", {elapsed:.0f}s",
     )

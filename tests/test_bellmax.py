@@ -75,6 +75,34 @@ class TestBellExpression:
             bell_expression(state, sz, sz, sz, 2)
 
 
+# Qubit triples (b, b~, a) reaching 3/2 on GHZ_2, where T = diag(1, -1, 1):
+# <b, T b~> = sign/2 and a is the unit image T(b - b~).
+_QUBIT_TRIPLES = {
+    1: ([0, 0, 1], [np.sqrt(3) / 2, 0, 0.5], [-np.sqrt(3) / 2, 0, 0.5]),
+    -1: ([0, 1, 0], [0, 0.5, np.sqrt(3) / 2], [0, -0.5, -np.sqrt(3) / 2]),
+}
+
+
+class TestBlockEmbedding:
+    """On GHZ_d, tr[rho (A (x) B)] = tr[A B^T]/d, so copying a qubit triple
+    onto each of the d/2 level pairs keeps the qubit value: 3/2 is attained
+    at every even d."""
+
+    @pytest.mark.parametrize("d", [2, 4, 6, 8])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_embedded_qubit_triple_attains_three_halves(self, d, sign):
+        state = ghz(d)
+        b, btil, a = (
+            QuditObservable.from_matrix(np.kron(np.eye(d // 2), from_bloch(r, 2).matrix))
+            for r in _QUBIT_TRIPLES[sign]
+        )
+        assert abs(bell_expression(state, a, b, btil, sign) - 1.5) <= 1e-9
+        cert = check_bell_condition(state, b)
+        assert cert.accepted and cert.sign == sign
+        for obs in (a, b, btil):
+            assert_allclose(np.abs(obs.eigenvalues()), 1.0, atol=1e-12)
+
+
 class TestOptimalA:
     def test_direction(self):
         t = correlation_matrix(ghz(2))
@@ -158,11 +186,6 @@ class TestMaximize:
         serial = maximize_bell(ghz(2), 1, MaximizeOptions(restarts=6, seed=0, threads=1))
         parallel = maximize_bell(ghz(2), 1, MaximizeOptions(restarts=6, seed=0, threads=3))
         assert serial.best_value == parallel.best_value
-
-    def test_perturb_b_keeps_constraint(self):
-        report = maximize_bell(ghz(2), 1, MaximizeOptions(restarts=4, seed=0, perturb_b=True))
-        assert report.b_perfect_residual <= 1e-9
-        assert report.best_value <= 1.5 + 1e-6
 
     def test_singlet_attains_three_halves_anticorrelated(self):
         state = singlet()

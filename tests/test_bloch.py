@@ -18,6 +18,7 @@ from quditbell import (
     make_diag_pm1,
     make_offdiag_imag_pm1,
     make_offdiag_real_pm1,
+    pm1_round,
     random_pm1_observable,
     to_bloch,
 )
@@ -126,6 +127,39 @@ class TestMembership:
         r = rng.standard_normal(8)
         r /= np.linalg.norm(r)
         assert not in_pm1_shell(r)
+
+    @pytest.mark.parametrize("length", [5, 7, 10])
+    def test_length_not_d2_minus_1_rejected(self, length):
+        r = np.ones(length) / np.sqrt(length)
+        for check in (in_bloch_region, in_pm1_shell, from_bloch):
+            with pytest.raises(ValidationError, match="length"):
+                check(r)
+
+
+class TestPm1Round:
+    @pytest.mark.parametrize("d", [2, 4, 6])
+    def test_maximizes_linear_functional(self, d, rng):
+        generators = build_basis(d).generators
+        for _ in range(5):
+            c = rng.standard_normal(d * d - 1)
+            x = pm1_round(c, d)
+            assert in_pm1_shell(x, tol=1e-10)
+            # Ky Fan: the maximum is the top-half minus bottom-half eigenvalue sum
+            w = np.linalg.eigvalsh(np.tensordot(c, generators, axes=(0, 0)))
+            expected = (w[d // 2 :].sum() - w[: d // 2].sum()) / np.sqrt(2.0 * d)
+            value = float(c @ x.coords)
+            assert value == pytest.approx(expected, abs=1e-12)
+            for seed in range(200):
+                y = random_pm1_observable(d, seed=seed).bloch.coords
+                assert float(c @ y) <= value + 1e-12
+
+    @pytest.mark.parametrize("d", [2, 4, 6])
+    def test_zero_rounds_into_shell(self, d):
+        assert in_pm1_shell(pm1_round(np.zeros(d * d - 1), d), tol=1e-10)
+
+    def test_odd_dim_rejected(self):
+        with pytest.raises(DimensionError):
+            pm1_round(np.ones(8))
 
 
 class TestConstructors:

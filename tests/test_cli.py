@@ -165,14 +165,15 @@ class TestMaximize:
         assert "timing" not in json.loads(out_plain)["report"]
         assert "timing" in json.loads(out_timed)["report"]
 
-    def test_bound_violation_exit_code(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("bad_value", [1.51, float("nan")])
+    def test_bound_violation_exit_code(self, monkeypatch, capsys, bad_value):
         import quditbell.cli as cli_mod
 
         real = cli_mod.maximize_bell
 
         def inflated(state, sign, opts, progress=None):
             report = real(state, sign, opts)
-            object.__setattr__(report, "best_value", 1.51)
+            object.__setattr__(report, "best_value", bad_value)
             return report
 
         monkeypatch.setattr(cli_mod, "maximize_bell", inflated)

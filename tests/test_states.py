@@ -178,6 +178,17 @@ class TestValidation:
         with pytest.raises(ValidationError):
             TwoQuditState.from_matrix(np.eye(5, dtype=complex) / 5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_named(self, bad):
+        rho = ghz(2).rho.copy()
+        rho[0, 3] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            TwoQuditState.from_matrix(rho)
+        payload = json.loads(ghz(2).to_json())
+        payload["rho"][3][0] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            TwoQuditState.from_json(json.dumps(payload))
+
 
 def test_state_json_roundtrip(tmp_path, rng):
     state = random_state(3, rng, symmetric=True)
