@@ -17,7 +17,6 @@ from quditbell import (
     MaximizeOptions,
     WitnessSearchOptions,
     certify_state,
-    correlation_matrix,
     ghz,
     maximize_bell,
     scalar_bound,
@@ -26,9 +25,8 @@ from quditbell import (
 
 def survey_dimension(d, restarts, seed, threads):
     state = ghz(d)
-    tcorr = correlation_matrix(state)
-    spectral = tcorr.spectral
     membership = certify_state(state, opts=WitnessSearchOptions(seed=seed))
+    spectral = membership.tcorr.spectral
     row = {
         "dim": d,
         "spectral_norm": spectral.spectral_norm,

@@ -34,7 +34,7 @@ from scipy.optimize import minimize_scalar
 
 from .bloch import BlochVector, QuditObservable, from_bloch, pm1_round
 from .errors import CertificationError, DimensionError, ValidationError
-from .perfectness import WitnessSearchOptions, find_perfect_observables
+from .perfectness import WitnessSearchOptions, certify_state, find_perfect_observables
 from .serialize import freeze
 from .states import (
     CorrelationMatrix,
@@ -63,6 +63,11 @@ class MaximizeOptions:
     max_iters: int = 500
     threads: int = 1
     witness_count: int = 8
+
+    def __post_init__(self):
+        for name in ("restarts", "witness_count"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -170,8 +175,10 @@ def optimal_a(
     """Unit vector maximizing ``|<a, T(b - b~)>|`` over the unit sphere.
 
     Returns ``(vector, degenerate)``; when ``T(b - b~) = 0`` any unit vector
-    gives a zero first term and the degenerate flag is set.  At d = 2 this is
-    the optimizer's A update; for d > 2 it uses the +-1 rounding of ``T(b - b~)``.
+    gives a zero first term and the degenerate flag is set.  The optimizer
+    does not call this: its A update is the +-1 rounding of ``T(b - b~)``,
+    which agrees with this vector at d = 2, where the +-1 shell is the unit
+    sphere.
     """
     w = tcorr.matrix @ (b.coords - btilde.coords)
     norm = float(np.linalg.norm(w))
@@ -289,19 +296,15 @@ def maximize_bell(
         raise ValidationError("state is not swap-symmetric; the maximization requires symmetry")
 
     start = time.perf_counter()
-    witnesses = find_perfect_observables(
-        state,
-        sign,
-        count=opts.witness_count,
-        seed=opts.seed,
-        tol=max(opts.tol, 1e-12),
-        opts=WitnessSearchOptions(seed=opts.seed),
+    membership = certify_state(
+        state, tol=max(opts.tol, 1e-12), opts=WitnessSearchOptions(seed=opts.seed)
     )
-    tcorr = correlation_matrix(state)
+    witnesses = find_perfect_observables(membership, sign, opts.witness_count, opts.seed)
+    tmat = membership.tcorr.matrix
     payloads = [
         (
             d,
-            tcorr.matrix,
+            tmat,
             witnesses[i % len(witnesses)].bloch.coords,
             sign,
             opts.seed,
@@ -330,7 +333,7 @@ def maximize_bell(
     best_b = from_bloch(BlochVector(dim=d, coords=best.b_coords))
     best_btil = from_bloch(BlochVector(dim=d, coords=best.btil_coords))
     direct = bell_expression(state, best_a, best_b, best_btil, sign)
-    residual = abs(float(best.b_coords @ (tcorr.matrix @ best.b_coords)) - sign * 2.0 / d)
+    residual = abs(float(best.b_coords @ (tmat @ best.b_coords)) - sign * 2.0 / d)
 
     return BellMaxReport(
         dim=d,

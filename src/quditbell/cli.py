@@ -192,9 +192,7 @@ def cmd_certify(args) -> int:
     for entry in membership.sign_results:
         if not entry.certified:
             continue
-        observables = find_perfect_observables(
-            state, entry.sign, count=2, seed=args.seed, tol=args.tol
-        )
+        observables = find_perfect_observables(membership, entry.sign, count=2, seed=args.seed)
         key = "+" if entry.sign > 0 else "-"
         report["signs"][key]["perfect_observables"] = [
             json.loads(obs.to_json()) for obs in observables

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
@@ -38,10 +38,11 @@ from .bloch import (
 from .errors import CertificationError, DimensionError, ValidationError
 from .gellmann import build_basis
 from .states import (
-    CLUSTER_RTOL,
     CorrelationMatrix,
+    EigenCluster,
     SpectralData,
     TwoQuditState,
+    cluster_eigenvalues,
     correlation_matrix,
     product_expectation,
 )
@@ -106,10 +107,14 @@ class SignWitness:
     """Per-sign outcome of the witness search."""
 
     sign: int
-    eigenvalue: float | None
+    cluster: EigenCluster | None  # eigenspace of T at sign * 2/d, if T has one
     witness: BlochVector | None
     norm_residual: float  # best | op-norm(v.L) - sqrt(2/d) | seen
     restarts_used: int
+
+    @property
+    def eigenvalue(self) -> float | None:
+        return None if self.cluster is None else self.cluster.value
 
     @property
     def certified(self) -> bool:
@@ -133,6 +138,7 @@ class ClassMembership:
     extreme_eigenvalues: tuple[float, ...]
     tol: float
     sign_results: tuple[SignWitness, ...]
+    tcorr: CorrelationMatrix = field(repr=False)  # the T certified; not in to_dict
 
     def for_sign(self, sign: int) -> SignWitness:
         for entry in self.sign_results:
@@ -179,15 +185,8 @@ def check_bell_condition(
     sign = 1 if abs(value - 1.0) <= abs(value + 1.0) else -1
     residual = abs(value - sign)
 
-    # Group eigenvalues into multiplets and form their projections.
-    scale = max(1.0, op_norm)
-    groups: list[tuple[float, np.ndarray]] = []
-    start = 0
-    for i in range(1, len(eigenvalues) + 1):
-        if i == len(eigenvalues) or eigenvalues[i] - eigenvalues[i - 1] > CLUSTER_RTOL * scale:
-            block = vectors[:, start:i]
-            groups.append((float(np.mean(eigenvalues[start:i])), block @ block.conj().T))
-            start = i
+    clusters = cluster_eigenvalues(eigenvalues, vectors)
+    groups = [(c.value, c.vectors @ c.vectors.conj().T) for c in clusters]
 
     r4 = state.as_4index()
     violations = []
@@ -413,7 +412,7 @@ def certify_state(
             sign_results.append(
                 SignWitness(
                     sign=sign,
-                    eigenvalue=None if cluster is None else cluster.value,
+                    cluster=cluster,
                     witness=None,
                     norm_residual=np.inf,
                     restarts_used=0,
@@ -432,7 +431,7 @@ def certify_state(
         sign_results.append(
             SignWitness(
                 sign=sign,
-                eigenvalue=cluster.value,
+                cluster=cluster,
                 witness=None if coords is None else BlochVector(dim=d, coords=_orient(coords)),
                 norm_residual=float(best_res),
                 restarts_used=used,
@@ -446,33 +445,31 @@ def certify_state(
         extreme_eigenvalues=extremes,
         tol=tol,
         sign_results=tuple(sign_results),
+        tcorr=tcorr,
     )
 
 
 def find_perfect_observables(
-    state: TwoQuditState,
-    sign: int,
-    count: int = 4,
-    seed: int = 0,
-    tol: float = SET_TOL,
-    opts: WitnessSearchOptions | None = None,
+    membership: ClassMembership, sign: int, count: int = 4, seed: int = 0
 ) -> list[QuditObservable]:
     """Up to ``count`` distinct perfect observables for the requested sign.
 
-    Witness eigenvectors are mapped to observables through the Bloch
-    correspondence, so each returned B has eigenvalues +-1 and satisfies
+    Searches the eigenspace that :func:`certify_state` recorded in
+    ``membership``, at its tolerance, seeded by ``seed``.  Witness
+    eigenvectors map to observables through the Bloch correspondence, so
+    each returned B has eigenvalues +-1 and satisfies
     ``tr[rho (B (x) B)] = sign`` within tolerance.  Raises
     :class:`CertificationError` when the state is not certified for the sign
     or the search cannot produce a single witness.
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    opts = opts or WitnessSearchOptions(seed=seed)
-    membership = certify_state(state, tol=tol, opts=opts)
+    d = membership.dim
+    tol = membership.tol
     entry = membership.for_sign(sign)
-    if entry.eigenvalue is None:
+    if entry.cluster is None:
         raise CertificationError(
-            f"no extreme eigenvalue {sign * 2.0 / state.dim:+.6f} in the spectrum "
+            f"no extreme eigenvalue {sign * 2.0 / d:+.6f} in the spectrum "
             f"(spectral norm {membership.spectral_norm:.6f})"
         )
     if not entry.certified:
@@ -481,12 +478,9 @@ def find_perfect_observables(
             f"{entry.norm_residual:.3e} after {entry.restarts_used} restarts"
         )
 
-    tcorr = correlation_matrix(state)
-    spectral = correlation_spectrum(tcorr)
-    target = sign * 2.0 / state.dim
-    cluster = next(c for c in spectral.clusters if abs(c.value - target) <= tol)
-    basis = build_basis(state.dim)
-    shell_target = np.sqrt(2.0 / state.dim)
+    cluster = entry.cluster
+    basis = build_basis(d)
+    shell_target = np.sqrt(2.0 / d)
 
     found: list[np.ndarray] = []
 
@@ -498,7 +492,7 @@ def find_perfect_observables(
         found.append(coords)
 
     # Canonical constructions that already live in the eigenspace.
-    for cand in _canonical_pm1_vectors(state.dim, sign, cap=4 * count):
+    for cand in _canonical_pm1_vectors(d, sign, cap=4 * count):
         proj = cluster.vectors @ (cluster.vectors.T @ cand)
         nrm = np.linalg.norm(proj)
         if nrm < 1e-9:
@@ -509,22 +503,13 @@ def find_perfect_observables(
         if len(found) >= count:
             break
 
+    # One random start per attempt (plus the search's own fallback draw).
+    single = WitnessSearchOptions(restarts=1, canonical_cap=0)
     attempt = 0
-    while len(found) < count and attempt < max(opts.restarts, count * 4):
+    while len(found) < count and attempt < max(WitnessSearchOptions().restarts, count * 4):
         rng = np.random.default_rng([seed, 1000 + attempt])
         coords, _, _ = _search_witness(
-            cluster.vectors,
-            state.dim,
-            tol,
-            WitnessSearchOptions(
-                restarts=1,
-                seed=seed,
-                projection_iters=opts.projection_iters,
-                polish_max_iters=opts.polish_max_iters,
-                canonical_cap=0,
-            ),
-            [rng.standard_normal(cluster.multiplicity)],
-            rng,
+            cluster.vectors, d, tol, single, [rng.standard_normal(cluster.multiplicity)], rng
         )
         if coords is not None:
             try_add(coords)
@@ -535,4 +520,4 @@ def find_perfect_observables(
             f"witness search produced no admissible observable for sign {sign:+d} "
             f"after {attempt} attempts"
         )
-    return [from_bloch(BlochVector(dim=state.dim, coords=c)) for c in found]
+    return [from_bloch(BlochVector(dim=d, coords=c)) for c in found]

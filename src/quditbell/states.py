@@ -125,11 +125,33 @@ def maximally_mixed(d: int) -> TwoQuditState:
 
 @dataclass(frozen=True)
 class EigenCluster:
-    """One eigenvalue of T with its multiplicity and orthonormal eigenvectors."""
+    """One eigenvalue multiplet with its multiplicity and orthonormal eigenvectors."""
 
     value: float
     multiplicity: int
-    vectors: np.ndarray = field(repr=False)  # shape (d^2-1, multiplicity)
+    vectors: np.ndarray = field(repr=False)  # shape (n, multiplicity), one column each
+
+
+def cluster_eigenvalues(eigenvalues: np.ndarray, vectors: np.ndarray) -> tuple[EigenCluster, ...]:
+    """Group ascending ``eigh`` output into multiplets.
+
+    Neighbouring eigenvalues closer than ``CLUSTER_RTOL * max(1, max |lambda|)``
+    share a multiplet, whose value is their mean.
+    """
+    scale = max(1.0, float(np.max(np.abs(eigenvalues))))
+    clusters = []
+    start = 0
+    for i in range(1, len(eigenvalues) + 1):
+        if i == len(eigenvalues) or eigenvalues[i] - eigenvalues[i - 1] > CLUSTER_RTOL * scale:
+            clusters.append(
+                EigenCluster(
+                    value=float(np.mean(eigenvalues[start:i])),
+                    multiplicity=i - start,
+                    vectors=freeze(vectors[:, start:i]),
+                )
+            )
+            start = i
+    return tuple(clusters)
 
 
 @dataclass(frozen=True)
@@ -174,21 +196,9 @@ class CorrelationMatrix:
     def _decompose(self) -> SpectralData:
         sym = (self.matrix + self.matrix.T) / 2.0
         eigenvalues, vectors = np.linalg.eigh(sym)
-        scale = max(1.0, float(np.max(np.abs(eigenvalues))))
-        clusters = []
-        start = 0
-        for i in range(1, len(eigenvalues) + 1):
-            if i == len(eigenvalues) or eigenvalues[i] - eigenvalues[i - 1] > CLUSTER_RTOL * scale:
-                block = vectors[:, start:i]
-                clusters.append(
-                    EigenCluster(
-                        value=float(np.mean(eigenvalues[start:i])),
-                        multiplicity=i - start,
-                        vectors=freeze(block),
-                    )
-                )
-                start = i
-        return SpectralData(eigenvalues=freeze(eigenvalues), clusters=tuple(clusters))
+        return SpectralData(
+            eigenvalues=freeze(eigenvalues), clusters=cluster_eigenvalues(eigenvalues, vectors)
+        )
 
     def to_csv(self, path) -> None:
         """Plain real entries, one row per line."""

@@ -243,6 +243,13 @@ class TestMaximize:
         with pytest.raises(ValidationError):
             maximize_bell(TwoQuditState.from_matrix(rho), 1)
 
+    @pytest.mark.parametrize(
+        "field, value", [("restarts", 0), ("restarts", -1), ("witness_count", 0)]
+    )
+    def test_options_reject_nonpositive_counts(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be at least 1"):
+            MaximizeOptions(**{field: value})
+
 
 def _planar_chsh_grid_max(state, steps=60):
     """Grid oracle over four angles in the x-z Bloch plane."""

@@ -1,0 +1,43 @@
+"""One call builds the correlation matrix once and certifies the state once.
+
+``correlation_matrix`` and ``certify_state`` are wrapped with counters in
+every module that binds them, so calls through any import path are seen.
+"""
+
+import collections
+
+import pytest
+
+import quditbell
+from quditbell import MaximizeOptions, bellmax, cli, ghz, perfectness, states
+
+COUNTED = ("correlation_matrix", "certify_state")
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    counts = collections.Counter()
+    for name in COUNTED:
+        real = getattr(quditbell, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        for module in (quditbell, states, perfectness, bellmax, cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_cli_certify_builds_t_once_and_certifies_once(calls, capsys):
+    assert cli.main(["certify", "--state", "ghz", "--dim", "4"]) == 0
+    report = capsys.readouterr().out
+    assert '"perfect_observables"' in report
+    assert calls == {"correlation_matrix": 1, "certify_state": 1}
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_maximize_bell_builds_t_once(calls, sign):
+    bellmax.maximize_bell(ghz(4), sign, MaximizeOptions(restarts=2))
+    assert calls == {"correlation_matrix": 1, "certify_state": 1}

@@ -127,6 +127,14 @@ class TestMaximize:
         assert code == 1
         assert "odd" in err
 
+    def test_zero_restarts_is_input_error(self, capsys):
+        code, _, err = run_cli(
+            ["maximize", "--state", "ghz", "--dim", "2", "--sign", "+", "--restarts", "0"],
+            capsys,
+        )
+        assert code == 1
+        assert "restarts must be at least 1" in err
+
     def test_uncertified_exit_code(self, tmp_path, capsys):
         source = write_state(tmp_path / "mixed.json", maximally_mixed(2).rho)
         code, _, err = run_cli(

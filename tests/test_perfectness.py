@@ -203,7 +203,7 @@ class TestCertifyState:
         assert not membership.for_sign(1).certified
         assert membership.for_sign(-1).certified
         with pytest.raises(CertificationError, match="no extreme eigenvalue"):
-            find_perfect_observables(singlet(), 1)
+            find_perfect_observables(certify_state(singlet()), 1)
 
     def test_witness_is_extreme_eigenvector(self):
         state = ghz(4)
@@ -212,6 +212,17 @@ class TestCertifyState:
         for entry in membership.sign_results:
             v = entry.witness.coords
             assert np.linalg.norm(t @ v - entry.eigenvalue * v) <= 1e-9
+
+    def test_membership_keeps_its_correlation_matrix(self):
+        state = ghz(4)
+        membership = certify_state(state)
+        assert_allclose(membership.tcorr.matrix, correlation_matrix(state).matrix)
+        assert "tcorr" not in membership.to_dict()
+        for entry in membership.sign_results:
+            assert entry.eigenvalue == entry.cluster.value
+            # the witness lies in the eigenspace the search was given
+            v = entry.witness.coords
+            assert np.linalg.norm(entry.cluster.vectors.T @ v) == pytest.approx(1.0, abs=1e-12)
 
     def test_json_payload(self):
         payload = json.loads(certify_state(ghz(2)).to_json())
@@ -222,17 +233,17 @@ class TestCertifyState:
 
 class TestFindPerfectObservables:
     def test_ghz2_plus_includes_sz_and_sx(self):
-        observables = find_perfect_observables(ghz(2), 1, count=6)
+        observables = find_perfect_observables(certify_state(ghz(2)), 1, count=6)
         blochs = [tuple(np.round(o.bloch.coords, 8)) for o in observables]
         assert (0.0, 0.0, 1.0) in blochs
         assert (1.0, 0.0, 0.0) in blochs
 
     def test_ghz2_minus_includes_sy(self):
-        observables = find_perfect_observables(ghz(2), -1, count=4)
+        observables = find_perfect_observables(certify_state(ghz(2)), -1, count=4)
         assert any(np.allclose(o.matrix, SY, atol=1e-10) for o in observables)
 
     def test_ghz4_minus_includes_sy_blocks(self):
-        observables = find_perfect_observables(ghz(4), -1, count=8)
+        observables = find_perfect_observables(certify_state(ghz(4)), -1, count=8)
         expected = np.zeros((4, 4), dtype=complex)
         expected[:2, :2] = SY
         expected[2:, 2:] = SY
@@ -242,13 +253,13 @@ class TestFindPerfectObservables:
     @pytest.mark.parametrize("sign", [1, -1])
     def test_soundness(self, d, sign):
         state = ghz(d)
-        for obs in find_perfect_observables(state, sign, count=6, seed=2):
+        for obs in find_perfect_observables(certify_state(state), sign, count=6, seed=2):
             cert = check_bell_condition(state, obs)
             assert cert.accepted, f"d={d} sign={sign} residual={cert.residual}"
             assert cert.sign == sign
 
     def test_distinctness(self):
-        observables = find_perfect_observables(ghz(4), 1, count=8, seed=0)
+        observables = find_perfect_observables(certify_state(ghz(4)), 1, count=8, seed=0)
         for i in range(len(observables)):
             for j in range(i + 1, len(observables)):
                 assert (
@@ -258,11 +269,11 @@ class TestFindPerfectObservables:
 
     def test_uncertified_state_raises(self):
         with pytest.raises(CertificationError, match="no extreme eigenvalue"):
-            find_perfect_observables(maximally_mixed(4), 1)
+            find_perfect_observables(certify_state(maximally_mixed(4)), 1)
 
     def test_bad_sign(self):
         with pytest.raises(ValueError):
-            find_perfect_observables(ghz(2), 0)
+            find_perfect_observables(certify_state(ghz(2)), 0)
 
 
 class TestEigenspaceMapping:

@@ -19,6 +19,8 @@ from quditbell import (
     product_expectation,
 )
 
+from quditbell.states import cluster_eigenvalues
+
 from conftest import SY, SZ, random_state, random_traceless_hermitian
 
 
@@ -81,6 +83,14 @@ class TestCorrelationMatrix:
         for c in spectral.clusters:
             gram = c.vectors.T @ c.vectors
             assert_allclose(gram, np.eye(c.multiplicity), atol=1e-10)
+
+    def test_cluster_eigenvalues_groups_within_relative_gap(self):
+        # gaps below CLUSTER_RTOL * max(1, max |lambda|) merge, larger ones split
+        eigenvalues = np.array([-2.0, -2.0 + 1e-9, 0.5, 0.5 + 1e-7])
+        clusters = cluster_eigenvalues(eigenvalues, np.eye(4))
+        assert [c.multiplicity for c in clusters] == [2, 1, 1]
+        assert clusters[0].value == pytest.approx(-2.0 + 5e-10, abs=1e-15)
+        assert_allclose(clusters[0].vectors, np.eye(4)[:, :2])
 
 
 class TestExpectations:
