@@ -485,16 +485,17 @@ class LhvModel:
         self.validate()
 
     def validate(self, atol: float = 1e-9) -> None:
-        if np.any(self.weights < -atol) or abs(self.weights.sum() - 1.0) > atol:
+        # every gate is "not (ok)", so NaN and inf entries fail it
+        if not (np.all(self.weights >= -atol) and abs(self.weights.sum() - 1.0) <= atol):
             raise ValidationError("hidden-variable weights must be a probability distribution")
-        if np.any(np.abs(self.outcome_grid) > 1.0 + atol):
+        if not np.all(np.abs(self.outcome_grid) <= 1.0 + atol):
             raise ValidationError("outcomes must lie in [-1, 1]")
         k, g = self.weights.size, self.outcome_grid.size
         for name in ("p_a1", "p_a2", "p_b1", "p_b2"):
             table = getattr(self, name)
             if table.shape != (k, g):
                 raise ValidationError(f"{name} must have shape ({k}, {g}), got {table.shape}")
-            if np.any(table < -atol) or np.any(np.abs(table.sum(axis=1) - 1.0) > atol):
+            if not (np.all(table >= -atol) and np.all(np.abs(table.sum(axis=1) - 1.0) <= atol)):
                 raise ValidationError(f"{name} rows must be probability distributions")
 
     def _means(self, table: np.ndarray) -> np.ndarray:

@@ -76,16 +76,22 @@ class RunConfig:
         return out
 
 
+def _env_int(name: str, default: int) -> int:
+    raw = os.environ.get(name)
+    if not raw:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValidationError(f"{name} must be an integer, got {raw!r}") from None
+
+
 def _default_seed() -> int:
-    raw = os.environ.get(ENV_SEED)
-    return int(raw) if raw else 0
+    return _env_int(ENV_SEED, 0)
 
 
 def _cap_threads(requested: int) -> int:
-    raw = os.environ.get(ENV_THREADS)
-    if raw:
-        return max(1, min(requested, int(raw)))
-    return max(1, requested)
+    return max(1, min(requested, _env_int(ENV_THREADS, requested)))
 
 
 def _parse_sign(token: str) -> int:
@@ -293,9 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CertificationError as exc:
         sys.stderr.write(f"certification failure: {exc}\n")

@@ -12,6 +12,11 @@ Ordering is grouped by family: the full symmetric block first (lexicographic
 in ``(m, k)``), then the full antisymmetric block (same order), then the
 diagonal matrices for ``l = 1 .. d-1``.  For d=2 this gives ``[sx, sy, sz]``;
 for d=3 the eight Gell-Mann matrices in the grouped order.
+
+The families are written down once, in :func:`sparse_generators`: a real
+sparse ``(d^2-1) x d^2`` matrix with two non-zeros per off-diagonal generator
+and ``l+1`` for diagonal label ``l``.  :func:`build_basis` expands it into
+the dense ``(d^2-1, d, d)`` array.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .errors import DimensionCapError, DimensionError
 from .serialize import complex_matrix_to_pairs, freeze
@@ -65,8 +71,42 @@ def _check_dim(d: int, cap: int) -> None:
         raise DimensionError(f"basis requires dimension >= 2, got {d}")
     if d > cap:
         raise DimensionCapError(
-            f"dimension {d} exceeds cap {cap}; a dense basis needs O(d^4) memory"
+            f"dimension {d} exceeds cap {cap}; two-qudit arrays need O(d^4) memory"
         )
+
+
+def antisymmetric_rows(d: int) -> slice:
+    """Positions of the antisymmetric family, the only non-real generators."""
+    n_off = d * (d - 1) // 2
+    return slice(n_off, 2 * n_off)
+
+
+@functools.lru_cache(maxsize=None)
+def sparse_generators(d: int, cap: int = DEFAULT_DIMENSION_CAP) -> sparse.csr_array:
+    """The generators as the rows of a real ``(d^2-1) x d^2`` CSR matrix U.
+
+    Row n is ``L_n`` flattened row-major, divided by ``i`` on
+    :func:`antisymmetric_rows`: ``L_n = c_n U[n].reshape(d, d)`` with
+    ``c_n = 1j`` there and ``1`` elsewhere.  Cached and read-only; raises
+    like :func:`build_basis`.
+    """
+    _check_dim(d, cap)
+    m, k = np.triu_indices(d, 1)
+    n_off = m.size
+    # flat positions of |m><k| and |k><m|, ascending because m < k
+    off_cols = np.stack([m * d + k, k * d + m], axis=1).reshape(-1)
+    labels = np.arange(1, d)
+    scales = np.sqrt(2.0 / (labels * (labels + 1)))
+    diag_cols = [(d + 1) * np.arange(l + 1) for l in labels]
+    diag_vals = [np.append(np.full(l, s), -l * s) for l, s in zip(labels, scales)]
+    data = np.concatenate([np.ones(2 * n_off), np.tile([-1.0, 1.0], n_off), *diag_vals])
+    indices = np.concatenate([off_cols, off_cols, *diag_cols])
+    counts = np.concatenate([np.full(2 * n_off, 2), labels + 1])
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    u = sparse.csr_array((data, indices, indptr), shape=(d * d - 1, d * d))
+    for arr in (u.data, u.indices, u.indptr):
+        arr.setflags(write=False)
+    return u
 
 
 @functools.lru_cache(maxsize=None)
@@ -77,27 +117,10 @@ def build_basis(d: int, cap: int = DEFAULT_DIMENSION_CAP) -> GellMannBasis:
     immutable.  Raises :class:`DimensionError` for ``d < 2`` and
     :class:`DimensionCapError` above ``cap``.
     """
-    _check_dim(d, cap)
-    n = d * d - 1
-    gens = np.zeros((n, d, d), dtype=complex)
-    idx = 0
-    for m in range(d):
-        for k in range(m + 1, d):
-            gens[idx, m, k] = 1.0
-            gens[idx, k, m] = 1.0
-            idx += 1
-    for m in range(d):
-        for k in range(m + 1, d):
-            gens[idx, m, k] = -1.0j
-            gens[idx, k, m] = 1.0j
-            idx += 1
-    for l in range(1, d):
-        scale = np.sqrt(2.0 / (l * (l + 1)))
-        for m in range(l):
-            gens[idx, m, m] = scale
-        gens[idx, l, l] = -l * scale
-        idx += 1
-    assert idx == n
+    dense = sparse_generators(d, cap).toarray().reshape(-1, d, d)
+    gens = dense.astype(complex)
+    anti = antisymmetric_rows(d)
+    gens[anti] = dense[anti] * 1j
     return GellMannBasis(dim=d, generators=freeze(gens))
 
 

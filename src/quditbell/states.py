@@ -6,10 +6,14 @@ The correlation matrix of a state ``rho`` on C^d (x) C^d is the real
     T[n, m] = tr[rho (L_n (x) L_m)]
 
 in the generator ordering of :mod:`quditbell.gellmann`.  For swap-invariant
-states T is symmetric.  Expectations of observable pairs reduce to the
-quadratic form ``tr[rho (A (x) B)] = (d/2) <a, T b>`` in the Bloch vectors
-``a, b`` of A and B; both evaluation paths are exposed and cross-checked in
-the test suite.
+states T is symmetric.  :func:`correlation_matrix` builds T in O(d^4) as a
+sparse change of basis with the real generator matrix of
+:func:`~quditbell.gellmann.sparse_generators`.  The dense basis is needed
+only where Bloch coordinates become matrices or back: the Bloch maps and the
+witness search.  Expectations of observable pairs reduce to the quadratic
+form ``tr[rho (A (x) B)] = (d/2) <a, T b>`` in the Bloch vectors ``a, b`` of
+A and B; both evaluation paths are exposed and cross-checked in the test
+suite.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 
 from .bloch import BlochVector, QuditObservable
 from .errors import DimensionError, ValidationError
-from .gellmann import build_basis
+from .gellmann import antisymmetric_rows, sparse_generators
 from .serialize import complex_matrix_to_pairs, freeze, pairs_to_complex_matrix
 
 _TRACE_TOL = 1e-12
@@ -206,17 +210,29 @@ class CorrelationMatrix:
 
 
 def correlation_matrix(state: TwoQuditState) -> CorrelationMatrix:
-    """Compute ``T[n, m] = tr[rho (L_n (x) L_m)]`` for all generator pairs."""
+    """Compute ``T[n, m] = tr[rho (L_n (x) L_m)]`` for all generator pairs.
+
+    With ``R[(a,j),(b,k)] = rho[jk,ab]`` and the generators as the rows of
+    ``V = diag(c) U`` (see :func:`~quditbell.gellmann.sparse_generators`),
+    ``T = V R V^T``.  The real products ``P = U Re(R) U^T`` and
+    ``Q = U Im(R) U^T`` give it entrywise: ``c_n c_m`` is 1, ``i`` or -1, so
+    ``T`` is ``P``, ``-Q`` or ``-P`` and the other product is the imaginary
+    part, which must vanish.  Each product costs O(d^4).
+    """
     d = state.dim
-    basis = build_basis(d)
-    r4 = state.as_4index()
-    # tr[rho (L_n (x) L_m)] = sum rho[jk,ab] L_n[a,j] L_m[b,k]
-    half = np.einsum("jkab,naj->nkb", r4, basis.generators)
-    t = np.einsum("nkb,mbk->nm", half, basis.generators)
-    imag = float(np.max(np.abs(t.imag)))
-    if imag > 1e-12:
-        raise ValidationError(f"correlation matrix has imaginary residual {imag:.3e}")
-    t = t.real
+    u = sparse_generators(d)
+    r_t = state.as_4index().transpose(3, 1, 2, 0)  # R^T[(b,k),(a,j)] = rho[jk,ab]
+    # U (U R^T)^T = U R U^T, for the real and the imaginary part of R
+    p, q = (u @ (u @ part.reshape(d * d, d * d)).T for part in (r_t.real, r_t.imag))
+    anti = antisymmetric_rows(d)
+    imaginary = np.zeros(len(p), dtype=bool)
+    imaginary[anti] = True
+    mixed = imaginary[:, None] != imaginary[None, :]
+    t = np.where(mixed, -q, p)
+    t[anti, anti] *= -1.0
+    resid = float(np.max(np.abs(np.where(mixed, p, q))))
+    if not resid <= 1e-12:
+        raise ValidationError(f"correlation matrix has imaginary residual {resid:.3e}")
     asym = float(np.max(np.abs(t - t.T)))
     return CorrelationMatrix(dim=d, matrix=t, symmetric=asym <= 1e-11)
 

@@ -352,6 +352,25 @@ class TestLhv:
                 p_b2=table,
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["weights", "outcome_grid", "p_a1", "p_b2"])
+    def test_model_rejects_non_finite(self, field, bad):
+        table = np.zeros((2, 5))
+        table[0, 4] = table[1, 0] = 1.0
+        fields = dict(
+            weights=np.array([0.5, 0.5]),
+            outcome_grid=np.asarray(OUTCOME_GRID),
+            p_a1=table,
+            p_a2=table,
+            p_b1=table,
+            p_b2=table,
+        )
+        poisoned = fields[field].copy()
+        poisoned.flat[0] = bad
+        fields[field] = poisoned
+        with pytest.raises(ValidationError):
+            LhvModel(**fields)
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             lhv_monte_carlo(0, 10)

@@ -217,6 +217,20 @@ class TestEnvironmentOverrides:
         assert code == 0
         assert json.loads(out)["config"]["seed"] == 17
 
+    @pytest.mark.parametrize(
+        "var, args",
+        [
+            ("QUDITBELL_SEED", ["lhv", "--models", "10", "--sign", "+"]),
+            ("QUDITBELL_THREADS", ["maximize", "--dim", "2", "--sign", "+", "--restarts", "2"]),
+        ],
+    )
+    def test_non_integer_env_is_input_error(self, monkeypatch, capsys, var, args):
+        monkeypatch.setenv(var, "abc")
+        code, out, err = run_cli(args, capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"input error: {var} must be an integer, got 'abc'\n"
+
     def test_thread_cap_env(self, monkeypatch, capsys):
         monkeypatch.setenv("QUDITBELL_THREADS", "1")
         code, out, _ = run_cli(

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from quditbell import DimensionCapError, DimensionError, build_basis, flat_index, index_label
+from quditbell.gellmann import antisymmetric_rows, sparse_generators
 from quditbell.serialize import pairs_to_complex_matrix
 
 from conftest import SX, SY, SZ
@@ -79,6 +80,34 @@ class TestConstruction:
         with pytest.raises(DimensionCapError):
             build_basis(17, cap=16)
         assert len(build_basis(17, cap=20)) == 288
+
+
+class TestSparseGenerators:
+    @pytest.mark.parametrize("d", [2, 3, 4, 7, 16])
+    def test_reproduces_dense_basis_exactly(self, d):
+        u = sparse_generators(d)
+        assert u.shape == (d * d - 1, d * d)
+        # two entries per off-diagonal generator, l + 1 for diagonal label l
+        assert u.nnz == 2 * d * (d - 1) + (d - 1) * (d + 2) // 2
+        coeff = np.ones(d * d - 1, dtype=complex)
+        coeff[antisymmetric_rows(d)] = 1j
+        dense = coeff[:, None, None] * u.toarray().reshape(-1, d, d)
+        assert np.array_equal(dense, build_basis(d).generators)
+
+    def test_cached_and_read_only(self):
+        u = sparse_generators(5)
+        assert sparse_generators(5) is u
+        with pytest.raises(ValueError):
+            u.data[0] = 2.0
+
+    def test_errors(self):
+        with pytest.raises(DimensionError):
+            sparse_generators(1)
+        with pytest.raises(DimensionCapError):
+            sparse_generators(65)
+        with pytest.raises(DimensionCapError):
+            sparse_generators(17, cap=16)
+        assert sparse_generators(17, cap=20).shape == (288, 289)
 
 
 class TestIndexing:

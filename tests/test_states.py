@@ -10,6 +10,7 @@ from quditbell import (
     TwoQuditState,
     ValidationError,
     bloch_expectation,
+    build_basis,
     correlation_matrix,
     from_bloch,
     ghz,
@@ -19,6 +20,7 @@ from quditbell import (
     product_expectation,
 )
 
+from quditbell import gellmann, states
 from quditbell.states import cluster_eigenvalues
 
 from conftest import SY, SZ, random_state, random_traceless_hermitian
@@ -91,6 +93,43 @@ class TestCorrelationMatrix:
         assert [c.multiplicity for c in clusters] == [2, 1, 1]
         assert clusters[0].value == pytest.approx(-2.0 + 5e-10, abs=1e-15)
         assert_allclose(clusters[0].vectors, np.eye(4)[:, :2])
+
+
+def dense_einsum_t(state):
+    """The O(d^6) dense formula that the sparse transform replaced."""
+    gens = build_basis(state.dim).generators
+    half = np.einsum("jkab,naj->nkb", state.as_4index(), gens)
+    return np.einsum("nkb,mbk->nm", half, gens)
+
+
+class TestSparseTransform:
+    @pytest.mark.parametrize("d", [2, 3, 4, 6, 8])
+    def test_matches_dense_einsum(self, d, rng):
+        asymmetric = random_state(d, rng)
+        assert np.max(np.abs(asymmetric.rho.imag)) > 1e-3
+        for state in (asymmetric, random_state(d, rng, symmetric=True), ghz(d)):
+            reference = dense_einsum_t(state)
+            tcorr = correlation_matrix(state)
+            assert np.max(np.abs(tcorr.matrix - reference.real)) <= 1e-14
+            assert tcorr.symmetric == state.symmetric
+        t = correlation_matrix(asymmetric).matrix
+        assert np.max(np.abs(t - t.T)) > 1e-3
+
+    def test_builds_no_dense_basis(self, monkeypatch, rng):
+        def dense_basis(*args, **kwargs):
+            raise AssertionError("correlation_matrix built the dense basis")
+
+        for module in (gellmann, states):
+            monkeypatch.setattr(module, "build_basis", dense_basis, raising=False)
+        assert correlation_matrix(random_state(5, rng)).matrix.shape == (24, 24)
+
+    @pytest.mark.parametrize("bad", [np.nan, 0.1j])
+    def test_imaginary_residual_gate(self, bad):
+        # bypasses from_matrix: a NaN or non-hermitian rho must not yield a T
+        rho = ghz(2).rho.copy()
+        rho[0, 3] += bad
+        with pytest.raises(ValidationError, match="imaginary residual"):
+            correlation_matrix(TwoQuditState(dim=2, rho=rho, symmetric=False))
 
 
 class TestExpectations:
