@@ -13,6 +13,10 @@ scaling ``tr[X^2] = d ||r||^2``.  Two membership tests matter here:
 * ``in_pm1_shell``: the image of traceless observables with eigenvalues
   exactly +-1 (nonempty only for even d), i.e. operator norm equal to
   sqrt(2/d) together with ``||r|| = 1``.
+
+Both directions work in O(d^2) from the entries of the sparse generator
+matrix U (:func:`quditbell.gellmann.generator_entries`), the one
+representation of the generators; none builds the dense basis.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .gellmann import build_basis
+from .gellmann import generator_entries
 from .serialize import complex_matrix_to_pairs, freeze, pairs_to_complex_matrix, real_vector_to_list
 
 # Default tolerance for set-membership tests; well above eigensolver error
@@ -121,23 +125,46 @@ def _validate_traceless_hermitian(matrix: np.ndarray) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValidationError(f"observable must be a square matrix, got shape {matrix.shape}")
+    if not np.all(np.isfinite(matrix)):
+        raise ValidationError("observable entries must be finite")
     herm_residual = float(np.max(np.abs(matrix - matrix.conj().T)))
-    if herm_residual > _HERMITICITY_TOL:
+    if not herm_residual <= _HERMITICITY_TOL:
         raise ValidationError(f"observable is not hermitian: max |X - X^dag| = {herm_residual:.3e}")
     trace_residual = abs(complex(np.trace(matrix)))
-    if trace_residual > _TRACELESS_TOL:
+    if not trace_residual <= _TRACELESS_TOL:
         raise ValidationError(f"observable is not traceless: |tr X| = {trace_residual:.3e}")
     return matrix
+
+
+def _bincount_complex(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    """Sums of the complex ``weights`` per ``index``, each in input order."""
+    out = np.empty(size, dtype=complex)
+    out.real = np.bincount(index, weights.real, size)
+    out.imag = np.bincount(index, weights.imag, size)
+    return out
+
+
+def _generator_sum(coords: np.ndarray, d: int) -> np.ndarray:
+    """The d x d matrix ``r . L = sum_n r_n L_n``; ``coords`` is not validated."""
+    rows, cols, values = generator_entries(d)
+    return _bincount_complex(cols, coords[rows] * values, d * d).reshape(d, d)
+
+
+def _shell_residual(coords: np.ndarray, d: int) -> float:
+    """``| ||r . L||_op - sqrt(2/d) |``: how far ``r`` is from the shell's norm condition."""
+    return abs(operator_norm(_generator_sum(coords, d)) - np.sqrt(2.0 / d))
 
 
 def to_bloch(matrix: np.ndarray) -> BlochVector:
     """Bloch vector of a traceless hermitian matrix, ``r_j = tr[X L_j]/sqrt(2d)``."""
     matrix = _validate_traceless_hermitian(matrix)
     d = matrix.shape[0]
-    basis = build_basis(d)
-    coords = np.einsum("ij,kji->k", matrix, basis.generators) / np.sqrt(2.0 * d)
+    rows, cols, values = generator_entries(d)
+    # tr[X L_n] = sum_j L_n.flat[j] X^T.flat[j], over the stored entries of row n
+    traces = _bincount_complex(rows, matrix.T.reshape(-1)[cols] * values, d * d - 1)
+    coords = traces / np.sqrt(2.0 * d)
     imag = float(np.max(np.abs(coords.imag)))
-    if imag > 1e-10:
+    if not imag <= 1e-10:
         raise ValidationError(f"Bloch coordinates are not real: residual {imag:.3e}")
     return BlochVector(dim=d, coords=coords.real)
 
@@ -145,8 +172,7 @@ def to_bloch(matrix: np.ndarray) -> BlochVector:
 def from_bloch(r: BlochVector | np.ndarray, dim: int | None = None) -> QuditObservable:
     """Observable ``sqrt(d/2) (r . L)`` for a Bloch vector ``r``."""
     vec = _as_bloch(r, dim)
-    basis = build_basis(vec.dim)
-    matrix = np.sqrt(vec.dim / 2.0) * np.tensordot(vec.coords, basis.generators, axes=(0, 0))
+    matrix = np.sqrt(vec.dim / 2.0) * _generator_sum(vec.coords, vec.dim)
     return QuditObservable(dim=vec.dim, matrix=matrix, bloch=vec)
 
 
@@ -167,9 +193,7 @@ def _as_bloch(r, d: int | None = None) -> BlochVector:
 def in_bloch_region(r: BlochVector | np.ndarray, tol: float = SET_TOL) -> bool:
     """True iff the operator norm of ``r . L`` is at most sqrt(2/d) + tol."""
     vec = _as_bloch(r)
-    d = vec.dim
-    rdotl = np.tensordot(vec.coords, build_basis(d).generators, axes=(0, 0))
-    return operator_norm(rdotl) <= np.sqrt(2.0 / d) + tol
+    return operator_norm(_generator_sum(vec.coords, vec.dim)) <= np.sqrt(2.0 / vec.dim) + tol
 
 
 def in_pm1_shell(r: BlochVector | np.ndarray, tol: float = SET_TOL) -> bool:
@@ -180,13 +204,11 @@ def in_pm1_shell(r: BlochVector | np.ndarray, tol: float = SET_TOL) -> bool:
     equal to sqrt(2/d), both within ``tol``.
     """
     vec = _as_bloch(r)
-    d = vec.dim
-    if d % 2 != 0:
+    if vec.dim % 2 != 0:
         return False
     if abs(vec.norm - 1.0) > tol:
         return False
-    rdotl = np.tensordot(vec.coords, build_basis(d).generators, axes=(0, 0))
-    return abs(operator_norm(rdotl) - np.sqrt(2.0 / d)) <= tol
+    return _shell_residual(vec.coords, vec.dim) <= tol
 
 
 def _require_even(d: int) -> None:
@@ -209,7 +231,7 @@ def pm1_round(r: BlochVector | np.ndarray, dim: int | None = None) -> BlochVecto
     vec = _as_bloch(r, dim)
     d = vec.dim
     _require_even(d)
-    matrix = np.sqrt(d / 2.0) * np.tensordot(vec.coords, build_basis(d).generators, axes=(0, 0))
+    matrix = np.sqrt(d / 2.0) * _generator_sum(vec.coords, d)
     _, v = np.linalg.eigh(matrix)
     signs = np.concatenate([-np.ones(d // 2), np.ones(d // 2)])
     return to_bloch((v * signs) @ v.conj().T)

@@ -14,22 +14,24 @@ diagonal matrices for ``l = 1 .. d-1``.  For d=2 this gives ``[sx, sy, sz]``;
 for d=3 the eight Gell-Mann matrices in the grouped order.
 
 The families are written down once, in :func:`sparse_generators`: a real
-sparse ``(d^2-1) x d^2`` matrix with two non-zeros per off-diagonal generator
-and ``l+1`` for diagonal label ``l``.  :func:`build_basis` expands it into
-the dense ``(d^2-1, d, d)`` array.
+sparse ``(d^2-1) x d^2`` matrix U with two non-zeros per off-diagonal
+generator and ``l+1`` for diagonal label ``l``.  U is the one representation
+the library computes with: the correlation matrix, the Bloch maps and the
+witness search all work from it (through :func:`generator_entries`, its
+entries with their phases), and none needs the dense ``(d^2-1, d, d)`` array.
+:func:`build_basis` expands U into that array for callers that want the
+matrices themselves.
 """
 
 from __future__ import annotations
 
 import functools
-import json
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
 
 from .errors import DimensionCapError, DimensionError
-from .serialize import complex_matrix_to_pairs, freeze
+from .serialize import freeze
 
 DEFAULT_DIMENSION_CAP = 64
 
@@ -37,33 +39,6 @@ KIND_SYMMETRIC = "symmetric"
 KIND_ANTISYMMETRIC = "antisymmetric"
 KIND_DIAGONAL = "diagonal"
 KINDS = (KIND_SYMMETRIC, KIND_ANTISYMMETRIC, KIND_DIAGONAL)
-
-
-@dataclass(frozen=True, eq=False)
-class GellMannBasis:
-    """Ordered SU(d) generator basis.
-
-    ``generators`` is a read-only complex array of shape ``(d^2-1, d, d)``
-    indexed by the grouped ordering described in the module docstring.
-    Instances are immutable and safe to share across threads.
-    """
-
-    dim: int
-    generators: np.ndarray = field(repr=False)
-
-    def __len__(self) -> int:
-        return self.generators.shape[0]
-
-    def __getitem__(self, index: int) -> np.ndarray:
-        return self.generators[index]
-
-    def to_json(self) -> str:
-        """Debug dump: generators as row-major ``[[re, im], ...]`` lists."""
-        payload = {
-            "dim": self.dim,
-            "generators": [complex_matrix_to_pairs(g) for g in self.generators],
-        }
-        return json.dumps(payload)
 
 
 def _check_dim(d: int, cap: int) -> None:
@@ -88,7 +63,8 @@ def sparse_generators(d: int, cap: int = DEFAULT_DIMENSION_CAP) -> sparse.csr_ar
     Row n is ``L_n`` flattened row-major, divided by ``i`` on
     :func:`antisymmetric_rows`: ``L_n = c_n U[n].reshape(d, d)`` with
     ``c_n = 1j`` there and ``1`` elsewhere.  Cached and read-only; raises
-    like :func:`build_basis`.
+    :class:`DimensionError` for ``d < 2`` and :class:`DimensionCapError`
+    above ``cap``.
     """
     _check_dim(d, cap)
     m, k = np.triu_indices(d, 1)
@@ -110,18 +86,37 @@ def sparse_generators(d: int, cap: int = DEFAULT_DIMENSION_CAP) -> sparse.csr_ar
 
 
 @functools.lru_cache(maxsize=None)
-def build_basis(d: int, cap: int = DEFAULT_DIMENSION_CAP) -> GellMannBasis:
-    """Construct the ordered generator basis for dimension ``d``.
+def generator_entries(d: int, cap: int = DEFAULT_DIMENSION_CAP) -> tuple[np.ndarray, ...]:
+    """The stored entries of U with their phases, as ``(rows, cols, values)``.
 
-    Deterministic for a given ``d``; results are cached since bases are
-    immutable.  Raises :class:`DimensionError` for ``d < 2`` and
-    :class:`DimensionCapError` above ``cap``.
+    ``L_n.flat[j] = values[k]`` for ``(n, j) = (rows[k], cols[k])``, and every
+    other entry of ``L_n`` is zero; ``values`` is U's data times ``c_n``.  The
+    entries keep U's CSR order.  Cached and read-only; raises like
+    :func:`sparse_generators`.
     """
-    dense = sparse_generators(d, cap).toarray().reshape(-1, d, d)
-    gens = dense.astype(complex)
+    u = sparse_generators(d, cap)
+    rows = np.repeat(np.arange(u.shape[0]), np.diff(u.indptr))
+    values = u.data.astype(complex)
     anti = antisymmetric_rows(d)
-    gens[anti] = dense[anti] * 1j
-    return GellMannBasis(dim=d, generators=freeze(gens))
+    values[u.indptr[anti.start] : u.indptr[anti.stop]] *= 1j
+    return freeze(rows), u.indices, freeze(values)
+
+
+@functools.lru_cache(maxsize=None)
+def build_basis(d: int, cap: int = DEFAULT_DIMENSION_CAP) -> np.ndarray:
+    """The generators as a dense read-only array of shape ``(d^2-1, d, d)``.
+
+    ``build_basis(d)[n]`` is ``L_n`` in the grouped ordering.  A dense
+    expansion of :func:`sparse_generators` for callers that want the
+    matrices; it costs O(d^4) memory (about 268 MB at d = 64) and no library
+    computation uses it.  Cached; raises :class:`DimensionError` for
+    ``d < 2`` and :class:`DimensionCapError` above ``cap``.
+    """
+    rows, cols, values = generator_entries(d, cap)
+    gens = np.zeros((d * d - 1, d * d), dtype=complex)
+    gens[rows, cols] = values
+    gens.setflags(write=False)
+    return gens.reshape(-1, d, d)
 
 
 def flat_index(d: int, kind: str, m: int, k: int | None = None) -> int:

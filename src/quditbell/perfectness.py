@@ -28,15 +28,14 @@ from .bloch import (
     BlochVector,
     QuditObservable,
     SET_TOL,
+    _shell_residual,
     from_bloch,
     make_diag_pm1,
     make_offdiag_imag_pm1,
     make_offdiag_real_pm1,
-    operator_norm,
     pm1_round,
 )
 from .errors import CertificationError, DimensionError, ValidationError
-from .gellmann import build_basis
 from .states import (
     CorrelationMatrix,
     EigenCluster,
@@ -47,6 +46,11 @@ from .states import (
     product_expectation,
 )
 
+# Per start of the witness search: at most this many shell/eigenspace
+# projections, then a Nelder-Mead polish of at most this many iterations.
+_PROJECTION_ITERS = 100
+_POLISH_MAX_ITERS = 2000
+
 
 @dataclass(frozen=True)
 class WitnessSearchOptions:
@@ -54,8 +58,6 @@ class WitnessSearchOptions:
 
     restarts: int = 32
     seed: int = 0
-    projection_iters: int = 100
-    polish_max_iters: int = 2000
     canonical_cap: int = 16
 
 
@@ -246,39 +248,22 @@ def bell_condition_spectral_form(
     return abs(total) <= tol
 
 
-def _shell_residual(coords: np.ndarray, generators: np.ndarray, target: float) -> float:
-    return abs(operator_norm(np.tensordot(coords, generators, axes=(0, 0))) - target)
-
-
 def _canonical_pm1_vectors(d: int, sign: int, cap: int):
-    """Closed-form +-1 observables grouped by the T-eigenspace they favor.
+    """Bloch vectors of the first ``cap`` closed-form +-1 observables for ``sign``.
 
     Diagonal and real off-diagonal constructions pair with perfect
     correlations, the imaginary off-diagonal family with anticorrelations.
     """
-    if cap <= 0:
-        return
-    produced = 0
+    gammas = itertools.product((0, 1), repeat=d // 2)
     if sign > 0:
-        for positions in itertools.combinations(range(d), d // 2):
-            signs = [-1] * d
-            for p in positions:
-                signs[p] = 1
-            yield make_diag_pm1(d, signs).bloch.coords
-            produced += 1
-            if produced >= cap:
-                return
-        for gammas in itertools.product((0, 1), repeat=d // 2):
-            yield make_offdiag_real_pm1(d, gammas).bloch.coords
-            produced += 1
-            if produced >= cap:
-                return
+        halves = itertools.combinations(range(d), d // 2)
+        family = itertools.chain(
+            (make_diag_pm1(d, [1 if m in top else -1 for m in range(d)]) for top in halves),
+            (make_offdiag_real_pm1(d, g) for g in gammas),
+        )
     else:
-        for gammas in itertools.product((0, 1), repeat=d // 2):
-            yield make_offdiag_imag_pm1(d, gammas).bloch.coords
-            produced += 1
-            if produced >= cap:
-                return
+        family = (make_offdiag_imag_pm1(d, g) for g in gammas)
+    return (obs.bloch.coords for obs in itertools.islice(family, max(cap, 0)))
 
 
 def _orient(coords: np.ndarray) -> np.ndarray:
@@ -297,37 +282,32 @@ def _search_witness(
     eigvecs: np.ndarray,
     d: int,
     tol: float,
-    opts: WitnessSearchOptions,
+    restarts: int,
     starts: list[np.ndarray],
     rng: np.random.Generator,
 ) -> tuple[np.ndarray | None, float, int]:
     """Look for a unit vector of ``span(eigvecs)`` inside the +-1 shell.
 
-    Alternates projection between the shell (balanced sign rounding of the
+    Tries ``starts``, then up to ``restarts`` random starts.  Alternates
+    projection between the shell (balanced sign rounding of the
     corresponding observable) and the eigenspace, then polishes with
     Nelder-Mead on the operator-norm residual.  Returns
     ``(witness or None, best residual, restarts used)``.
     """
-    basis = build_basis(d)
-    generators = basis.generators
-    target = np.sqrt(2.0 / d)
     k = eigvecs.shape[1]
     best_residual = np.inf
     used = 0
 
-    def coords_of(c: np.ndarray) -> np.ndarray:
-        return eigvecs @ c
-
     def residual_of(c: np.ndarray) -> float:
-        return _shell_residual(coords_of(c), generators, target)
+        return _shell_residual(eigvecs @ c, d)
 
     def refine(c: np.ndarray) -> tuple[np.ndarray, float]:
         c = c / np.linalg.norm(c)
         res = residual_of(c)
-        for _ in range(opts.projection_iters):
+        for _ in range(_PROJECTION_ITERS):
             if res <= tol:
                 break
-            c_new = eigvecs.T @ pm1_round(coords_of(c), d).coords
+            c_new = eigvecs.T @ pm1_round(eigvecs @ c, d).coords
             nrm = np.linalg.norm(c_new)
             if nrm < 1e-12:
                 break
@@ -344,7 +324,7 @@ def _search_witness(
                 c,
                 method="Nelder-Mead",
                 options={
-                    "maxiter": opts.polish_max_iters,
+                    "maxiter": _POLISH_MAX_ITERS,
                     "xatol": 1e-12,
                     "fatol": 1e-14,
                 },
@@ -356,7 +336,7 @@ def _search_witness(
         return c, res
 
     queue = list(starts)
-    while queue or used < opts.restarts:
+    while queue or used < restarts:
         if queue:
             c0 = queue.pop(0)
         else:
@@ -368,7 +348,7 @@ def _search_witness(
         c, res = refine(c0 / nrm)
         best_residual = min(best_residual, res)
         if res <= tol:
-            coords = coords_of(c)
+            coords = eigvecs @ c
             return coords / np.linalg.norm(coords), best_residual, used
     return None, best_residual, used
 
@@ -426,7 +406,7 @@ def certify_state(
                 starts.append(c)
         rng = np.random.default_rng([opts.seed, 0 if sign > 0 else 1])
         coords, best_res, used = _search_witness(
-            cluster.vectors, d, tol, opts, starts, rng
+            cluster.vectors, d, tol, opts.restarts, starts, rng
         )
         sign_results.append(
             SignWitness(
@@ -479,9 +459,6 @@ def find_perfect_observables(
         )
 
     cluster = entry.cluster
-    basis = build_basis(d)
-    shell_target = np.sqrt(2.0 / d)
-
     found: list[np.ndarray] = []
 
     def try_add(coords: np.ndarray) -> None:
@@ -498,18 +475,17 @@ def find_perfect_observables(
         if nrm < 1e-9:
             continue
         coords = proj / nrm
-        if _shell_residual(coords, basis.generators, shell_target) <= tol:
+        if _shell_residual(coords, d) <= tol:
             try_add(coords)
         if len(found) >= count:
             break
 
     # One random start per attempt (plus the search's own fallback draw).
-    single = WitnessSearchOptions(restarts=1, canonical_cap=0)
     attempt = 0
     while len(found) < count and attempt < max(WitnessSearchOptions().restarts, count * 4):
         rng = np.random.default_rng([seed, 1000 + attempt])
         coords, _, _ = _search_witness(
-            cluster.vectors, d, tol, single, [rng.standard_normal(cluster.multiplicity)], rng
+            cluster.vectors, d, tol, 1, [rng.standard_normal(cluster.multiplicity)], rng
         )
         if coords is not None:
             try_add(coords)

@@ -7,13 +7,18 @@ The correlation matrix of a state ``rho`` on C^d (x) C^d is the real
 
 in the generator ordering of :mod:`quditbell.gellmann`.  For swap-invariant
 states T is symmetric.  :func:`correlation_matrix` builds T in O(d^4) as a
-sparse change of basis with the real generator matrix of
-:func:`~quditbell.gellmann.sparse_generators`.  The dense basis is needed
-only where Bloch coordinates become matrices or back: the Bloch maps and the
-witness search.  Expectations of observable pairs reduce to the quadratic
-form ``tr[rho (A (x) B)] = (d/2) <a, T b>`` in the Bloch vectors ``a, b`` of
-A and B; both evaluation paths are exposed and cross-checked in the test
-suite.
+sparse change of basis with the real generator matrix U of
+:func:`~quditbell.gellmann.sparse_generators`.  U is the one representation
+of the generators the library computes with; the dense basis of
+:func:`~quditbell.gellmann.build_basis` is an expansion of U for callers and
+is built on no library path.  Expectations of observable pairs reduce to the
+quadratic form ``tr[rho (A (x) B)] = (d/2) <a, T b>`` in the Bloch vectors
+``a, b`` of A and B; both evaluation paths are exposed and cross-checked in
+the test suite.
+
+States from outside go through :meth:`TwoQuditState.from_matrix`, whose
+positivity check is O(d^6); :func:`ghz` and :func:`maximally_mixed` are valid
+and symmetric by construction and skip it.
 """
 
 from __future__ import annotations
@@ -118,13 +123,13 @@ def ghz(d: int) -> TwoQuditState:
         raise DimensionError(f"GHZ state requires dimension >= 2, got {d}")
     psi = np.zeros(d * d, dtype=complex)
     psi[:: d + 1] = 1.0 / np.sqrt(d)
-    return TwoQuditState.from_matrix(np.outer(psi, psi.conj()))
+    return TwoQuditState(dim=d, rho=np.outer(psi, psi.conj()), symmetric=True)
 
 
 def maximally_mixed(d: int) -> TwoQuditState:
     if d < 2:
         raise DimensionError(f"dimension must be >= 2, got {d}")
-    return TwoQuditState.from_matrix(np.eye(d * d, dtype=complex) / (d * d))
+    return TwoQuditState(dim=d, rho=np.eye(d * d, dtype=complex) / (d * d), symmetric=True)
 
 
 @dataclass(frozen=True)

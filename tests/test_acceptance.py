@@ -39,7 +39,7 @@ def test_criterion_01_generator_orthogonality():
     start = time.perf_counter()
     worst = 0.0
     for d in range(2, 17):
-        gens = build_basis(d).generators
+        gens = build_basis(d)
         gram = np.einsum("jab,kba->jk", gens, gens)
         worst = max(worst, float(np.max(np.abs(gram - 2.0 * np.eye(d * d - 1)))))
     elapsed = time.perf_counter() - start

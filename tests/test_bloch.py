@@ -139,7 +139,7 @@ class TestMembership:
 class TestPm1Round:
     @pytest.mark.parametrize("d", [2, 4, 6])
     def test_maximizes_linear_functional(self, d, rng):
-        generators = build_basis(d).generators
+        generators = build_basis(d)
         for _ in range(5):
             c = rng.standard_normal(d * d - 1)
             x = pm1_round(c, d)
@@ -254,7 +254,7 @@ def test_observable_json_roundtrip():
 
 def test_generators_map_to_unit_coordinates():
     basis = build_basis(3)
-    for j, g in enumerate(basis.generators):
+    for j, g in enumerate(basis):
         r = to_bloch(np.sqrt(3 / 2) * g)
         expected = np.zeros(8)
         expected[j] = 1.0

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from quditbell import DimensionCapError, DimensionError, build_basis, flat_index, index_label
 from quditbell.gellmann import antisymmetric_rows, sparse_generators
-from quditbell.serialize import pairs_to_complex_matrix
 
 from conftest import SX, SY, SZ
 
@@ -41,7 +38,7 @@ class TestConstruction:
         assert_allclose(basis[7], np.diag([1.0, 1.0, -2.0]) / np.sqrt(3))
 
     def test_d4_pairwise_orthogonality(self):
-        gens = build_basis(4).generators
+        gens = build_basis(4)
         gram = np.einsum("jab,kba->jk", gens, gens)
         assert_allclose(gram, 2.0 * np.eye(15), atol=1e-12)
 
@@ -50,26 +47,26 @@ class TestConstruction:
         basis = build_basis(d)
         n_off = d * (d - 1) // 2
         assert len(basis) == d * d - 1 == 2 * n_off + (d - 1)
-        for g in basis.generators:
+        for g in basis:
             assert np.max(np.abs(g - g.conj().T)) <= 1e-15
             assert abs(np.trace(g)) <= 1e-13
         # antisymmetric block is purely imaginary, diagonal block real diagonal
-        assert np.max(np.abs(basis.generators[n_off : 2 * n_off].real)) == 0
-        for g in basis.generators[2 * n_off :]:
+        assert np.max(np.abs(basis[n_off : 2 * n_off].real)) == 0
+        for g in basis[2 * n_off :]:
             assert_allclose(g, np.diag(np.diagonal(g)))
 
     @pytest.mark.parametrize("d", range(2, 10))
     def test_trace_orthonormalization(self, d):
-        gens = build_basis(d).generators
+        gens = build_basis(d)
         gram = np.einsum("jab,kba->jk", gens, gens)
         assert np.max(np.abs(gram - 2.0 * np.eye(d * d - 1))) <= 1e-12
 
     def test_deterministic_and_immutable(self):
         b1 = build_basis(5)
         b2 = build_basis(5)
-        assert_allclose(b1.generators, b2.generators)
+        assert_allclose(b1, b2)
         with pytest.raises(ValueError):
-            b1.generators[0, 0, 0] = 1.0
+            b1[0, 0, 0] = 1.0
 
     def test_errors(self):
         with pytest.raises(DimensionError):
@@ -92,7 +89,7 @@ class TestSparseGenerators:
         coeff = np.ones(d * d - 1, dtype=complex)
         coeff[antisymmetric_rows(d)] = 1j
         dense = coeff[:, None, None] * u.toarray().reshape(-1, d, d)
-        assert np.array_equal(dense, build_basis(d).generators)
+        assert np.array_equal(dense, build_basis(d))
 
     def test_cached_and_read_only(self):
         u = sparse_generators(5)
@@ -161,11 +158,3 @@ class TestIndexing:
             idx = flat_index(d, kind, m, k)
         assert 0 <= idx < d * d - 1
 
-
-def test_json_dump_roundtrip():
-    basis = build_basis(3)
-    payload = json.loads(basis.to_json())
-    assert payload["dim"] == 3
-    assert len(payload["generators"]) == 8
-    rebuilt = pairs_to_complex_matrix(payload["generators"][3], (3, 3))
-    assert_allclose(rebuilt, basis[3])

@@ -42,6 +42,14 @@ class TestGhz:
         with pytest.raises(DimensionError):
             ghz(1)
 
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_built_in_states_pass_the_full_check(self, d):
+        # ghz and maximally_mixed skip from_matrix; its checks must agree
+        for state in (ghz(d), maximally_mixed(d)):
+            checked = TwoQuditState.from_matrix(state.rho)
+            assert np.array_equal(checked.rho, state.rho)
+            assert checked.symmetric == state.symmetric
+
 
 class TestCorrelationMatrix:
     def test_ghz2_matrix(self):
@@ -97,7 +105,7 @@ class TestCorrelationMatrix:
 
 def dense_einsum_t(state):
     """The O(d^6) dense formula that the sparse transform replaced."""
-    gens = build_basis(state.dim).generators
+    gens = build_basis(state.dim)
     half = np.einsum("jkab,naj->nkb", state.as_4index(), gens)
     return np.einsum("nkb,mbk->nm", half, gens)
 
@@ -181,7 +189,7 @@ class TestExpectations:
             y = QuditObservable.from_matrix(random_traceless_hermitian(d, rng))
             literal = np.trace(state.rho @ np.kron(x.matrix, y.matrix)).real
             assert product_expectation(state, x, y) == pytest.approx(literal, abs=1e-12)
-            gens = build_basis(d).generators
+            gens = build_basis(d)
             t = correlation_matrix(state).matrix
             n, m = 1, d * d - 2
             literal_t = np.trace(state.rho @ np.kron(gens[n], gens[m])).real
