@@ -23,7 +23,7 @@ from quditbell import (
 )
 
 
-def survey_dimension(d, restarts, seed, threads):
+def survey_dimension(d, restarts, seed):
     state = ghz(d)
     membership = certify_state(state, opts=WitnessSearchOptions(seed=seed))
     spectral = membership.tcorr.spectral
@@ -37,9 +37,7 @@ def survey_dimension(d, restarts, seed, threads):
     }
     for sign, label in ((1, "+"), (-1, "-")):
         start = time.perf_counter()
-        report = maximize_bell(
-            state, sign, MaximizeOptions(restarts=restarts, seed=seed, threads=threads)
-        )
+        report = maximize_bell(state, sign, MaximizeOptions(restarts=restarts, seed=seed))
         row["maximization"][label] = {
             "best_value": report.best_value,
             "b_perfect_residual": report.b_perfect_residual,
@@ -53,7 +51,6 @@ def main():
     parser.add_argument("--dims", type=int, nargs="+", default=[2, 4, 6])
     parser.add_argument("--restarts", type=int, default=64)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--out-dir", default=None)
     args = parser.parse_args()
 
@@ -66,7 +63,7 @@ def main():
         if d % 2:
             print(f"{d:>3}  skipped (odd dimension: no +-1-spectrum observables)")
             continue
-        row = survey_dimension(d, args.restarts, args.seed, args.threads)
+        row = survey_dimension(d, args.restarts, args.seed)
         rows.append(row)
         print(
             f"{d:>3} {row['spectral_norm']:>10.6f} {str(row['in_class']):>10} "

@@ -16,7 +16,11 @@ absolute value is linear in the free vector, and a linear functional
 (:func:`quditbell.bloch.pm1_round`, Ky Fan / von Neumann).  So B~ is the
 better of ``round(T(+-b - a))`` and ``round(T(+-b + a))`` and A is
 ``round(T(b - b~))``; no step size is involved and the value never falls.
-Restarts are independent and deterministic in ``(seed, restart index)``.
+Restart i starts from a draw seeded by ``(seed, i)``.  All restarts run in
+lockstep, stacked into arrays that go through one batched rounding per
+update; a restart leaves the batch at its fixed point.  Reports are
+deterministic in ``(seed, restarts)``; since a restart's matrix products are
+taken over the whole batch, its last bits may depend on the batch.
 
 A Monte-Carlo harness over finite local-hidden-variable models checks the
 classical bound 1 on the same combination under the perfectness constraint.
@@ -26,7 +30,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,19 +56,17 @@ class MaximizeOptions:
     Restart ``i`` fixes B to witness ``i mod witness_count`` (found with
     perfectness tolerance ``tol``) and stops at the first iteration of block
     updates that no longer raises the value, or after ``max_iters``
-    iterations; ``threads > 1`` runs restarts in a process pool with results
-    identical to serial runs.
+    iterations.
     """
 
     restarts: int = 64
     seed: int = 0
     tol: float = 1e-9
     max_iters: int = 500
-    threads: int = 1
     witness_count: int = 8
 
     def __post_init__(self):
-        for name in ("restarts", "witness_count"):
+        for name in ("restarts", "max_iters", "witness_count"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be at least 1, got {getattr(self, name)}")
 
@@ -133,7 +134,7 @@ def write_trace_csv(report: BellMaxReport, path) -> None:
 
 def _check_observable_range(obs: QuditObservable, name: str) -> None:
     norm = obs.operator_norm
-    if norm > 1.0 + _EIGRANGE_TOL:
+    if not norm <= 1.0 + _EIGRANGE_TOL:
         raise ValidationError(f"{name} has eigenvalues outside [-1, 1]: operator norm {norm:.6e}")
 
 
@@ -205,66 +206,57 @@ def scalar_bound() -> tuple[float, float]:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _RestartResult:
-    index: int
-    value: float
-    iterations: int
-    trace: tuple[tuple[int, float], ...]
-    a_coords: np.ndarray
-    b_coords: np.ndarray
-    btil_coords: np.ndarray
+def _run_restarts(
+    d: int, tmat: np.ndarray, b: np.ndarray, gauss: np.ndarray, sign: int, max_iters: int
+):
+    """All restarts in lockstep; row i of ``b`` and ``gauss`` belongs to restart i.
 
+    Returns the final ``a``, ``b~`` and values, the iteration counts and one
+    ``[(iteration, value), ...]`` trace per restart.
+    """
+    tb = b @ tmat.T
 
-def _restart_worker(payload) -> _RestartResult:
-    (d, tmat, b_coords, sign, seed, index, max_iters) = payload
-    rng = np.random.default_rng([seed, index])
-    b = np.asarray(b_coords, dtype=float)
-    tb = tmat @ b
-
-    def value_of(a_c: np.ndarray, btil_c: np.ndarray) -> float:
-        tbtil = tmat @ btil_c
-        return d / 2.0 * (abs(float(a_c @ (tb - tbtil))) + sign * float(b @ tbtil))
-
-    def rounded(c: np.ndarray) -> np.ndarray:
-        return pm1_round(c, d).coords
+    def value_of(rows: np.ndarray, a: np.ndarray, btil: np.ndarray) -> np.ndarray:
+        tbtil = btil @ tmat.T
+        first = np.abs(np.einsum("ij,ij->i", a, tb[rows] - tbtil))
+        return d / 2.0 * (first + sign * np.einsum("ij,ij->i", b[rows], tbtil))
 
     # Rounding a Gaussian vector gives a Haar-random point of the +-1 orbit.
-    btil = rounded(rng.standard_normal(d * d - 1))
-    a = rounded(tb - tmat @ btil)
-    value = value_of(a, btil)
-    trace = [(0, value)]
-    iterations = 0
+    btil = pm1_round(gauss, d)
+    a = pm1_round(tb - btil @ tmat.T, d)
+    active = np.arange(len(b))
+    value = value_of(active, a, btil)
+    traces = [[(0, v)] for v in value.tolist()]
+    iterations = np.zeros(len(b), dtype=int)
 
     for iteration in range(1, max_iters + 1):
-        iterations = iteration
-        start_value = value
+        start_value = value[active]
+        a_act = a[active]
         # |x| = max over branches sigma of sigma * x; on each branch the value
-        # is linear in b~ with gradient T(sign * b - sigma * a).
-        for sigma in (1.0, -1.0):
-            btil2 = rounded((sign * b - sigma * a) @ tmat)
-            v2 = value_of(a, btil2)
-            if v2 > value:
-                btil, value = btil2, v2
-        a2 = rounded(tb - tmat @ btil)
-        v2 = value_of(a2, btil)
-        if v2 > value:
-            a, value = a2, v2
-        trace.append((iteration, value))
+        # is linear in b~ with gradient T(sign * b - sigma * a).  Both branches
+        # share one rounding, and sigma = +1 is tried first.
+        base = sign * b[active]
+        candidates = pm1_round(np.concatenate([base - a_act, base + a_act]) @ tmat, d)
+        for btil2 in np.split(candidates, 2):
+            v2 = value_of(active, a_act, btil2)
+            up = v2 > value[active]
+            btil[active[up]] = btil2[up]
+            value[active[up]] = v2[up]
+        a2 = pm1_round(tb[active] - btil[active] @ tmat.T, d)
+        v2 = value_of(active, a2, btil[active])
+        up = v2 > value[active]
+        a[active[up]] = a2[up]
+        value[active[up]] = v2[up]
+        iterations[active] = iteration
+        for i, v in zip(active.tolist(), value[active].tolist()):
+            traces[i].append((iteration, v))
         # The updates are deterministic in (a, b~): an iteration that accepts
         # none leaves the state, and so every later iteration, unchanged.
-        if value == start_value:
+        active = active[value[active] != start_value]
+        if active.size == 0:
             break
 
-    return _RestartResult(
-        index=index,
-        value=value,
-        iterations=iterations,
-        trace=tuple(trace),
-        a_coords=freeze(a),
-        b_coords=freeze(b),
-        btil_coords=freeze(btil),
-    )
+    return a, btil, value, iterations, traces
 
 
 def maximize_bell(
@@ -280,9 +272,8 @@ def maximize_bell(
     Results are reduced deterministically (best value, ties to the lowest
     restart index); the reported value is recomputed by direct traces.
 
-    ``progress(restart_index, converged_value)`` is invoked once per finished
-    restart; with ``threads > 1`` calls may interleave with other work, so a
-    shared callback must tolerate concurrent invocation.
+    ``progress(restart_index, converged_value)`` is invoked once per restart,
+    in restart order, after all restarts have finished.
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
@@ -301,45 +292,29 @@ def maximize_bell(
     )
     witnesses = find_perfect_observables(membership, sign, opts.witness_count, opts.seed)
     tmat = membership.tcorr.matrix
-    payloads = [
-        (
-            d,
-            tmat,
-            witnesses[i % len(witnesses)].bloch.coords,
-            sign,
-            opts.seed,
-            i,
-            opts.max_iters,
-        )
-        for i in range(opts.restarts)
-    ]
-    if opts.threads > 1:
-        with ProcessPoolExecutor(max_workers=opts.threads) as pool:
-            results = []
-            for result in pool.map(_restart_worker, payloads):
-                results.append(result)
-                if progress is not None:
-                    progress(result.index, result.value)
-    else:
-        results = []
-        for payload in payloads:
-            result = _restart_worker(payload)
-            results.append(result)
-            if progress is not None:
-                progress(result.index, result.value)
+    indices = range(opts.restarts)
+    b = np.stack([witnesses[i % len(witnesses)].bloch.coords for i in indices])
+    gauss = np.stack(
+        [np.random.default_rng([opts.seed, i]).standard_normal(d * d - 1) for i in indices]
+    )
+    a, btil, values, iterations, traces = _run_restarts(d, tmat, b, gauss, sign, opts.max_iters)
+    values = values.tolist()
+    if progress is not None:
+        for i in indices:
+            progress(i, values[i])
 
-    best = max(results, key=lambda r: (r.value, -r.index))
-    best_a = from_bloch(BlochVector(dim=d, coords=best.a_coords))
-    best_b = from_bloch(BlochVector(dim=d, coords=best.b_coords))
-    best_btil = from_bloch(BlochVector(dim=d, coords=best.btil_coords))
+    best = int(np.argmax(values))
+    best_a = from_bloch(BlochVector(dim=d, coords=a[best]))
+    best_b = from_bloch(BlochVector(dim=d, coords=b[best]))
+    best_btil = from_bloch(BlochVector(dim=d, coords=btil[best]))
     direct = bell_expression(state, best_a, best_b, best_btil, sign)
-    residual = abs(float(best.b_coords @ (tmat @ best.b_coords)) - sign * 2.0 / d)
+    residual = abs(float(b[best] @ (tmat @ b[best])) - sign * 2.0 / d)
 
     return BellMaxReport(
         dim=d,
         sign=sign,
         best_value=direct,
-        bloch_value=best.value,
+        bloch_value=values[best],
         b_perfect_residual=residual,
         restarts=opts.restarts,
         seed=opts.seed,
@@ -347,10 +322,10 @@ def maximize_bell(
         best_b=best_b,
         best_btilde=best_btil,
         per_restart=tuple(
-            RestartSummary(restart=r.index, value=r.value, iterations=r.iterations)
-            for r in results
+            RestartSummary(restart=i, value=v, iterations=n)
+            for i, (v, n) in enumerate(zip(values, iterations.tolist()))
         ),
-        trace=tuple((r.index, it, v) for r in results for it, v in r.trace),
+        trace=tuple((i, it, v) for i in indices for it, v in traces[i]),
         wall_time=time.perf_counter() - start,
     )
 

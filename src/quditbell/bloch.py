@@ -62,15 +62,7 @@ class BlochVector:
     coords: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=float)
-        n = self.dim * self.dim - 1
-        if coords.shape != (n,):
-            raise ValidationError(
-                f"Bloch vector for d={self.dim} needs length {n}, got shape {coords.shape}"
-            )
-        if not np.all(np.isfinite(coords)):
-            raise ValidationError("Bloch vector coordinates must be finite")
-        object.__setattr__(self, "coords", freeze(coords))
+        object.__setattr__(self, "coords", freeze(_checked_coords(self.coords, self.dim)))
 
     @property
     def norm(self) -> float:
@@ -93,9 +85,8 @@ class QuditObservable:
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray) -> "QuditObservable":
-        matrix = np.asarray(matrix, dtype=complex)
-        d = matrix.shape[0]
-        return cls(dim=d, matrix=matrix, bloch=to_bloch(matrix))
+        bloch = to_bloch(matrix)
+        return cls(dim=bloch.dim, matrix=matrix, bloch=bloch)
 
     @property
     def operator_norm(self) -> float:
@@ -121,33 +112,53 @@ class QuditObservable:
         return cls.from_matrix(matrix)
 
 
-def _validate_traceless_hermitian(matrix: np.ndarray) -> np.ndarray:
+def _checked_coords(coords, d: int, stack: bool = False) -> np.ndarray:
+    """Finite float coordinates of shape (d^2 - 1,), or (R, d^2 - 1) for a ``stack``."""
+    coords = np.asarray(coords, dtype=float)
+    n = d * d - 1
+    if coords.ndim != 1 + stack or coords.shape[-1] != n:
+        raise ValidationError(f"Bloch vector for d={d} needs length {n}, got shape {coords.shape}")
+    if not np.all(np.isfinite(coords)):
+        raise ValidationError("Bloch vector coordinates must be finite")
+    return coords
+
+
+def _validate_traceless_hermitian(matrix: np.ndarray, stack: bool = False) -> np.ndarray:
+    # Every gate is "not (ok)" and reduces over the whole stack, so one NaN fails it.
     matrix = np.asarray(matrix, dtype=complex)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+    if matrix.ndim != 2 + stack or matrix.shape[-1] != matrix.shape[-2]:
         raise ValidationError(f"observable must be a square matrix, got shape {matrix.shape}")
     if not np.all(np.isfinite(matrix)):
         raise ValidationError("observable entries must be finite")
-    herm_residual = float(np.max(np.abs(matrix - matrix.conj().T)))
+    herm_residual = float(np.max(np.abs(matrix - matrix.conj().swapaxes(-1, -2)), initial=0.0))
     if not herm_residual <= _HERMITICITY_TOL:
         raise ValidationError(f"observable is not hermitian: max |X - X^dag| = {herm_residual:.3e}")
-    trace_residual = abs(complex(np.trace(matrix)))
+    trace_residual = float(np.max(np.abs(np.trace(matrix, axis1=-2, axis2=-1)), initial=0.0))
     if not trace_residual <= _TRACELESS_TOL:
         raise ValidationError(f"observable is not traceless: |tr X| = {trace_residual:.3e}")
     return matrix
 
 
 def _bincount_complex(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
-    """Sums of the complex ``weights`` per ``index``, each in input order."""
-    out = np.empty(size, dtype=complex)
-    out.real = np.bincount(index, weights.real, size)
-    out.imag = np.bincount(index, weights.imag, size)
-    return out
+    """Sums of the complex ``weights`` (..., m) per ``index`` (m,), each in input order.
+
+    A leading batch of weights is summed in one ``np.bincount`` by offsetting
+    each row's bins by ``size``; every bin still adds its terms in input order.
+    """
+    lead = weights.shape[:-1]
+    count = weights.size // index.size
+    flat_index = (index + size * np.arange(count)[:, None]).reshape(-1)
+    out = np.empty(count * size, dtype=complex)
+    out.real = np.bincount(flat_index, weights.real.reshape(-1), count * size)
+    out.imag = np.bincount(flat_index, weights.imag.reshape(-1), count * size)
+    return out.reshape(lead + (size,))
 
 
 def _generator_sum(coords: np.ndarray, d: int) -> np.ndarray:
-    """The d x d matrix ``r . L = sum_n r_n L_n``; ``coords`` is not validated."""
+    """``r . L = sum_n r_n L_n`` for ``coords`` (..., d^2 - 1), shape (..., d, d); not validated."""
     rows, cols, values = generator_entries(d)
-    return _bincount_complex(cols, coords[rows] * values, d * d).reshape(d, d)
+    sums = _bincount_complex(cols, coords[..., rows] * values, d * d)
+    return sums.reshape(coords.shape[:-1] + (d, d))
 
 
 def _shell_residual(coords: np.ndarray, d: int) -> float:
@@ -155,18 +166,23 @@ def _shell_residual(coords: np.ndarray, d: int) -> float:
     return abs(operator_norm(_generator_sum(coords, d)) - np.sqrt(2.0 / d))
 
 
-def to_bloch(matrix: np.ndarray) -> BlochVector:
-    """Bloch vector of a traceless hermitian matrix, ``r_j = tr[X L_j]/sqrt(2d)``."""
-    matrix = _validate_traceless_hermitian(matrix)
-    d = matrix.shape[0]
+def _bloch_coords(matrix: np.ndarray, stack: bool = False) -> np.ndarray:
+    """Gated real coordinates ``tr[X L_j]/sqrt(2d)`` of X, or of each X in a (R, d, d) ``stack``."""
+    matrix = _validate_traceless_hermitian(matrix, stack)
+    d = matrix.shape[-1]
     rows, cols, values = generator_entries(d)
     # tr[X L_n] = sum_j L_n.flat[j] X^T.flat[j], over the stored entries of row n
-    traces = _bincount_complex(rows, matrix.T.reshape(-1)[cols] * values, d * d - 1)
-    coords = traces / np.sqrt(2.0 * d)
-    imag = float(np.max(np.abs(coords.imag)))
+    flat = matrix.swapaxes(-1, -2).reshape(matrix.shape[:-2] + (d * d,))
+    coords = _bincount_complex(rows, flat[..., cols] * values, d * d - 1) / np.sqrt(2.0 * d)
+    imag = float(np.max(np.abs(coords.imag), initial=0.0))
     if not imag <= 1e-10:
         raise ValidationError(f"Bloch coordinates are not real: residual {imag:.3e}")
-    return BlochVector(dim=d, coords=coords.real)
+    return coords.real
+
+
+def to_bloch(matrix: np.ndarray) -> BlochVector:
+    """Bloch vector of a traceless hermitian matrix, ``r_j = tr[X L_j]/sqrt(2d)``."""
+    return _as_bloch(_bloch_coords(matrix))
 
 
 def from_bloch(r: BlochVector | np.ndarray, dim: int | None = None) -> QuditObservable:
@@ -185,9 +201,12 @@ def _as_bloch(r, d: int | None = None) -> BlochVector:
     if isinstance(r, BlochVector):
         return r
     arr = np.asarray(r, dtype=float)
-    if d is None:
-        d = int(round(np.sqrt(arr.size + 1)))
-    return BlochVector(dim=d, coords=arr)
+    return BlochVector(dim=_implied_dim(arr.size) if d is None else d, coords=arr)
+
+
+def _implied_dim(length: int) -> int:
+    """The d whose d^2 - 1 is nearest to ``length``."""
+    return int(round(np.sqrt(length + 1)))
 
 
 def in_bloch_region(r: BlochVector | np.ndarray, tol: float = SET_TOL) -> bool:
@@ -219,7 +238,7 @@ def _require_even(d: int) -> None:
         )
 
 
-def pm1_round(r: BlochVector | np.ndarray, dim: int | None = None) -> BlochVector:
+def pm1_round(r: BlochVector | np.ndarray, dim: int | None = None) -> BlochVector | np.ndarray:
     """Point of the +-1 shell maximizing ``<r, x>``: the sign rounding of ``r . L``.
 
     By von Neumann's trace inequality (Ky Fan, PNAS 35, 652 (1949)), over the
@@ -227,14 +246,23 @@ def pm1_round(r: BlochVector | np.ndarray, dim: int | None = None) -> BlochVecto
     shares the eigenvectors of X and puts +1 on the top half of its spectrum,
     -1 on the bottom half.  A tie at the split leaves the maximum unchanged,
     and ``r = 0`` still rounds to a valid shell point.
+
+    A stack of vectors, an (R, d^2 - 1) array, is rounded row by row through
+    one batched eigendecomposition and returned as an (R, d^2 - 1) array;
+    each row equals the rounding of that row alone.
     """
-    vec = _as_bloch(r, dim)
-    d = vec.dim
+    stack = not isinstance(r, BlochVector) and np.ndim(r) == 2
+    if stack:
+        d = _implied_dim(np.shape(r)[1]) if dim is None else dim
+        coords = _checked_coords(r, d, stack=True)
+    else:
+        vec = _as_bloch(r, dim)
+        d, coords = vec.dim, vec.coords
     _require_even(d)
-    matrix = np.sqrt(d / 2.0) * _generator_sum(vec.coords, d)
-    _, v = np.linalg.eigh(matrix)
+    _, v = np.linalg.eigh(np.sqrt(d / 2.0) * _generator_sum(coords, d))
     signs = np.concatenate([-np.ones(d // 2), np.ones(d // 2)])
-    return to_bloch((v * signs) @ v.conj().T)
+    rounded = _bloch_coords((v * signs) @ v.conj().swapaxes(-1, -2), stack)
+    return rounded if stack else BlochVector(dim=d, coords=rounded)
 
 
 def make_diag_pm1(d: int, signs) -> QuditObservable:

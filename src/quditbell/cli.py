@@ -38,7 +38,6 @@ from .states import TwoQuditState, correlation_matrix, ghz
 
 SCHEMA_VERSION = "1"
 ENV_SEED = "QUDITBELL_SEED"
-ENV_THREADS = "QUDITBELL_THREADS"
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -61,14 +60,13 @@ class RunConfig:
     seed: int = 0
     tol: float = 1e-9
     max_iters: int | None = None
-    threads: int | None = None
     models: int | None = None
     fmt: str = "json"
     timing: bool = False
 
     def to_dict(self) -> dict:
         out = {"command": self.command, "seed": self.seed, "tol": self.tol}
-        for key in ("state_source", "dim", "sign", "restarts", "max_iters", "threads", "models"):
+        for key in ("state_source", "dim", "sign", "restarts", "max_iters", "models"):
             value = getattr(self, key)
             if value is not None:
                 out[key] = value
@@ -88,10 +86,6 @@ def _env_int(name: str, default: int) -> int:
 
 def _default_seed() -> int:
     return _env_int(ENV_SEED, 0)
-
-
-def _cap_threads(requested: int) -> int:
-    return max(1, min(requested, _env_int(ENV_THREADS, requested)))
 
 
 def _parse_sign(token: str) -> int:
@@ -209,7 +203,6 @@ def cmd_certify(args) -> int:
 
 def cmd_maximize(args) -> int:
     sign = _parse_sign(args.sign)
-    threads = _cap_threads(args.threads)
     config = RunConfig(
         command="maximize",
         state_source=args.state,
@@ -219,7 +212,6 @@ def cmd_maximize(args) -> int:
         seed=args.seed,
         tol=args.tol,
         max_iters=args.max_iters,
-        threads=threads,
         timing=args.timing,
     )
     state = _load_state(args.state, args.dim)
@@ -228,7 +220,6 @@ def cmd_maximize(args) -> int:
         seed=args.seed,
         tol=args.tol,
         max_iters=args.max_iters,
-        threads=threads,
     )
     report = maximize_bell(state, sign, opts)
     if args.trace_out:
@@ -283,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=64)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--max-iters", type=int, default=500)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--trace-out", default=None, help="write restart,iteration,value CSV here")
     p.add_argument("--timing", action="store_true", help="include wall time in the report")
     p.set_defaults(func=cmd_maximize)

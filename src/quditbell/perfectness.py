@@ -179,7 +179,7 @@ def check_bell_condition(
         )
     eigenvalues, vectors = np.linalg.eigh(observable.matrix)
     op_norm = float(np.max(np.abs(eigenvalues)))
-    if op_norm > 1.0 + tol:
+    if not op_norm <= 1.0 + tol:
         raise ValidationError(
             f"observable eigenvalues must lie in [-1, 1]: operator norm {op_norm:.6e}"
         )

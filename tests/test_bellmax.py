@@ -10,19 +10,23 @@ from quditbell import (
     QuditObservable,
     TwoQuditState,
     ValidationError,
+    WitnessSearchOptions,
     bell_expression,
     bell_expression_bloch,
+    certify_state,
     check_bell_condition,
     chsh_optimal_settings,
     chsh_value,
     correlation_matrix,
     exhaustive_qubit_max,
+    find_perfect_observables,
     from_bloch,
     ghz,
     lhv_monte_carlo,
     maximally_mixed,
     maximize_bell,
     optimal_a,
+    pm1_round,
     sample_lhv_model,
     scalar_bound,
     write_trace_csv,
@@ -67,6 +71,12 @@ class TestBellExpression:
         ok = QuditObservable.from_matrix(SZ)
         with pytest.raises(ValidationError):
             bell_expression(state, big, ok, ok, 1)
+
+    def test_nan_observable_rejected(self):
+        ok = QuditObservable.from_matrix(SZ)
+        nan = QuditObservable(dim=2, matrix=np.full((2, 2), np.nan), bloch=ok.bloch)
+        with pytest.raises(ValidationError, match="outside"):
+            bell_expression(ghz(2), nan, ok, ok, 1)
 
     def test_bad_sign(self):
         state = ghz(2)
@@ -182,11 +192,6 @@ class TestMaximize:
         assert r1.best_value == r2.best_value
         assert_allclose(r1.best_btilde.matrix, r2.best_btilde.matrix)
 
-    def test_threads_match_serial(self):
-        serial = maximize_bell(ghz(2), 1, MaximizeOptions(restarts=6, seed=0, threads=1))
-        parallel = maximize_bell(ghz(2), 1, MaximizeOptions(restarts=6, seed=0, threads=3))
-        assert serial.best_value == parallel.best_value
-
     def test_singlet_attains_three_halves_anticorrelated(self):
         state = singlet()
         report = maximize_bell(state, -1, MaximizeOptions(restarts=8, seed=0))
@@ -205,6 +210,11 @@ class TestMaximize:
             report = maximize_bell(state, 1, MaximizeOptions(restarts=8, seed=1))
             oracle = exhaustive_qubit_max(state, 1, 200)
             assert abs(report.best_value - oracle) <= 3e-3
+
+    def test_iteration_cap(self):
+        report = maximize_bell(ghz(4), 1, MaximizeOptions(restarts=3, seed=0, max_iters=1))
+        assert [r.iterations for r in report.per_restart] == [1, 1, 1]
+        assert [row[:2] for row in report.trace] == [(i, it) for i in range(3) for it in (0, 1)]
 
     def test_trace_csv(self, tmp_path):
         report = maximize_bell(ghz(2), 1, MaximizeOptions(restarts=2, seed=0))
@@ -244,11 +254,65 @@ class TestMaximize:
             maximize_bell(TwoQuditState.from_matrix(rho), 1)
 
     @pytest.mark.parametrize(
-        "field, value", [("restarts", 0), ("restarts", -1), ("witness_count", 0)]
+        "field, value",
+        [("restarts", 0), ("restarts", -1), ("witness_count", 0), ("max_iters", 0)],
     )
     def test_options_reject_nonpositive_counts(self, field, value):
         with pytest.raises(ValidationError, match=f"{field} must be at least 1"):
             MaximizeOptions(**{field: value})
+
+
+def _serial_restart(d, tmat, b, sign, seed, index, max_iters):
+    """Reference: one restart on its own, with single-vector roundings."""
+    rng = np.random.default_rng([seed, index])
+    tb = tmat @ b
+
+    def value_of(a_c, btil_c):
+        tbtil = tmat @ btil_c
+        return d / 2.0 * (abs(float(a_c @ (tb - tbtil))) + sign * float(b @ tbtil))
+
+    def rounded(c):
+        return pm1_round(c, d).coords
+
+    btil = rounded(rng.standard_normal(d * d - 1))
+    a = rounded(tb - tmat @ btil)
+    value = value_of(a, btil)
+    for _ in range(max_iters):
+        start_value = value
+        for sigma in (1.0, -1.0):
+            btil2 = rounded((sign * b - sigma * a) @ tmat)
+            v2 = value_of(a, btil2)
+            if v2 > value:
+                btil, value = btil2, v2
+        a2 = rounded(tb - tmat @ btil)
+        v2 = value_of(a2, btil)
+        if v2 > value:
+            a, value = a2, v2
+        if value == start_value:
+            break
+    return value
+
+
+class TestLockstepReference:
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_matches_one_restart_at_a_time(self, d, sign):
+        opts = MaximizeOptions(restarts=16, seed=0)
+        state = ghz(d)
+        membership = certify_state(state, tol=opts.tol, opts=WitnessSearchOptions(seed=opts.seed))
+        witnesses = find_perfect_observables(membership, sign, opts.witness_count, opts.seed)
+        tmat = membership.tcorr.matrix
+        reference = [
+            _serial_restart(
+                d, tmat, witnesses[i % len(witnesses)].bloch.coords, sign, opts.seed, i,
+                opts.max_iters,
+            )
+            for i in range(opts.restarts)
+        ]
+        report = maximize_bell(state, sign, opts)
+        values = [r.value for r in report.per_restart]
+        assert_allclose(values, reference, rtol=0, atol=1e-14)
+        assert abs(report.bloch_value - max(reference)) <= 2e-15
 
 
 def _planar_chsh_grid_max(state, steps=60):

@@ -85,6 +85,11 @@ class TestCorrespondence:
         with pytest.raises(ValidationError):
             from_bloch([1.0, 0.0], 2)
 
+    @pytest.mark.parametrize("matrix", [3.0, np.array(1.0), np.zeros((2, 2, 2))])
+    def test_from_matrix_rejects_non_matrices(self, matrix):
+        with pytest.raises(ValidationError, match="square matrix"):
+            QuditObservable.from_matrix(matrix)
+
 
 class TestMembership:
     def test_qubit_region(self):
@@ -160,6 +165,24 @@ class TestPm1Round:
     def test_odd_dim_rejected(self):
         with pytest.raises(DimensionError):
             pm1_round(np.ones(8))
+
+    @pytest.mark.parametrize("d", [2, 4, 6, 8])
+    def test_stack_rounds_each_row_bitwise(self, d, rng):
+        c = rng.standard_normal((17, d * d - 1))
+        c[3] = 0.0
+        stacked = pm1_round(c, d)
+        single = np.stack([pm1_round(row, d).coords for row in c])
+        assert stacked.shape == c.shape
+        assert stacked.tobytes() == single.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_stack_rejects_bad_input(self, bad):
+        c = np.ones((3, 15))
+        c[1, 2] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            pm1_round(c, 4)
+        with pytest.raises(ValidationError, match="length"):
+            pm1_round(np.ones((3, 14)), 4)
 
 
 class TestConstructors:

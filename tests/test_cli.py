@@ -135,6 +135,16 @@ class TestMaximize:
         assert code == 1
         assert "restarts must be at least 1" in err
 
+    def test_iteration_cap_warning(self, capsys):
+        args = ["maximize", "--state", "ghz", "--dim", "2", "--sign", "+", "--restarts", "2"]
+        code, _, err = run_cli(args + ["--max-iters", "1"], capsys)
+        assert code == 0
+        assert err == "warning: at least one restart hit the iteration cap\n"
+        code, out, err = run_cli(args + ["--max-iters", "0"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "max_iters must be at least 1" in err
+
     def test_uncertified_exit_code(self, tmp_path, capsys):
         source = write_state(tmp_path / "mixed.json", maximally_mixed(2).rho)
         code, _, err = run_cli(
@@ -221,7 +231,6 @@ class TestEnvironmentOverrides:
         "var, args",
         [
             ("QUDITBELL_SEED", ["lhv", "--models", "10", "--sign", "+"]),
-            ("QUDITBELL_THREADS", ["maximize", "--dim", "2", "--sign", "+", "--restarts", "2"]),
         ],
     )
     def test_non_integer_env_is_input_error(self, monkeypatch, capsys, var, args):
@@ -230,18 +239,6 @@ class TestEnvironmentOverrides:
         assert code == 1
         assert out == ""
         assert err == f"input error: {var} must be an integer, got 'abc'\n"
-
-    def test_thread_cap_env(self, monkeypatch, capsys):
-        monkeypatch.setenv("QUDITBELL_THREADS", "1")
-        code, out, _ = run_cli(
-            [
-                "maximize", "--state", "ghz", "--dim", "2", "--sign", "+",
-                "--restarts", "2", "--threads", "8",
-            ],
-            capsys,
-        )
-        assert code == 0
-        assert json.loads(out)["config"]["threads"] == 1
 
 
 def test_state_file_roundtrip_through_cli(tmp_path, capsys):

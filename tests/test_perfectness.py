@@ -72,6 +72,12 @@ class TestCheckBellCondition:
         with pytest.raises(ValidationError, match="operator norm"):
             check_bell_condition(ghz(2), QuditObservable.from_matrix(2 * SZ))
 
+    def test_nan_observable_rejected(self):
+        bloch = QuditObservable.from_matrix(SZ).bloch
+        nan = QuditObservable(dim=2, matrix=np.full((2, 2), np.nan), bloch=bloch)
+        with pytest.raises(ValidationError, match="operator norm"):
+            check_bell_condition(ghz(2), nan)
+
     def test_json_payload(self):
         cert = check_bell_condition(ghz(2), QuditObservable.from_matrix(SZ))
         payload = json.loads(cert.to_json())
