@@ -15,7 +15,6 @@ import time
 
 from quditbell import (
     MaximizeOptions,
-    WitnessSearchOptions,
     certify_state,
     ghz,
     maximize_bell,
@@ -25,7 +24,7 @@ from quditbell import (
 
 def survey_dimension(d, restarts, seed):
     state = ghz(d)
-    membership = certify_state(state, opts=WitnessSearchOptions(seed=seed))
+    membership = certify_state(state, seed=seed)
     spectral = membership.tcorr.spectral
     row = {
         "dim": d,

@@ -37,7 +37,7 @@ from scipy.optimize import minimize_scalar
 
 from .bloch import BlochVector, QuditObservable, from_bloch, pm1_round
 from .errors import CertificationError, DimensionError, ValidationError
-from .perfectness import WitnessSearchOptions, certify_state, find_perfect_observables
+from .perfectness import certify_state, find_perfect_observables
 from .serialize import freeze
 from .states import (
     CorrelationMatrix,
@@ -47,26 +47,26 @@ from .states import (
 )
 
 _EIGRANGE_TOL = 1e-9
+# Perfect observables B that maximize_bell finds; restart i holds B at witness i mod 8.
+WITNESS_COUNT = 8
 
 
 @dataclass(frozen=True)
 class MaximizeOptions:
     """Optimizer knobs.
 
-    Restart ``i`` fixes B to witness ``i mod witness_count`` (found with
-    perfectness tolerance ``tol``) and stops at the first iteration of block
-    updates that no longer raises the value, or after ``max_iters``
-    iterations.
+    Restart ``i`` fixes B to witness ``i mod 8`` (found with perfectness
+    tolerance ``tol``) and stops at the first iteration of block updates
+    that no longer raises the value, or after ``max_iters`` iterations.
     """
 
     restarts: int = 64
     seed: int = 0
     tol: float = 1e-9
     max_iters: int = 500
-    witness_count: int = 8
 
     def __post_init__(self):
-        for name in ("restarts", "max_iters", "witness_count"):
+        for name in ("restarts", "max_iters"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be at least 1, got {getattr(self, name)}")
 
@@ -76,6 +76,7 @@ class RestartSummary:
     restart: int
     value: float
     iterations: int
+    hit_cap: bool  # still improving when max_iters ran out; not in reports
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,7 +212,8 @@ def _run_restarts(
 ):
     """All restarts in lockstep; row i of ``b`` and ``gauss`` belongs to restart i.
 
-    Returns the final ``a``, ``b~`` and values, the iteration counts and one
+    Returns the final ``a``, ``b~`` and values, the iteration counts, a mask
+    of the restarts still improving when ``max_iters`` ran out and one
     ``[(iteration, value), ...]`` trace per restart.
     """
     tb = b @ tmat.T
@@ -256,7 +258,9 @@ def _run_restarts(
         if active.size == 0:
             break
 
-    return a, btil, value, iterations, traces
+    hit_cap = np.zeros(len(b), dtype=bool)
+    hit_cap[active] = True
+    return a, btil, value, iterations, hit_cap, traces
 
 
 def maximize_bell(
@@ -287,17 +291,17 @@ def maximize_bell(
         raise ValidationError("state is not swap-symmetric; the maximization requires symmetry")
 
     start = time.perf_counter()
-    membership = certify_state(
-        state, tol=max(opts.tol, 1e-12), opts=WitnessSearchOptions(seed=opts.seed)
-    )
-    witnesses = find_perfect_observables(membership, sign, opts.witness_count, opts.seed)
+    membership = certify_state(state, tol=max(opts.tol, 1e-12), seed=opts.seed)
+    witnesses = find_perfect_observables(membership, sign, WITNESS_COUNT, opts.seed)
     tmat = membership.tcorr.matrix
     indices = range(opts.restarts)
     b = np.stack([witnesses[i % len(witnesses)].bloch.coords for i in indices])
     gauss = np.stack(
         [np.random.default_rng([opts.seed, i]).standard_normal(d * d - 1) for i in indices]
     )
-    a, btil, values, iterations, traces = _run_restarts(d, tmat, b, gauss, sign, opts.max_iters)
+    a, btil, values, iterations, hit_cap, traces = _run_restarts(
+        d, tmat, b, gauss, sign, opts.max_iters
+    )
     values = values.tolist()
     if progress is not None:
         for i in indices:
@@ -322,8 +326,8 @@ def maximize_bell(
         best_b=best_b,
         best_btilde=best_btil,
         per_restart=tuple(
-            RestartSummary(restart=i, value=v, iterations=n)
-            for i, (v, n) in enumerate(zip(values, iterations.tolist()))
+            RestartSummary(restart=i, value=v, iterations=n, hit_cap=h)
+            for i, (v, n, h) in enumerate(zip(values, iterations.tolist(), hit_cap.tolist()))
         ),
         trace=tuple((i, it, v) for i in indices for it, v in traces[i]),
         wall_time=time.perf_counter() - start,

@@ -29,7 +29,7 @@ from .errors import (
     ValidationError,
 )
 from .perfectness import (
-    WitnessSearchOptions,
+    DEFAULT_RESTARTS,
     certify_state,
     correlation_spectrum,
     find_perfect_observables,
@@ -62,7 +62,6 @@ class RunConfig:
     max_iters: int | None = None
     models: int | None = None
     fmt: str = "json"
-    timing: bool = False
 
     def to_dict(self) -> dict:
         out = {"command": self.command, "seed": self.seed, "tol": self.tol}
@@ -183,11 +182,7 @@ def cmd_certify(args) -> int:
         tol=args.tol,
     )
     state = _load_state(args.state, args.dim)
-    membership = certify_state(
-        state,
-        tol=args.tol,
-        opts=WitnessSearchOptions(restarts=args.restarts, seed=args.seed),
-    )
+    membership = certify_state(state, tol=args.tol, restarts=args.restarts, seed=args.seed)
     report = membership.to_dict()
     for entry in membership.sign_results:
         if not entry.certified:
@@ -212,7 +207,6 @@ def cmd_maximize(args) -> int:
         seed=args.seed,
         tol=args.tol,
         max_iters=args.max_iters,
-        timing=args.timing,
     )
     state = _load_state(args.state, args.dim)
     opts = MaximizeOptions(
@@ -225,7 +219,7 @@ def cmd_maximize(args) -> int:
     if args.trace_out:
         write_trace_csv(report, args.trace_out)
     _emit_report(config, report.to_dict(include_timing=args.timing), args.out)
-    if any(r.iterations >= args.max_iters for r in report.per_restart):
+    if any(r.hit_cap for r in report.per_restart):
         sys.stderr.write("warning: at least one restart hit the iteration cap\n")
     if not report.best_value <= BOUND_LIMIT + BOUND_TOL:
         sys.stderr.write(
@@ -265,7 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="perfectness certification for both signs")
     add_state_args(p)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--restarts", type=int, default=32, help="witness-search restarts")
+    p.add_argument(
+        "--restarts", type=int, default=DEFAULT_RESTARTS, help="witness-search restarts"
+    )
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("maximize", help="maximize the Bell combination under perfectness")

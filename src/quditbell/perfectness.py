@@ -11,8 +11,10 @@ B.  The sufficient criterion implemented by :func:`certify_state` asks for
   (:func:`quditbell.bloch.in_pm1_shell`),
 
 in which case every such eigenvector yields a perfect observable via the
-Bloch correspondence.  Failure of the witness search is reported as "not
-certified", never as proof of non-membership.
+Bloch correspondence.  The witness search alternates projections between
+the shell and the eigenspace, from closed-form +-1 observables and then
+from random starts.  Failure of the search is reported as "not certified",
+never as proof of non-membership.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .bloch import (
     BlochVector,
@@ -47,18 +48,13 @@ from .states import (
 )
 
 # Per start of the witness search: at most this many shell/eigenspace
-# projections, then a Nelder-Mead polish of at most this many iterations.
+# projections.
 _PROJECTION_ITERS = 100
-_POLISH_MAX_ITERS = 2000
-
-
-@dataclass(frozen=True)
-class WitnessSearchOptions:
-    """Knobs for the eigenspace witness search."""
-
-    restarts: int = 32
-    seed: int = 0
-    canonical_cap: int = 16
+# Closed-form +-1 observables tried by certify_state before any random start.
+_CANONICAL_STARTS = 16
+# Random starts per sign in certify_state; also the least number of attempts
+# find_perfect_observables makes.
+DEFAULT_RESTARTS = 32
 
 
 @dataclass(frozen=True)
@@ -248,11 +244,12 @@ def bell_condition_spectral_form(
     return abs(total) <= tol
 
 
-def _canonical_pm1_vectors(d: int, sign: int, cap: int):
-    """Bloch vectors of the first ``cap`` closed-form +-1 observables for ``sign``.
+def _canonical_starts(cluster: EigenCluster, d: int, sign: int, cap: int):
+    """Eigenspace coordinates of the first ``cap`` closed-form +-1 observables.
 
     Diagonal and real off-diagonal constructions pair with perfect
     correlations, the imaginary off-diagonal family with anticorrelations.
+    Observables orthogonal to ``cluster`` are skipped.
     """
     gammas = itertools.product((0, 1), repeat=d // 2)
     if sign > 0:
@@ -263,7 +260,10 @@ def _canonical_pm1_vectors(d: int, sign: int, cap: int):
         )
     else:
         family = (make_offdiag_imag_pm1(d, g) for g in gammas)
-    return (obs.bloch.coords for obs in itertools.islice(family, max(cap, 0)))
+    for obs in itertools.islice(family, max(cap, 0)):
+        c = cluster.vectors.T @ obs.bloch.coords
+        if np.linalg.norm(c) > 1e-9:
+            yield c
 
 
 def _orient(coords: np.ndarray) -> np.ndarray:
@@ -288,10 +288,10 @@ def _search_witness(
 ) -> tuple[np.ndarray | None, float, int]:
     """Look for a unit vector of ``span(eigvecs)`` inside the +-1 shell.
 
-    Tries ``starts``, then up to ``restarts`` random starts.  Alternates
-    projection between the shell (balanced sign rounding of the
-    corresponding observable) and the eigenspace, then polishes with
-    Nelder-Mead on the operator-norm residual.  Returns
+    Tries ``starts``, then up to ``restarts`` random starts.  Each start is
+    refined by alternating projections between the shell (balanced sign
+    rounding of the corresponding observable) and the eigenspace, for as
+    long as the operator-norm residual falls.  Returns
     ``(witness or None, best residual, restarts used)``.
     """
     k = eigvecs.shape[1]
@@ -318,21 +318,6 @@ def _search_witness(
                     c, res = c_new, res_new
                 break
             c, res = c_new, res_new
-        if res > tol and k > 1:
-            out = minimize(
-                lambda x: residual_of(x / np.linalg.norm(x)),
-                c,
-                method="Nelder-Mead",
-                options={
-                    "maxiter": _POLISH_MAX_ITERS,
-                    "xatol": 1e-12,
-                    "fatol": 1e-14,
-                },
-            )
-            x = out.x / np.linalg.norm(out.x)
-            res_x = residual_of(x)
-            if res_x < res:
-                c, res = x, res_x
         return c, res
 
     queue = list(starts)
@@ -356,16 +341,21 @@ def _search_witness(
 def certify_state(
     state: TwoQuditState,
     tol: float = SET_TOL,
-    opts: WitnessSearchOptions | None = None,
+    restarts: int = DEFAULT_RESTARTS,
+    seed: int = 0,
 ) -> ClassMembership:
     """Sufficient-condition check for perfect correlations/anticorrelations.
 
     Verifies the spectral norm of T equals 2/d and searches the extreme
     eigenspaces for unit eigenvectors in the +-1 shell, one search per sign.
     Canonical diagonal/off-diagonal constructions are tried first (projected
-    into the eigenspace), then randomized refinement.
+    into the eigenspace), then up to ``restarts`` random starts drawn from
+    ``seed``; ``restarts=0`` tries the canonical starts only.
     """
-    opts = opts or WitnessSearchOptions()
+    if not 0.0 <= tol < np.inf:
+        raise ValidationError(f"tol must be finite and non-negative, got {tol}")
+    if restarts < 0:
+        raise ValidationError(f"restarts must be non-negative, got {restarts}")
     d = state.dim
     if d % 2 != 0:
         raise DimensionError(
@@ -399,15 +389,9 @@ def certify_state(
                 )
             )
             continue
-        starts = []
-        for cand in _canonical_pm1_vectors(d, sign, opts.canonical_cap):
-            c = cluster.vectors.T @ cand
-            if np.linalg.norm(c) > 1e-9:
-                starts.append(c)
-        rng = np.random.default_rng([opts.seed, 0 if sign > 0 else 1])
-        coords, best_res, used = _search_witness(
-            cluster.vectors, d, tol, opts.restarts, starts, rng
-        )
+        starts = list(_canonical_starts(cluster, d, sign, _CANONICAL_STARTS))
+        rng = np.random.default_rng([seed, 0 if sign > 0 else 1])
+        coords, best_res, used = _search_witness(cluster.vectors, d, tol, restarts, starts, rng)
         sign_results.append(
             SignWitness(
                 sign=sign,
@@ -469,12 +453,9 @@ def find_perfect_observables(
         found.append(coords)
 
     # Canonical constructions that already live in the eigenspace.
-    for cand in _canonical_pm1_vectors(d, sign, cap=4 * count):
-        proj = cluster.vectors @ (cluster.vectors.T @ cand)
-        nrm = np.linalg.norm(proj)
-        if nrm < 1e-9:
-            continue
-        coords = proj / nrm
+    for c in _canonical_starts(cluster, d, sign, 4 * count):
+        proj = cluster.vectors @ c
+        coords = proj / np.linalg.norm(proj)
         if _shell_residual(coords, d) <= tol:
             try_add(coords)
         if len(found) >= count:
@@ -482,7 +463,7 @@ def find_perfect_observables(
 
     # One random start per attempt (plus the search's own fallback draw).
     attempt = 0
-    while len(found) < count and attempt < max(WitnessSearchOptions().restarts, count * 4):
+    while len(found) < count and attempt < max(DEFAULT_RESTARTS, count * 4):
         rng = np.random.default_rng([seed, 1000 + attempt])
         coords, _, _ = _search_witness(
             cluster.vectors, d, tol, 1, [rng.standard_normal(cluster.multiplicity)], rng

@@ -10,7 +10,6 @@ from quditbell import (
     QuditObservable,
     TwoQuditState,
     ValidationError,
-    WitnessSearchOptions,
     bell_expression,
     bell_expression_bloch,
     certify_state,
@@ -31,7 +30,7 @@ from quditbell import (
     scalar_bound,
     write_trace_csv,
 )
-from quditbell.bellmax import OUTCOME_GRID
+from quditbell.bellmax import OUTCOME_GRID, WITNESS_COUNT
 
 from conftest import SX, SZ, random_state, random_traceless_hermitian, rotated_ghz, singlet
 
@@ -255,7 +254,7 @@ class TestMaximize:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("restarts", 0), ("restarts", -1), ("witness_count", 0), ("max_iters", 0)],
+        [("restarts", 0), ("restarts", -1), ("max_iters", 0)],
     )
     def test_options_reject_nonpositive_counts(self, field, value):
         with pytest.raises(ValidationError, match=f"{field} must be at least 1"):
@@ -299,8 +298,8 @@ class TestLockstepReference:
     def test_matches_one_restart_at_a_time(self, d, sign):
         opts = MaximizeOptions(restarts=16, seed=0)
         state = ghz(d)
-        membership = certify_state(state, tol=opts.tol, opts=WitnessSearchOptions(seed=opts.seed))
-        witnesses = find_perfect_observables(membership, sign, opts.witness_count, opts.seed)
+        membership = certify_state(state, tol=opts.tol, seed=opts.seed)
+        witnesses = find_perfect_observables(membership, sign, WITNESS_COUNT, opts.seed)
         tmat = membership.tcorr.matrix
         reference = [
             _serial_restart(

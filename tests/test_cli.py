@@ -97,6 +97,13 @@ class TestCertify:
         assert code == 2
         assert json.loads(out)["report"]["in_class"] is False
 
+    @pytest.mark.parametrize("flags", [["--tol", "nan"], ["--restarts", "-3"]])
+    def test_bad_search_inputs_are_input_errors(self, flags, capsys):
+        code, out, err = run_cli(["certify", "--state", "ghz", "--dim", "4"] + flags, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("input error:")
+
     def test_odd_dim_message(self, capsys):
         code, _, err = run_cli(["certify", "--state", "ghz", "--dim", "3"], capsys)
         assert code == 1
@@ -144,6 +151,25 @@ class TestMaximize:
         assert code == 1
         assert out == ""
         assert "max_iters must be at least 1" in err
+
+    def test_no_warning_at_a_fixed_point_on_the_last_iteration(self, capsys):
+        # this restart's first iteration without a gain is iteration 14
+        args = ["maximize", "--state", "ghz", "--dim", "2", "--sign", "+", "--restarts", "1"]
+        code, out, err = run_cli(args + ["--max-iters", "14"], capsys)
+        assert code == 0
+        assert json.loads(out)["report"]["per_restart"][0]["iterations"] == 14
+        assert err == ""
+        code, _, err = run_cli(args + ["--max-iters", "13"], capsys)
+        assert code == 0
+        assert err == "warning: at least one restart hit the iteration cap\n"
+
+    def test_nan_tol_is_input_error(self, capsys):
+        code, out, err = run_cli(
+            ["maximize", "--state", "ghz", "--dim", "2", "--sign", "+", "--tol", "nan"], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("input error:")
 
     def test_uncertified_exit_code(self, tmp_path, capsys):
         source = write_state(tmp_path / "mixed.json", maximally_mixed(2).rho)

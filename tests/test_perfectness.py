@@ -25,7 +25,7 @@ from quditbell import (
     product_expectation,
     to_bloch,
 )
-from quditbell.perfectness import WitnessSearchOptions
+from quditbell import perfectness
 
 from conftest import SX, SY, SZ, random_state, rotated_ghz, singlet
 
@@ -302,18 +302,54 @@ class TestEigenspaceMapping:
 
 
 def test_search_options_flow_through():
-    opts = WitnessSearchOptions(restarts=4, seed=9, canonical_cap=2)
-    membership = certify_state(ghz(6), opts=opts)
+    membership = certify_state(ghz(6), restarts=4, seed=9)
     assert membership.in_class
 
 
 @pytest.mark.parametrize("d", [2, 4, 6])
 def test_witness_search_from_random_starts_only(d, rng):
-    # canonical warm starts disabled: the randomized refinement must carry it
-    state = rotated_ghz(d, rng)
-    opts = WitnessSearchOptions(restarts=32, seed=0, canonical_cap=0)
-    membership = certify_state(state, opts=opts)
-    assert membership.in_class
+    # no canonical warm starts: the randomized refinement must carry it
+    membership = certify_state(rotated_ghz(d, rng))
     for entry in membership.sign_results:
-        assert entry.certified
-        assert entry.restarts_used >= 1
+        search_rng = np.random.default_rng([0, 0 if entry.sign > 0 else 1])
+        coords, _, used = perfectness._search_witness(
+            entry.cluster.vectors, d, membership.tol, 32, [], search_rng
+        )
+        assert coords is not None
+        assert used >= 1
+
+
+def test_eigenspace_without_witness():
+    # p GHZ_6 + (1 - p) (D (x) D) GHZ_6 (D (x) D)^+ with D = diag(1, 1, 1, i, i, i):
+    # the sign - eigenspace is spanned by the antisymmetric generators of two
+    # 3x3 blocks, each with a zero eigenvalue, so it holds no +-1 observable.
+    d, p = 6, 0.3
+    twist = np.diag([1, 1, 1, 1j, 1j, 1j])
+    dd = np.kron(twist, twist)
+    rho = ghz(d).rho
+    state = TwoQuditState.from_matrix(p * rho + (1 - p) * dd @ rho @ dd.conj().T)
+    membership = certify_state(state)
+    assert membership.in_class
+    plus, minus = membership.for_sign(1), membership.for_sign(-1)
+    assert plus.certified
+    assert plus.restarts_used == 0
+    assert not minus.certified
+    assert minus.cluster.multiplicity == 6
+    assert minus.restarts_used == 32
+    # the least residual over the eigenspace, reached by the projection loop
+    expected = np.sqrt(2 / d) * (np.sqrt(1.5) - 1)
+    assert abs(minus.norm_residual - expected) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"tol": float("nan")}, {"tol": float("inf")}, {"tol": -1e-9}, {"restarts": -1}]
+)
+def test_certify_rejects_bad_search_inputs(kwargs):
+    with pytest.raises(ValidationError):
+        certify_state(ghz(2), **kwargs)
+
+
+def test_certify_zero_restarts_tries_canonical_starts_only():
+    membership = certify_state(ghz(4), restarts=0)
+    assert membership.in_class
+    assert all(entry.restarts_used == 0 for entry in membership.sign_results)
