@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .bloch import BlochVector, QuditObservable, from_bloch, pm1_round
+from .bloch import BlochVector, QuditObservable, _check_tol, from_bloch, pm1_round
 from .errors import CertificationError, DimensionError, ValidationError
 from .perfectness import certify_state, find_perfect_observables
 from .serialize import freeze
@@ -69,6 +69,7 @@ class MaximizeOptions:
         for name in ("restarts", "max_iters"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be at least 1, got {getattr(self, name)}")
+        _check_tol(self.tol)
 
 
 @dataclass(frozen=True)
@@ -292,7 +293,7 @@ def maximize_bell(
 
     start = time.perf_counter()
     membership = certify_state(state, tol=max(opts.tol, 1e-12), seed=opts.seed)
-    witnesses = find_perfect_observables(membership, sign, WITNESS_COUNT, opts.seed)
+    witnesses = find_perfect_observables(membership, sign, WITNESS_COUNT)
     tmat = membership.tcorr.matrix
     indices = range(opts.restarts)
     b = np.stack([witnesses[i % len(witnesses)].bloch.coords for i in indices])

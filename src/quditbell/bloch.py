@@ -38,6 +38,12 @@ _HERMITICITY_TOL = 1e-10
 _TRACELESS_TOL = 1e-10
 
 
+def _check_tol(tol: float) -> None:
+    """The one gate on a tolerance: finite and non-negative; NaN fails it."""
+    if not 0.0 <= tol < np.inf:
+        raise ValidationError(f"tol must be finite and non-negative, got {tol}")
+
+
 def operator_norm(matrix: np.ndarray) -> float:
     """Largest absolute eigenvalue of a hermitian matrix."""
     return float(np.max(np.abs(np.linalg.eigvalsh(matrix))))
@@ -211,6 +217,7 @@ def _implied_dim(length: int) -> int:
 
 def in_bloch_region(r: BlochVector | np.ndarray, tol: float = SET_TOL) -> bool:
     """True iff the operator norm of ``r . L`` is at most sqrt(2/d) + tol."""
+    _check_tol(tol)
     vec = _as_bloch(r)
     return operator_norm(_generator_sum(vec.coords, vec.dim)) <= np.sqrt(2.0 / vec.dim) + tol
 
@@ -222,6 +229,7 @@ def in_pm1_shell(r: BlochVector | np.ndarray, tol: float = SET_TOL) -> bool:
     False): unit Euclidean norm together with operator norm of ``r . L``
     equal to sqrt(2/d), both within ``tol``.
     """
+    _check_tol(tol)
     vec = _as_bloch(r)
     if vec.dim % 2 != 0:
         return False

@@ -187,7 +187,7 @@ def cmd_certify(args) -> int:
     for entry in membership.sign_results:
         if not entry.certified:
             continue
-        observables = find_perfect_observables(membership, entry.sign, count=2, seed=args.seed)
+        observables = find_perfect_observables(membership, entry.sign, count=2)
         key = "+" if entry.sign > 0 else "-"
         report["signs"][key]["perfect_observables"] = [
             json.loads(obs.to_json()) for obs in observables

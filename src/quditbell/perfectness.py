@@ -13,8 +13,10 @@ B.  The sufficient criterion implemented by :func:`certify_state` asks for
 in which case every such eigenvector yields a perfect observable via the
 Bloch correspondence.  The witness search alternates projections between
 the shell and the eigenspace, from closed-form +-1 observables and then
-from random starts.  Failure of the search is reported as "not certified",
-never as proof of non-membership.
+from seeded random starts.  Failure of the search is reported as "not
+certified", never as proof of non-membership.  :func:`find_perfect_observables`
+replays the same search further, so the first observable it returns is the
+certified witness.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .bloch import (
     BlochVector,
     QuditObservable,
     SET_TOL,
+    _check_tol,
     _shell_residual,
     from_bloch,
     make_diag_pm1,
@@ -50,10 +53,10 @@ from .states import (
 # Per start of the witness search: at most this many shell/eigenspace
 # projections.
 _PROJECTION_ITERS = 100
-# Closed-form +-1 observables tried by certify_state before any random start.
+# Closed-form +-1 observables the witness search tries before any random start.
 _CANONICAL_STARTS = 16
-# Random starts per sign in certify_state; also the least number of attempts
-# find_perfect_observables makes.
+# Random starts per sign in certify_state; also the least number of them
+# find_perfect_observables replays.
 DEFAULT_RESTARTS = 32
 
 
@@ -137,6 +140,7 @@ class ClassMembership:
     tol: float
     sign_results: tuple[SignWitness, ...]
     tcorr: CorrelationMatrix = field(repr=False)  # the T certified; not in to_dict
+    seed: int  # of the witness search's random starts; not in to_dict
 
     def for_sign(self, sign: int) -> SignWitness:
         for entry in self.sign_results:
@@ -169,6 +173,7 @@ def check_bell_condition(
     probability on eigenprojection pairs whose eigenvalue product differs
     from that sign.  Acceptance additionally requires operator norm 1.
     """
+    _check_tol(tol)
     if observable.dim != state.dim:
         raise DimensionError(
             f"observable dim {observable.dim} does not match state dim {state.dim}"
@@ -231,6 +236,7 @@ def bell_condition_spectral_form(
     ``beta`` are the coefficients of ``b`` in the eigenbasis of T; the sum
     vanishing is equivalent to ``<b, T b> = +- 2/d``.
     """
+    _check_tol(tol)
     if b.dim != tcorr.dim:
         raise DimensionError(f"Bloch dim {b.dim} does not match correlation dim {tcorr.dim}")
     if abs(b.norm - 1.0) > tol:
@@ -244,12 +250,13 @@ def bell_condition_spectral_form(
     return abs(total) <= tol
 
 
-def _canonical_starts(cluster: EigenCluster, d: int, sign: int, cap: int):
-    """Eigenspace coordinates of the first ``cap`` closed-form +-1 observables.
+def _canonical_starts(cluster: EigenCluster, d: int, sign: int):
+    """Eigenspace coordinates of the first closed-form +-1 observables.
 
     Diagonal and real off-diagonal constructions pair with perfect
     correlations, the imaginary off-diagonal family with anticorrelations.
-    Observables orthogonal to ``cluster`` are skipped.
+    Of the first ``_CANONICAL_STARTS`` of the family, those orthogonal to
+    ``cluster`` are skipped.
     """
     gammas = itertools.product((0, 1), repeat=d // 2)
     if sign > 0:
@@ -260,7 +267,7 @@ def _canonical_starts(cluster: EigenCluster, d: int, sign: int, cap: int):
         )
     else:
         family = (make_offdiag_imag_pm1(d, g) for g in gammas)
-    for obs in itertools.islice(family, max(cap, 0)):
+    for obs in itertools.islice(family, _CANONICAL_STARTS):
         c = cluster.vectors.T @ obs.bloch.coords
         if np.linalg.norm(c) > 1e-9:
             yield c
@@ -278,32 +285,30 @@ def _orient(coords: np.ndarray) -> np.ndarray:
     return coords
 
 
-def _search_witness(
-    eigvecs: np.ndarray,
-    d: int,
-    tol: float,
-    restarts: int,
-    starts: list[np.ndarray],
-    rng: np.random.Generator,
-) -> tuple[np.ndarray | None, float, int]:
-    """Look for a unit vector of ``span(eigvecs)`` inside the +-1 shell.
+def _witnesses(cluster: EigenCluster, d: int, sign: int, tol: float, restarts: int, seed: int):
+    """The witness search: yield ``(unit witness or None, residual, random starts used)`` per start.
 
-    Tries ``starts``, then up to ``restarts`` random starts.  Each start is
-    refined by alternating projections between the shell (balanced sign
-    rounding of the corresponding observable) and the eigenspace, for as
-    long as the operator-norm residual falls.  Returns
-    ``(witness or None, best residual, restarts used)``.
+    The starts are the canonical +-1 observables projected into ``cluster``,
+    then up to ``restarts`` random draws from the stream ``(seed, sign)``.
+    Each start is refined by alternating projections between the shell
+    (balanced sign rounding of the corresponding observable) and the
+    eigenspace, for as long as the operator-norm residual falls; it is a
+    witness when that residual is at most ``tol``.  The search is
+    deterministic, so a replay from the same arguments yields the same starts
+    and witnesses in the same order.
     """
-    k = eigvecs.shape[1]
-    best_residual = np.inf
-    used = 0
-
-    def residual_of(c: np.ndarray) -> float:
-        return _shell_residual(eigvecs @ c, d)
-
-    def refine(c: np.ndarray) -> tuple[np.ndarray, float]:
+    eigvecs = cluster.vectors
+    rng = np.random.default_rng([seed, 0 if sign > 0 else 1])
+    draws = (rng.standard_normal(cluster.multiplicity) for _ in range(restarts))
+    starts = itertools.chain(
+        zip(itertools.repeat(0), _canonical_starts(cluster, d, sign)), enumerate(draws, 1)
+    )
+    for used, c in starts:
+        # Normalized twice on purpose: one division moves the last bits of the
+        # reported witnesses and residuals, which reports keep identical.
         c = c / np.linalg.norm(c)
-        res = residual_of(c)
+        c = c / np.linalg.norm(c)
+        res = _shell_residual(eigvecs @ c, d)
         for _ in range(_PROJECTION_ITERS):
             if res <= tol:
                 break
@@ -312,30 +317,14 @@ def _search_witness(
             if nrm < 1e-12:
                 break
             c_new /= nrm
-            res_new = residual_of(c_new)
+            res_new = _shell_residual(eigvecs @ c_new, d)
             if res_new >= res - 1e-15:
                 if res_new < res:
                     c, res = c_new, res_new
                 break
             c, res = c_new, res_new
-        return c, res
-
-    queue = list(starts)
-    while queue or used < restarts:
-        if queue:
-            c0 = queue.pop(0)
-        else:
-            c0 = rng.standard_normal(k)
-            used += 1
-        nrm = np.linalg.norm(c0)
-        if nrm < 1e-12:
-            continue
-        c, res = refine(c0 / nrm)
-        best_residual = min(best_residual, res)
-        if res <= tol:
-            coords = eigvecs @ c
-            return coords / np.linalg.norm(coords), best_residual, used
-    return None, best_residual, used
+        coords = eigvecs @ c
+        yield (coords / np.linalg.norm(coords) if res <= tol else None), res, used
 
 
 def certify_state(
@@ -350,10 +339,10 @@ def certify_state(
     eigenspaces for unit eigenvectors in the +-1 shell, one search per sign.
     Canonical diagonal/off-diagonal constructions are tried first (projected
     into the eigenspace), then up to ``restarts`` random starts drawn from
-    ``seed``; ``restarts=0`` tries the canonical starts only.
+    ``seed``; ``restarts=0`` tries the canonical starts only.  Each sign
+    reports the first witness found.
     """
-    if not 0.0 <= tol < np.inf:
-        raise ValidationError(f"tol must be finite and non-negative, got {tol}")
+    _check_tol(tol)
     if restarts < 0:
         raise ValidationError(f"restarts must be non-negative, got {restarts}")
     d = state.dim
@@ -378,20 +367,12 @@ def certify_state(
         cluster = next(
             (c for c in spectral.clusters if abs(c.value - sign * target) <= tol), None
         )
-        if not norm_ok or cluster is None:
-            sign_results.append(
-                SignWitness(
-                    sign=sign,
-                    cluster=cluster,
-                    witness=None,
-                    norm_residual=np.inf,
-                    restarts_used=0,
-                )
-            )
-            continue
-        starts = list(_canonical_starts(cluster, d, sign, _CANONICAL_STARTS))
-        rng = np.random.default_rng([seed, 0 if sign > 0 else 1])
-        coords, best_res, used = _search_witness(cluster.vectors, d, tol, restarts, starts, rng)
+        coords, best_res, used = None, np.inf, 0
+        if norm_ok and cluster is not None:
+            for coords, res, used in _witnesses(cluster, d, sign, tol, restarts, seed):
+                best_res = min(best_res, res)
+                if coords is not None:
+                    break
         sign_results.append(
             SignWitness(
                 sign=sign,
@@ -410,26 +391,30 @@ def certify_state(
         tol=tol,
         sign_results=tuple(sign_results),
         tcorr=tcorr,
+        seed=seed,
     )
 
 
 def find_perfect_observables(
-    membership: ClassMembership, sign: int, count: int = 4, seed: int = 0
+    membership: ClassMembership, sign: int, count: int = 4
 ) -> list[QuditObservable]:
     """Up to ``count`` distinct perfect observables for the requested sign.
 
-    Searches the eigenspace that :func:`certify_state` recorded in
-    ``membership``, at its tolerance, seeded by ``seed``.  Witness
-    eigenvectors map to observables through the Bloch correspondence, so
-    each returned B has eigenvalues +-1 and satisfies
-    ``tr[rho (B (x) B)] = sign`` within tolerance.  Raises
-    :class:`CertificationError` when the state is not certified for the sign
-    or the search cannot produce a single witness.
+    Replays the witness search of :func:`certify_state` on the eigenspace,
+    tolerance and seed recorded in ``membership``, with at least
+    ``max(DEFAULT_RESTARTS, 4 * count)`` random starts, and keeps the
+    witnesses that are at least 1e-6 apart.  The first observable is
+    therefore the certified witness, up to sign.  Witness eigenvectors map to
+    observables through the Bloch correspondence, so each returned B has
+    eigenvalues +-1 and satisfies ``tr[rho (B (x) B)] = sign`` within
+    tolerance.  Raises :class:`CertificationError` when the state is not
+    certified for the sign.
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
+    if count < 1:
+        raise ValidationError(f"count must be at least 1, got {count}")
     d = membership.dim
-    tol = membership.tol
     entry = membership.for_sign(sign)
     if entry.cluster is None:
         raise CertificationError(
@@ -442,39 +427,11 @@ def find_perfect_observables(
             f"{entry.norm_residual:.3e} after {entry.restarts_used} restarts"
         )
 
-    cluster = entry.cluster
+    budget = max(DEFAULT_RESTARTS, 4 * count, entry.restarts_used)
     found: list[np.ndarray] = []
-
-    def try_add(coords: np.ndarray) -> None:
-        if len(found) >= count:
-            return
-        if any(np.linalg.norm(coords - prev) < 1e-6 for prev in found):
-            return
-        found.append(coords)
-
-    # Canonical constructions that already live in the eigenspace.
-    for c in _canonical_starts(cluster, d, sign, 4 * count):
-        proj = cluster.vectors @ c
-        coords = proj / np.linalg.norm(proj)
-        if _shell_residual(coords, d) <= tol:
-            try_add(coords)
-        if len(found) >= count:
-            break
-
-    # One random start per attempt (plus the search's own fallback draw).
-    attempt = 0
-    while len(found) < count and attempt < max(DEFAULT_RESTARTS, count * 4):
-        rng = np.random.default_rng([seed, 1000 + attempt])
-        coords, _, _ = _search_witness(
-            cluster.vectors, d, tol, 1, [rng.standard_normal(cluster.multiplicity)], rng
-        )
-        if coords is not None:
-            try_add(coords)
-        attempt += 1
-
-    if not found:
-        raise CertificationError(
-            f"witness search produced no admissible observable for sign {sign:+d} "
-            f"after {attempt} attempts"
-        )
+    for coords, _, _ in _witnesses(entry.cluster, d, sign, membership.tol, budget, membership.seed):
+        if coords is not None and all(np.linalg.norm(coords - prev) >= 1e-6 for prev in found):
+            found.append(coords)
+            if len(found) == count:
+                break
     return [from_bloch(BlochVector(dim=d, coords=c)) for c in found]

@@ -24,8 +24,8 @@ and symmetric by construction and skip it.
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -177,8 +177,7 @@ class SpectralData:
 class CorrelationMatrix:
     """Real correlation matrix with lazily computed spectral data.
 
-    The eigendecomposition is computed once on first access under a lock;
-    afterwards reads are thread-safe.
+    The eigendecomposition is computed once, on first access.
     """
 
     dim: int
@@ -187,22 +186,13 @@ class CorrelationMatrix:
 
     def __post_init__(self):
         self.matrix = freeze(np.asarray(self.matrix, dtype=float))
-        self._spectral: SpectralData | None = None
-        self._lock = threading.Lock()
 
     @property
     def spectral_norm(self) -> float:
         return self.spectral.spectral_norm
 
-    @property
+    @cached_property
     def spectral(self) -> SpectralData:
-        if self._spectral is None:
-            with self._lock:
-                if self._spectral is None:
-                    self._spectral = self._decompose()
-        return self._spectral
-
-    def _decompose(self) -> SpectralData:
         sym = (self.matrix + self.matrix.T) / 2.0
         eigenvalues, vectors = np.linalg.eigh(sym)
         return SpectralData(

@@ -299,7 +299,7 @@ class TestLockstepReference:
         opts = MaximizeOptions(restarts=16, seed=0)
         state = ghz(d)
         membership = certify_state(state, tol=opts.tol, seed=opts.seed)
-        witnesses = find_perfect_observables(membership, sign, WITNESS_COUNT, opts.seed)
+        witnesses = find_perfect_observables(membership, sign, WITNESS_COUNT)
         tmat = membership.tcorr.matrix
         reference = [
             _serial_restart(

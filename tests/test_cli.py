@@ -171,6 +171,16 @@ class TestMaximize:
         assert out == ""
         assert err.startswith("input error:")
 
+    def test_negative_tol_is_input_error(self, capsys):
+        code, out, err = run_cli(
+            ["maximize", "--state", "ghz", "--dim", "2", "--sign", "+", "--restarts", "2",
+             "--tol", "-1"],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("input error:")
+
     def test_uncertified_exit_code(self, tmp_path, capsys):
         source = write_state(tmp_path / "mixed.json", maximally_mixed(2).rho)
         code, _, err = run_cli(

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from quditbell import (
     CertificationError,
     DimensionError,
+    MaximizeOptions,
     QuditObservable,
     TwoQuditState,
     ValidationError,
@@ -18,6 +19,8 @@ from quditbell import (
     find_perfect_observables,
     from_bloch,
     ghz,
+    in_bloch_region,
+    in_pm1_shell,
     make_diag_pm1,
     make_offdiag_imag_pm1,
     make_offdiag_real_pm1,
@@ -28,6 +31,26 @@ from quditbell import (
 from quditbell import perfectness
 
 from conftest import SX, SY, SZ, random_state, rotated_ghz, singlet
+
+
+def _twisted_ghz(d, p):
+    """p GHZ_d + (1 - p) (D (x) D) GHZ_d (D (x) D)^+ with D = diag(1, ..., 1, i, ..., i)."""
+    twist = np.diag([1] * (d // 2) + [1j] * (d // 2))
+    dd = np.kron(twist, twist)
+    rho = ghz(d).rho
+    return TwoQuditState.from_matrix(p * rho + (1 - p) * dd @ rho @ dd.conj().T)
+
+
+# (state factory, sign) pairs certified for that sign
+_WITNESS_CASES = [
+    pytest.param(make, sign, id=f"{name}{d}{sign:+d}")
+    for d in (2, 4, 6)
+    for sign in (1, -1)
+    for name, make in (
+        ("ghz", lambda d=d: ghz(d)),
+        ("rotated", lambda d=d: rotated_ghz(d, np.random.default_rng(d))),
+    )
+] + [pytest.param(lambda: _twisted_ghz(6, 0.3), 1, id="twisted6+1")]
 
 
 class TestCheckBellCondition:
@@ -259,13 +282,13 @@ class TestFindPerfectObservables:
     @pytest.mark.parametrize("sign", [1, -1])
     def test_soundness(self, d, sign):
         state = ghz(d)
-        for obs in find_perfect_observables(certify_state(state), sign, count=6, seed=2):
+        for obs in find_perfect_observables(certify_state(state, seed=2), sign, count=6):
             cert = check_bell_condition(state, obs)
             assert cert.accepted, f"d={d} sign={sign} residual={cert.residual}"
             assert cert.sign == sign
 
     def test_distinctness(self):
-        observables = find_perfect_observables(certify_state(ghz(4)), 1, count=8, seed=0)
+        observables = find_perfect_observables(certify_state(ghz(4), seed=0), 1, count=8)
         for i in range(len(observables)):
             for j in range(i + 1, len(observables)):
                 assert (
@@ -280,6 +303,18 @@ class TestFindPerfectObservables:
     def test_bad_sign(self):
         with pytest.raises(ValueError):
             find_perfect_observables(certify_state(ghz(2)), 0)
+
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_count_below_one_rejected(self, count):
+        with pytest.raises(ValidationError, match="count"):
+            find_perfect_observables(certify_state(ghz(2)), 1, count=count)
+
+    @pytest.mark.parametrize("make_state, sign", _WITNESS_CASES)
+    def test_first_observable_is_the_certified_witness(self, make_state, sign):
+        membership = certify_state(make_state())
+        first = find_perfect_observables(membership, sign)[0].bloch.coords
+        witness = membership.for_sign(sign).witness.coords
+        assert min(np.linalg.norm(first - witness), np.linalg.norm(first + witness)) <= 1e-12
 
 
 class TestEigenspaceMapping:
@@ -308,27 +343,18 @@ def test_search_options_flow_through():
 
 @pytest.mark.parametrize("d", [2, 4, 6])
 def test_witness_search_from_random_starts_only(d, rng):
-    # no canonical warm starts: the randomized refinement must carry it
+    # past the canonical warm starts, the randomized refinement still finds witnesses
     membership = certify_state(rotated_ghz(d, rng))
     for entry in membership.sign_results:
-        search_rng = np.random.default_rng([0, 0 if entry.sign > 0 else 1])
-        coords, _, used = perfectness._search_witness(
-            entry.cluster.vectors, d, membership.tol, 32, [], search_rng
-        )
-        assert coords is not None
-        assert used >= 1
+        results = perfectness._witnesses(entry.cluster, d, entry.sign, membership.tol, 32, 0)
+        assert any(coords is not None for coords, _, used in results if used >= 1)
 
 
 def test_eigenspace_without_witness():
-    # p GHZ_6 + (1 - p) (D (x) D) GHZ_6 (D (x) D)^+ with D = diag(1, 1, 1, i, i, i):
-    # the sign - eigenspace is spanned by the antisymmetric generators of two
-    # 3x3 blocks, each with a zero eigenvalue, so it holds no +-1 observable.
-    d, p = 6, 0.3
-    twist = np.diag([1, 1, 1, 1j, 1j, 1j])
-    dd = np.kron(twist, twist)
-    rho = ghz(d).rho
-    state = TwoQuditState.from_matrix(p * rho + (1 - p) * dd @ rho @ dd.conj().T)
-    membership = certify_state(state)
+    # With d = 6 the sign - eigenspace is spanned by the antisymmetric generators
+    # of two 3x3 blocks, each with a zero eigenvalue, so it holds no +-1 observable.
+    d = 6
+    membership = certify_state(_twisted_ghz(d, 0.3))
     assert membership.in_class
     plus, minus = membership.for_sign(1), membership.for_sign(-1)
     assert plus.certified
@@ -347,6 +373,28 @@ def test_eigenspace_without_witness():
 def test_certify_rejects_bad_search_inputs(kwargs):
     with pytest.raises(ValidationError):
         certify_state(ghz(2), **kwargs)
+
+
+# Every entry point that takes a tolerance, called on valid GHZ_2 inputs.
+_TOL_GATES = {
+    "certify_state": lambda tol: certify_state(ghz(2), tol=tol),
+    "MaximizeOptions": lambda tol: MaximizeOptions(tol=tol),
+    "check_bell_condition": lambda tol: check_bell_condition(
+        ghz(2), QuditObservable.from_matrix(SZ), tol=tol
+    ),
+    "bell_condition_spectral_form": lambda tol: bell_condition_spectral_form(
+        correlation_matrix(ghz(2)), to_bloch(SZ), 1, tol=tol
+    ),
+    "in_pm1_shell": lambda tol: in_pm1_shell(to_bloch(SZ), tol=tol),
+    "in_bloch_region": lambda tol: in_bloch_region(to_bloch(SZ), tol=tol),
+}
+
+
+@pytest.mark.parametrize("gate", sorted(_TOL_GATES))
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
+def test_every_tolerance_gate_rejects_bad_tol(gate, tol):
+    with pytest.raises(ValidationError, match="tol must be finite and non-negative"):
+        _TOL_GATES[gate](tol)
 
 
 def test_certify_zero_restarts_tries_canonical_starts_only():

@@ -87,6 +87,16 @@ class TestCorrelationMatrix:
         assert len(rows) == 3
         assert_allclose(np.loadtxt(path, delimiter=","), np.diag([1.0, -1.0, 1.0]), atol=1e-12)
 
+    def test_eigh_runs_once_per_matrix(self, monkeypatch):
+        calls = []
+        real = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or real(m))
+        first, second = correlation_matrix(ghz(2)), correlation_matrix(ghz(4))
+        for tcorr in (first, second, first, second):
+            assert tcorr.spectral is tcorr.spectral
+            assert tcorr.spectral_norm == pytest.approx(2 / tcorr.dim, abs=1e-12)
+        assert len(calls) == 2
+
     def test_clusters_cover_dimension(self):
         spectral = correlation_matrix(ghz(5)).spectral
         assert sum(c.multiplicity for c in spectral.clusters) == 24
