@@ -9,7 +9,6 @@ three-correlator Bell combination that verifies the 3/2 quantum bound.
 from .bellmax import (
     BellMaxReport,
     LhvCheckReport,
-    LhvModel,
     MaximizeOptions,
     bell_expression,
     bell_expression_bloch,
@@ -19,7 +18,6 @@ from .bellmax import (
     lhv_monte_carlo,
     maximize_bell,
     optimal_a,
-    sample_lhv_model,
     scalar_bound,
     write_trace_csv,
 )
@@ -79,7 +77,6 @@ __all__ = [
     "DimensionCapError",
     "DimensionError",
     "LhvCheckReport",
-    "LhvModel",
     "MaximizeOptions",
     "PerfectnessCertificate",
     "QuditBellError",
@@ -120,7 +117,6 @@ __all__ = [
     "pm1_round",
     "product_expectation",
     "random_pm1_observable",
-    "sample_lhv_model",
     "scalar_bound",
     "to_bloch",
     "write_trace_csv",

@@ -24,6 +24,8 @@ taken over the whole batch, its last bits may depend on the batch.
 
 A Monte-Carlo harness over finite local-hidden-variable models checks the
 classical bound 1 on the same combination under the perfectness constraint.
+It draws the models in batches as arrays and evaluates every model of a
+batch with one weighted sum per correlator.
 """
 
 from __future__ import annotations
@@ -35,10 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .bloch import BlochVector, QuditObservable, _check_tol, from_bloch, pm1_round
+from .bloch import BlochVector, QuditObservable, _check_int, _check_tol, from_bloch, pm1_round
 from .errors import CertificationError, DimensionError, ValidationError
 from .perfectness import certify_state, find_perfect_observables
-from .serialize import freeze
 from .states import (
     CorrelationMatrix,
     TwoQuditState,
@@ -66,9 +67,9 @@ class MaximizeOptions:
     max_iters: int = 500
 
     def __post_init__(self):
-        for name in ("restarts", "max_iters"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be at least 1, got {getattr(self, name)}")
+        _check_int("restarts", self.restarts, 1)
+        _check_int("max_iters", self.max_iters, 1)
+        _check_int("seed", self.seed, 0)
         _check_tol(self.tol)
 
 
@@ -321,8 +322,8 @@ def maximize_bell(
         best_value=direct,
         bloch_value=values[best],
         b_perfect_residual=residual,
-        restarts=opts.restarts,
-        seed=opts.seed,
+        restarts=int(opts.restarts),  # numpy integers pass the gate but not json.dumps
+        seed=int(opts.seed),
         best_a=best_a,
         best_b=best_b,
         best_btilde=best_btil,
@@ -441,60 +442,10 @@ def chsh_optimal_settings(
 # --------------------------------------------------------------------------
 
 OUTCOME_GRID = (-1.0, -0.5, 0.0, 0.5, 1.0)
-
-
-@dataclass(frozen=True, eq=False)
-class LhvModel:
-    """Finite local-hidden-variable model on outcomes in [-1, 1].
-
-    ``weights`` is the distribution over hidden states; each ``p_*`` table is
-    a row-stochastic matrix of conditional outcome probabilities over
-    ``outcome_grid`` for the corresponding measurement.
-    """
-
-    weights: np.ndarray
-    outcome_grid: np.ndarray
-    p_a1: np.ndarray
-    p_a2: np.ndarray
-    p_b1: np.ndarray
-    p_b2: np.ndarray
-
-    def __post_init__(self):
-        for name in ("weights", "outcome_grid", "p_a1", "p_a2", "p_b1", "p_b2"):
-            object.__setattr__(self, name, freeze(np.asarray(getattr(self, name), dtype=float)))
-        self.validate()
-
-    def validate(self, atol: float = 1e-9) -> None:
-        # every gate is "not (ok)", so NaN and inf entries fail it
-        if not (np.all(self.weights >= -atol) and abs(self.weights.sum() - 1.0) <= atol):
-            raise ValidationError("hidden-variable weights must be a probability distribution")
-        if not np.all(np.abs(self.outcome_grid) <= 1.0 + atol):
-            raise ValidationError("outcomes must lie in [-1, 1]")
-        k, g = self.weights.size, self.outcome_grid.size
-        for name in ("p_a1", "p_a2", "p_b1", "p_b2"):
-            table = getattr(self, name)
-            if table.shape != (k, g):
-                raise ValidationError(f"{name} must have shape ({k}, {g}), got {table.shape}")
-            if not (np.all(table >= -atol) and np.all(np.abs(table.sum(axis=1) - 1.0) <= atol)):
-                raise ValidationError(f"{name} rows must be probability distributions")
-
-    def _means(self, table: np.ndarray) -> np.ndarray:
-        return table @ self.outcome_grid
-
-    def expectation(self, a: str, b: str) -> float:
-        """Product expectation for a measurement pair, e.g. ('a1', 'b2')."""
-        ma = self._means(getattr(self, f"p_{a}"))
-        mb = self._means(getattr(self, f"p_{b}"))
-        return float(np.sum(self.weights * ma * mb))
-
-    def bell_value(self, sign: int) -> float:
-        e11 = self.expectation("a1", "b1")
-        e12 = self.expectation("a1", "b2")
-        e22 = self.expectation("a2", "b2")
-        return abs(e11 - e12) + sign * e22
-
-    def constraint_residual(self, sign: int) -> float:
-        return abs(self.expectation("a2", "b1") - sign)
+# Models drawn per batch; memory stays independent of n_models.
+_LHV_BATCH = 1024
+# Each model has k hidden states, k uniform on {2, ..., _LHV_HIDDEN}.
+_LHV_HIDDEN = 8
 
 
 @dataclass(frozen=True)
@@ -518,73 +469,59 @@ class LhvCheckReport:
         return json.dumps(self.to_dict())
 
 
-def sample_lhv_model(
-    rng: np.random.Generator,
-    sign: int,
-    omega_range: tuple[int, int] = (2, 8),
-    grid=OUTCOME_GRID,
-) -> LhvModel:
-    """Random finite LHV model satisfying the perfectness constraint exactly.
+def _lhv_values(
+    weights: np.ndarray, a1: np.ndarray, b2: np.ndarray, s: np.ndarray, sign: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bell value |E11 - E12| + sign E22 and residual |E21 - sign| per model.
 
-    The (a2, b1) pair may only produce outcome products equal to ``sign``;
-    since the joint factorizes given the hidden state, both conditionals
-    must be deterministic +-1 with matched (sign +) or opposite (sign -)
-    values per hidden state.  The unconstrained measurements get arbitrary
-    random distributions on the outcome grid.
+    Row i of each ``(n, k)`` array is one model: ``weights`` over its hidden
+    states, ``a1`` and ``b2`` the mean outcomes of A1 and B2, and ``s`` the
+    +-1 output of A2; B1 outputs ``sign * s``.
     """
-    grid_arr = np.asarray(grid, dtype=float)
-    g = grid_arr.size
-    idx_plus = int(np.argmin(np.abs(grid_arr - 1.0)))
-    idx_minus = int(np.argmin(np.abs(grid_arr + 1.0)))
-    k = int(rng.integers(omega_range[0], omega_range[1] + 1))
-    weights = rng.dirichlet(np.ones(k))
-
-    def random_table() -> np.ndarray:
-        raw = rng.random((k, g))
-        return raw / raw.sum(axis=1, keepdims=True)
-
-    p_a1 = random_table()
-    p_b2 = random_table()
-    s = rng.integers(0, 2, size=k) * 2 - 1
-    p_a2 = np.zeros((k, g))
-    p_b1 = np.zeros((k, g))
-    for omega in range(k):
-        p_a2[omega, idx_plus if s[omega] > 0 else idx_minus] = 1.0
-        matched = s[omega] * sign
-        p_b1[omega, idx_plus if matched > 0 else idx_minus] = 1.0
-    return LhvModel(
-        weights=weights,
-        outcome_grid=grid_arr,
-        p_a1=p_a1,
-        p_a2=p_a2,
-        p_b1=p_b1,
-        p_b2=p_b2,
+    b1 = sign * s
+    e11, e12, e21, e22 = (
+        np.sum(weights * x * y, axis=1) for x, y in ((a1, b1), (a1, b2), (s, b1), (s, b2))
     )
+    return np.abs(e11 - e12) + sign * e22, np.abs(e21 - sign)
 
 
-def lhv_monte_carlo(
-    sign: int,
-    n_models: int,
-    seed: int = 0,
-    omega_range: tuple[int, int] = (2, 8),
-    grid=OUTCOME_GRID,
-) -> LhvCheckReport:
-    """Sample constrained LHV models and report the largest Bell combination."""
+def lhv_monte_carlo(sign: int, n_models: int, seed: int = 0) -> LhvCheckReport:
+    """Sample constrained LHV models and report the largest Bell combination.
+
+    A model has k hidden states, k uniform on {2, ..., 8}, with Dirichlet(1)
+    weights.  The (A2, B1) pair may only produce outcome products equal to
+    ``sign``; since the joint factorizes given the hidden state, both are
+    deterministic +-1 per hidden state, A2 giving a fair random s and B1
+    giving ``sign * s``.  A1 and B2 get uniformly random distributions on
+    ``OUTCOME_GRID``, of which only the means enter the combination.  Models
+    are drawn 1024 per batch, the last batch shorter; a run's full batches
+    are the first batches of every longer run with the same seed.
+    """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    if n_models < 1:
-        raise ValueError(f"need at least one model, got {n_models}")
+    _check_int("n_models", n_models, 1)
+    _check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
+    grid = np.asarray(OUTCOME_GRID)
     max_value = -np.inf
     max_residual = 0.0
-    for _ in range(n_models):
-        model = sample_lhv_model(rng, sign, omega_range=omega_range, grid=grid)
-        max_value = max(max_value, model.bell_value(sign))
-        max_residual = max(max_residual, model.constraint_residual(sign))
+    for start in range(0, n_models, _LHV_BATCH):
+        n = min(_LHV_BATCH, n_models - start)
+        k = rng.integers(2, _LHV_HIDDEN + 1, size=n)
+        # Dirichlet(1) over the first k hidden states; the rest get weight 0
+        weights = rng.standard_exponential((n, _LHV_HIDDEN))
+        weights *= np.arange(_LHV_HIDDEN) < k[:, None]
+        weights /= weights.sum(axis=1, keepdims=True)
+        tables = rng.random((2, n, _LHV_HIDDEN, grid.size))
+        a1, b2 = (tables @ grid) / tables.sum(axis=3)
+        s = rng.integers(0, 2, size=(n, _LHV_HIDDEN)) * 2 - 1
+        value, residual = _lhv_values(weights, a1, b2, s, sign)
+        max_value = max(max_value, value.max())
+        max_residual = max(max_residual, residual.max())
     return LhvCheckReport(
         models_sampled=n_models,
         sign=sign,
         max_bell_value=float(max_value),
         constraint_residual_max=float(max_residual),
-        seed=seed,
+        seed=int(seed),
     )

@@ -44,6 +44,14 @@ def _check_tol(tol: float) -> None:
         raise ValidationError(f"tol must be finite and non-negative, got {tol}")
 
 
+def _check_int(name: str, value: int, minimum: int) -> None:
+    """The one gate on an integer knob (a seed or a count): numpy integers pass, floats fail."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValidationError(f"{name} must be at least {minimum}, got {value}")
+
+
 def operator_norm(matrix: np.ndarray) -> float:
     """Largest absolute eigenvalue of a hermitian matrix."""
     return float(np.max(np.abs(np.linalg.eigvalsh(matrix))))

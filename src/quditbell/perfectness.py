@@ -31,6 +31,7 @@ from .bloch import (
     BlochVector,
     QuditObservable,
     SET_TOL,
+    _check_int,
     _check_tol,
     _shell_residual,
     from_bloch,
@@ -343,8 +344,8 @@ def certify_state(
     reports the first witness found.
     """
     _check_tol(tol)
-    if restarts < 0:
-        raise ValidationError(f"restarts must be non-negative, got {restarts}")
+    _check_int("restarts", restarts, 0)
+    _check_int("seed", seed, 0)
     d = state.dim
     if d % 2 != 0:
         raise DimensionError(
@@ -412,8 +413,7 @@ def find_perfect_observables(
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    if count < 1:
-        raise ValidationError(f"count must be at least 1, got {count}")
+    _check_int("count", count, 1)
     d = membership.dim
     entry = membership.for_sign(sign)
     if entry.cluster is None:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,7 +7,6 @@ from numpy.testing import assert_allclose
 from quditbell import (
     CertificationError,
     DimensionError,
-    LhvModel,
     MaximizeOptions,
     QuditObservable,
     TwoQuditState,
@@ -26,11 +27,10 @@ from quditbell import (
     maximize_bell,
     optimal_a,
     pm1_round,
-    sample_lhv_model,
     scalar_bound,
     write_trace_csv,
 )
-from quditbell.bellmax import OUTCOME_GRID, WITNESS_COUNT
+from quditbell.bellmax import WITNESS_COUNT, _lhv_values
 
 from conftest import SX, SZ, random_state, random_traceless_hermitian, rotated_ghz, singlet
 
@@ -261,6 +261,35 @@ class TestMaximize:
             MaximizeOptions(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: lhv_monte_carlo(1, 10, seed=-1), "seed"),
+        (lambda: lhv_monte_carlo(1, 10, seed=1.5), "seed"),
+        (lambda: certify_state(ghz(2), seed=-1), "seed"),
+        (lambda: certify_state(ghz(2), seed=np.int64(-3)), "seed"),
+        (lambda: MaximizeOptions(seed=-1), "seed"),
+        (lambda: MaximizeOptions(seed="0"), "seed"),
+        (lambda: MaximizeOptions(restarts=2.5), "restarts"),
+        (lambda: MaximizeOptions(max_iters=3.5), "max_iters"),
+        (lambda: lhv_monte_carlo(1, 2.5), "n_models"),
+        (lambda: certify_state(ghz(2), restarts=2.5), "restarts"),
+        (lambda: find_perfect_observables(certify_state(ghz(2)), 1, count=2.5), "count"),
+    ],
+)
+def test_integer_knobs_are_gated_by_name(call, name):
+    with pytest.raises(ValidationError, match=name):
+        call()
+
+
+def test_numpy_integer_knobs_are_accepted_and_serialize():
+    lhv = lhv_monte_carlo(1, 10, seed=np.int64(4))
+    assert lhv.to_json() == lhv_monte_carlo(1, 10, seed=4).to_json()
+    opts = MaximizeOptions(restarts=np.int32(2), seed=np.uint8(1))
+    report = maximize_bell(ghz(2), 1, opts).to_dict()
+    assert json.loads(json.dumps(report))["seed"] == 1
+
+
 def _serial_restart(d, tmat, b, sign, seed, index, max_iters):
     """Reference: one restart on its own, with single-vector roundings."""
     rng = np.random.default_rng([seed, index])
@@ -368,71 +397,26 @@ class TestLhv:
         r2 = lhv_monte_carlo(1, 500, seed=4)
         assert r1.to_json() == r2.to_json()
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2049])
+    def test_batch_edges(self, sign, n):
+        report = lhv_monte_carlo(sign, n, seed=2)
+        assert report.models_sampled == n
+        assert report.max_bell_value <= 1.0 + 1e-9
+        assert report.constraint_residual_max <= 1e-12
+
+    def test_first_batch_is_shared(self):
+        # the first 1024 models are the same draw, so more models never lower the maximum
+        one = lhv_monte_carlo(1, 1024, seed=5).max_bell_value
+        two = lhv_monte_carlo(1, 2048, seed=5).max_bell_value
+        assert two >= one
+
     def test_hand_built_deterministic_model_attains_one(self):
         # lambda_a1 = lambda_b1, lambda_a2 = lambda_b2 = lambda_b1 per omega
-        grid = np.asarray(OUTCOME_GRID)
-        table = np.zeros((2, 5))
-        table[0, 4] = 1.0  # omega_0 -> outcome +1
-        table[1, 0] = 1.0  # omega_1 -> outcome -1
-        model = LhvModel(
-            weights=np.array([0.5, 0.5]),
-            outcome_grid=grid,
-            p_a1=table,
-            p_a2=table,
-            p_b1=table,
-            p_b2=table,
-        )
-        assert model.constraint_residual(1) == 0.0
-        assert model.bell_value(1) == pytest.approx(1.0, abs=1e-15)
-
-    def test_sampled_models_are_valid(self, rng):
-        for sign in (1, -1):
-            for _ in range(50):
-                model = sample_lhv_model(rng, sign)
-                model.validate()
-                assert model.constraint_residual(sign) <= 1e-12
-                assert model.bell_value(sign) <= 1.0 + 1e-9
-
-    def test_model_validation_errors(self):
-        grid = np.asarray(OUTCOME_GRID)
-        table = np.full((1, 5), 0.2)
-        with pytest.raises(ValidationError):
-            LhvModel(
-                weights=np.array([0.5, 0.7]),
-                outcome_grid=grid,
-                p_a1=np.vstack([table, table]),
-                p_a2=np.vstack([table, table]),
-                p_b1=np.vstack([table, table]),
-                p_b2=np.vstack([table, table]),
-            )
-        with pytest.raises(ValidationError):
-            LhvModel(
-                weights=np.array([1.0]),
-                outcome_grid=grid * 2.0,
-                p_a1=table,
-                p_a2=table,
-                p_b1=table,
-                p_b2=table,
-            )
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("field", ["weights", "outcome_grid", "p_a1", "p_b2"])
-    def test_model_rejects_non_finite(self, field, bad):
-        table = np.zeros((2, 5))
-        table[0, 4] = table[1, 0] = 1.0
-        fields = dict(
-            weights=np.array([0.5, 0.5]),
-            outcome_grid=np.asarray(OUTCOME_GRID),
-            p_a1=table,
-            p_a2=table,
-            p_b1=table,
-            p_b2=table,
-        )
-        poisoned = fields[field].copy()
-        poisoned.flat[0] = bad
-        fields[field] = poisoned
-        with pytest.raises(ValidationError):
-            LhvModel(**fields)
+        table = np.array([[1.0, -1.0]])  # omega_0 -> outcome +1, omega_1 -> outcome -1
+        value, residual = _lhv_values(np.array([[0.5, 0.5]]), table, table, table, 1)
+        assert residual[0] == 0.0
+        assert value[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

@@ -255,6 +255,12 @@ class TestLhv:
         assert code == 0
         assert json.loads(out)["report"]["models_sampled"] == 1
 
+    def test_negative_seed_is_input_error(self, capsys):
+        code, out, err = run_cli(["lhv", "--models", "3", "--sign", "+", "--seed", "-1"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "seed" in err
+
 
 class TestEnvironmentOverrides:
     def test_seed_env(self, monkeypatch, capsys):
