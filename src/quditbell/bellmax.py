@@ -341,6 +341,10 @@ def maximize_bell(
 # --------------------------------------------------------------------------
 
 
+# b-points by b~-points per tile of exhaustive_qubit_max's Gram evaluation
+_ORACLE_TILE = (400, 128)
+
+
 def _sphere_grid(steps: int) -> np.ndarray:
     thetas = np.linspace(0.0, np.pi, steps + 1)
     phis = np.arange(2 * steps) * (np.pi / steps)
@@ -359,21 +363,28 @@ def exhaustive_qubit_max(state: TwoQuditState, sign: int, grid_steps: int) -> fl
     strictly smaller magnitude), so b is gridded there exactly; b~ runs over
     a full Bloch-sphere grid and the a-maximization is the exact norm
     ``||T(b - b~)||`` (every unit vector is admissible at d = 2).
+
+    Every (b, b~) pair of the two grids is still scanned, with no pruning,
+    in tiles of 400 b-points by 128 b~-points.  One small matrix product per
+    tile gives every pair's Gram form
+    ``||T(b - b~)||^2 = ||Tb||^2 + ||Tb~||^2 - 2 <T^2 b, b~>`` (clamped at 0
+    before the square root) and ``sign <b, T b~>``; the maximum is kept
+    across tiles.
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     if state.dim != 2:
         raise DimensionError(f"the exhaustive oracle is defined for d = 2 only, got {state.dim}")
-    if grid_steps < 2:
-        raise ValueError("grid_steps must be at least 2")
+    _check_int("grid_steps", grid_steps, 2)
     if not state.symmetric:
         raise ValidationError("the oracle requires a swap-symmetric state")
     tmat = correlation_matrix(state).matrix
     tmat = (tmat + tmat.T) / 2.0
     eigenvalues, vectors = np.linalg.eigh(tmat)
-    if np.max(np.abs(eigenvalues)) > 1.0 + 1e-9:
+    spectral_norm = np.max(np.abs(eigenvalues))
+    if not (spectral_norm <= 1.0 + 1e-9):
         raise ValidationError(
-            f"two-qubit correlation matrix has spectral norm {np.max(np.abs(eigenvalues)):.6f} > 1"
+            f"two-qubit correlation matrix has spectral norm {spectral_norm:.6f} > 1"
         )
     keep = np.abs(eigenvalues - float(sign)) <= 1e-9
     if not np.any(keep):
@@ -392,13 +403,26 @@ def exhaustive_qubit_max(state: TwoQuditState, sign: int, grid_steps: int) -> fl
         b_points = _sphere_grid(grid_steps) @ subspace.T
 
     btil = _sphere_grid(grid_steps)
-    t_btil = btil @ tmat.T
+    # T is symmetric, so row i of `t_b` is T b_i and row j of `t_btil` is T b~_j
+    t_b, t_btil = b_points @ tmat, btil @ tmat
+    n_b = len(b_points)
+    # against the column [b~, ||Tb~||^2, 1], the row [-2 T^2 b, 1, ||Tb||^2] of `dist`
+    # gives ||T(b - b~)||^2 and the row [sign Tb, 0, 0] of `corr` gives sign <b, T b~>
+    dist = np.column_stack([-2.0 * (t_b @ tmat), np.ones(n_b), np.sum(t_b * t_b, axis=1)])
+    corr = np.column_stack([sign * t_b, np.zeros((n_b, 2))])
+    columns = np.vstack([btil.T, np.sum(t_btil * t_btil, axis=1), np.ones(len(btil))])
+    b_tile, btil_tile = _ORACLE_TILE
     best = -np.inf
-    for b in b_points:
-        tb = tmat @ b
-        first = np.linalg.norm(tb[None, :] - t_btil, axis=1)
-        second = t_btil @ b
-        best = max(best, float(np.max(first + sign * second)))
+    for i in range(0, n_b, b_tile):
+        rows = np.vstack([dist[i : i + b_tile], corr[i : i + b_tile]])
+        n = len(rows) // 2
+        for j in range(0, columns.shape[1], btil_tile):
+            tile = rows @ columns[:, j : j + btil_tile]
+            value = tile[:n]
+            np.maximum(value, 0.0, out=value)
+            np.sqrt(value, out=value)
+            value += tile[n:]
+            best = max(best, float(value.max()))
     return best
 
 

@@ -30,7 +30,7 @@ from quditbell import (
     scalar_bound,
     write_trace_csv,
 )
-from quditbell.bellmax import WITNESS_COUNT, _lhv_values
+from quditbell.bellmax import OUTCOME_GRID, WITNESS_COUNT, _lhv_values, _sphere_grid
 
 from conftest import SX, SZ, random_state, random_traceless_hermitian, rotated_ghz, singlet
 
@@ -161,6 +161,55 @@ class TestExhaustiveOracle:
     def test_rejects_uncertifiable(self):
         with pytest.raises(CertificationError):
             exhaustive_qubit_max(maximally_mixed(2), 1, 10)
+
+    @pytest.mark.parametrize("grid_steps", [2.5, np.float64(3.0), float("nan"), 1, 0])
+    def test_grid_steps_gate(self, grid_steps):
+        with pytest.raises(ValidationError, match="grid_steps"):
+            exhaustive_qubit_max(ghz(2), 1, grid_steps)
+
+    def test_numpy_integer_grid_steps_accepted(self):
+        assert exhaustive_qubit_max(ghz(2), 1, np.int64(10)) == exhaustive_qubit_max(ghz(2), 1, 10)
+
+
+def _per_b_oracle(state, sign, grid_steps):
+    """Reference: the oracle as one Python iteration per b-point."""
+    tmat = correlation_matrix(state).matrix
+    tmat = (tmat + tmat.T) / 2.0
+    eigenvalues, vectors = np.linalg.eigh(tmat)
+    subspace = vectors[:, np.abs(eigenvalues - float(sign)) <= 1e-9]
+    k = subspace.shape[1]
+    if k == 1:
+        b_points = np.stack([subspace[:, 0], -subspace[:, 0]])
+    elif k == 2:
+        alphas = np.arange(2 * grid_steps) * (np.pi / grid_steps)
+        b_points = np.cos(alphas)[:, None] * subspace[:, 0] + np.sin(alphas)[:, None] * subspace[:, 1]
+    else:
+        b_points = _sphere_grid(grid_steps) @ subspace.T
+    t_btil = _sphere_grid(grid_steps) @ tmat.T
+    best = -np.inf
+    for b in b_points:
+        tb = tmat @ b
+        first = np.linalg.norm(tb[None, :] - t_btil, axis=1)
+        second = t_btil @ b
+        best = max(best, float(np.max(first + sign * second)))
+    return best
+
+
+class TestOracleReference:
+    # 7, 33 and 60 steps give 112, 2244 and 7320 sphere points: no tile divides them
+    @pytest.mark.parametrize("grid_steps", [7, 33, 60])
+    def test_ghz_and_rotated_ghz(self, grid_steps):
+        rng = np.random.default_rng(31)
+        for state in [ghz(2)] + [rotated_ghz(2, rng) for _ in range(3)]:
+            for sign in (1, -1):
+                blocked = exhaustive_qubit_max(state, sign, grid_steps)
+                assert abs(blocked - _per_b_oracle(state, sign, grid_steps)) <= 1e-15
+
+    @pytest.mark.parametrize("grid_steps", [7, 33, 60])
+    def test_singlet_full_sphere(self, grid_steps):
+        # eigenspace of T = -I for -1 is all of R^3: b runs over the sphere grid too
+        blocked = exhaustive_qubit_max(singlet(), -1, grid_steps)
+        assert abs(blocked - _per_b_oracle(singlet(), -1, grid_steps)) <= 1e-15
 
 
 class TestMaximize:
@@ -417,6 +466,16 @@ class TestLhv:
         value, residual = _lhv_values(np.array([[0.5, 0.5]]), table, table, table, 1)
         assert residual[0] == 0.0
         assert value[0] == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_vertex_bound_is_exactly_one(self, sign):
+        # the 50 deterministic strategies: a1, b2 on the grid, s = +-1, one hidden state
+        a1, b2, s = (x.reshape(-1, 1) for x in np.meshgrid(OUTCOME_GRID, OUTCOME_GRID, [1.0, -1.0]))
+        value, residual = _lhv_values(np.ones((50, 1)), a1, b2, s, sign)
+        assert value.max() == 1.0
+        # attained exactly where |a1| = 1 or B2 copies B1 = sign s
+        assert np.array_equal(value == 1.0, ((np.abs(a1) == 1) | (b2 == sign * s))[:, 0])
+        assert np.all(residual == 0.0)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
