@@ -61,7 +61,6 @@ from .states import (
     bloch_expectation,
     correlation_matrix,
     ghz,
-    is_symmetric,
     maximally_mixed,
     product_expectation,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "in_bloch_region",
     "in_pm1_shell",
     "index_label",
-    "is_symmetric",
     "lhv_monte_carlo",
     "make_diag_pm1",
     "make_offdiag_imag_pm1",

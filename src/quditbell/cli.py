@@ -246,7 +246,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_state_args(p):
-        p.add_argument("--state", default="ghz", help="'ghz' or 'file:PATH' (JSON density matrix)")
+        p.add_argument(
+            "--state",
+            default="ghz",
+            help="'ghz' or 'file:PATH': JSON {\"dim\": d, \"rho\": ...} with rho as base64 "
+            "complex128 or as row-major [[re, im], ...] pairs",
+        )
         p.add_argument("--dim", type=int, default=None, help="single-qudit dimension")
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
         p.add_argument("--seed", type=int, default=_default_seed())

@@ -1,14 +1,23 @@
 """JSON helpers for complex matrices and real vectors.
 
-Complex matrices are stored row-major as a flat list of ``[re, im]`` pairs so
-that files round-trip without any precision games.
+Complex matrices have two JSON encodings, both row-major and both exact:
+
+* a flat list of ``[re, im]`` pairs, written for observables in reports and
+  accepted for states (hand-written and older state files);
+* a base64 string of the little-endian complex128 bytes, which
+  :meth:`~quditbell.states.TwoQuditState.to_json` writes so that large
+  states load without parsing one decimal float per entry.
 """
 
 from __future__ import annotations
 
+import base64
+
 import numpy as np
 
 from .errors import ValidationError
+
+_C16 = np.dtype("<c16")
 
 
 def complex_matrix_to_pairs(matrix: np.ndarray) -> list[list[float]]:
@@ -18,14 +27,41 @@ def complex_matrix_to_pairs(matrix: np.ndarray) -> list[list[float]]:
 
 
 def pairs_to_complex_matrix(pairs, shape: tuple[int, int]) -> np.ndarray:
-    """Rebuild a complex matrix from row-major ``[[re, im], ...]`` pairs."""
+    """Rebuild a complex matrix from row-major ``[[re, im], ...]`` pairs of numbers."""
     n_expect = shape[0] * shape[1]
-    arr = np.asarray(pairs, dtype=float)
-    if arr.ndim != 2 or arr.shape != (n_expect, 2):
+    try:
+        arr = np.asarray(pairs)
+    except ValueError:  # ragged nesting
+        raise ValidationError(
+            f"matrix payload must be {n_expect} [re, im] pairs, got a ragged list"
+        ) from None
+    if arr.dtype.kind not in "iuf":
+        raise ValidationError(f"matrix payload entries must be numbers, got {arr.dtype} entries")
+    if arr.shape != (n_expect, 2):
         raise ValidationError(
             f"matrix payload must be {n_expect} [re, im] pairs, got shape {arr.shape}"
         )
-    return (arr[:, 0] + 1j * arr[:, 1]).reshape(shape)
+    # a view keeps every bit; re + 1j * im would turn a -0.0 real part into +0.0
+    return np.ascontiguousarray(arr, dtype=float).view(complex).reshape(shape)
+
+
+def complex_matrix_to_base64(matrix: np.ndarray) -> str:
+    """Base64 of the row-major little-endian complex128 bytes of ``matrix``."""
+    return base64.b64encode(np.ascontiguousarray(matrix, dtype=_C16).tobytes()).decode("ascii")
+
+
+def base64_to_complex_matrix(text: str, shape: tuple[int, int]) -> np.ndarray:
+    """Rebuild a complex matrix from :func:`complex_matrix_to_base64` output (read-only)."""
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or non-ASCII text
+        raise ValidationError(f"matrix payload is not valid base64: {exc}") from None
+    n_expect = shape[0] * shape[1] * _C16.itemsize
+    if len(raw) != n_expect:
+        raise ValidationError(
+            f"matrix payload must be {n_expect} bytes of complex128, got {len(raw)}"
+        )
+    return np.frombuffer(raw, _C16).reshape(shape)
 
 
 def real_vector_to_list(vec: np.ndarray) -> list[float]:

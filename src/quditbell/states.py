@@ -29,10 +29,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .bloch import BlochVector, QuditObservable
+from .bloch import BlochVector, QuditObservable, _check_int
 from .errors import DimensionError, ValidationError
 from .gellmann import antisymmetric_rows, sparse_generators
-from .serialize import complex_matrix_to_pairs, freeze, pairs_to_complex_matrix
+from .serialize import (
+    base64_to_complex_matrix,
+    complex_matrix_to_base64,
+    freeze,
+    pairs_to_complex_matrix,
+)
 
 _TRACE_TOL = 1e-12
 _HERM_TOL = 1e-12
@@ -85,21 +90,30 @@ class TwoQuditState:
         return self.rho.reshape(d, d, d, d)
 
     def to_json(self) -> str:
-        return json.dumps({"dim": self.dim, "rho": complex_matrix_to_pairs(self.rho)})
+        """``{"dim": d, "rho": "<base64 of rho's row-major little-endian complex128>"}``."""
+        return json.dumps({"dim": self.dim, "rho": complex_matrix_to_base64(self.rho)})
 
     @classmethod
-    def from_json(cls, payload: str) -> "TwoQuditState":
-        data = json.loads(payload)
-        d = int(data["dim"])
-        rho = pairs_to_complex_matrix(data["rho"], (d * d, d * d))
-        state = cls.from_matrix(rho)
-        if state.dim != d:
-            raise ValidationError(f"file claims dim {d} but matrix implies dim {state.dim}")
-        return state
+    def from_json(cls, payload: str | bytes) -> "TwoQuditState":
+        """Read :meth:`to_json` output, or ``"rho"`` as row-major ``[[re, im], ...]`` pairs.
+
+        Either payload goes through every :meth:`from_matrix` gate.
+        """
+        try:
+            data = json.loads(payload)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8/16/32
+            raise ValidationError(f"state file is not valid JSON: {exc}") from None
+        if not isinstance(data, dict) or not {"dim", "rho"} <= data.keys():
+            raise ValidationError("state file must be a JSON object with keys 'dim' and 'rho'")
+        d = data["dim"]
+        _check_int("dim", d, 2)
+        rho = data["rho"]
+        decode = base64_to_complex_matrix if isinstance(rho, str) else pairs_to_complex_matrix
+        return cls.from_matrix(decode(rho, (d * d, d * d)))
 
     @classmethod
     def from_file(cls, path) -> "TwoQuditState":
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             return cls.from_json(fh.read())
 
     def to_file(self, path) -> None:
@@ -110,11 +124,6 @@ class TwoQuditState:
 def _swap_residual(rho: np.ndarray, d: int) -> float:
     r4 = rho.reshape(d, d, d, d)
     return float(np.max(np.abs(r4 - r4.transpose(1, 0, 3, 2))))
-
-
-def is_symmetric(state: TwoQuditState, tol: float = _SWAP_TOL) -> bool:
-    """True iff conjugating by the swap operator reproduces rho within tol."""
-    return _swap_residual(state.rho, state.dim) <= tol
 
 
 def ghz(d: int) -> TwoQuditState:

@@ -5,8 +5,9 @@ import pytest
 
 from quditbell import TwoQuditState, maximally_mixed
 from quditbell.cli import main
+from quditbell.serialize import complex_matrix_to_pairs
 
-from conftest import random_state
+from conftest import random_state, rotated_ghz
 
 
 def run_cli(args, capsys):
@@ -297,3 +298,37 @@ def test_dim_mismatch_with_file(tmp_path, capsys):
     code, _, err = run_cli(["spectrum", "--state", source, "--dim", "3"], capsys)
     assert code == 1
     assert "does not match" in err
+
+
+def test_pair_and_base64_files_give_identical_reports(tmp_path, capsys):
+    rho = rotated_ghz(4, np.random.default_rng(5)).rho
+    path = tmp_path / "state.json"
+    reports = []
+    for payload in (
+        json.dumps({"dim": 4, "rho": complex_matrix_to_pairs(rho)}),
+        TwoQuditState.from_matrix(rho).to_json(),
+    ):
+        path.write_text(payload)
+        assert TwoQuditState.from_file(path).rho.tobytes() == rho.tobytes()
+        code, out, err = run_cli(["certify", "--state", f"file:{path}", "--seed", "3"], capsys)
+        assert code == 0, err
+        reports.append(out)
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        '{"dim": 2.7, "rho": []}',
+        '{"dim": 2, "rho": [[0.25, 0], [0.25]]}',
+        '{"dim": 2, "rho": "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"}',  # 24 of 256 bytes
+        "[1, 2]",
+    ],
+)
+def test_malformed_state_file_is_input_error(payload, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(payload)
+    code, out, err = run_cli(["certify", "--state", f"file:{path}"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("input error:")

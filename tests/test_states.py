@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -14,13 +15,13 @@ from quditbell import (
     correlation_matrix,
     from_bloch,
     ghz,
-    is_symmetric,
     make_diag_pm1,
     maximally_mixed,
     product_expectation,
 )
 
 from quditbell import gellmann, states
+from quditbell.serialize import complex_matrix_to_base64, complex_matrix_to_pairs
 from quditbell.states import cluster_eigenvalues
 
 from conftest import SY, SZ, random_state, random_traceless_hermitian
@@ -209,20 +210,19 @@ class TestExpectations:
 class TestSymmetry:
     def test_ghz_symmetric(self):
         for d in (2, 3, 4):
-            assert is_symmetric(ghz(d))
+            assert TwoQuditState.from_matrix(ghz(d).rho).symmetric
 
     def test_product_state_not_symmetric(self):
         rho = np.zeros((4, 4), dtype=complex)
         rho[1, 1] = 1.0  # |0><0| (x) |1><1|
         state = TwoQuditState.from_matrix(rho)
         assert not state.symmetric
-        assert not is_symmetric(state)
 
     def test_symmetrized_mixture(self):
         rho = np.zeros((4, 4), dtype=complex)
         rho[1, 1] = 0.5
         rho[2, 2] = 0.5
-        assert is_symmetric(TwoQuditState.from_matrix(rho))
+        assert TwoQuditState.from_matrix(rho).symmetric
 
 
 class TestValidation:
@@ -251,10 +251,38 @@ class TestValidation:
         rho[0, 3] = bad
         with pytest.raises(ValidationError, match="finite"):
             TwoQuditState.from_matrix(rho)
-        payload = json.loads(ghz(2).to_json())
+        payload = {"dim": 2, "rho": complex_matrix_to_pairs(ghz(2).rho)}
         payload["rho"][3][0] = bad
         with pytest.raises(ValidationError, match="finite"):
             TwoQuditState.from_json(json.dumps(payload))
+        payload = {"dim": 2, "rho": complex_matrix_to_base64(rho)}
+        with pytest.raises(ValidationError, match="finite"):
+            TwoQuditState.from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize(
+        "payload, match",
+        [
+            ("[1, 2]", "JSON object with keys 'dim' and 'rho'"),
+            ('{"rho": []}', "JSON object with keys 'dim' and 'rho'"),
+            ("{'dim': 2}", "not valid JSON"),
+            (b'{"dim": 2, "rho": "\xff"}', "not valid JSON"),
+            ('{"dim": NaN, "rho": []}', "dim must be an integer"),
+            ('{"dim": 2.7, "rho": []}', "dim must be an integer"),
+            ('{"dim": 2.0, "rho": []}', "dim must be an integer"),
+            ('{"dim": "2", "rho": []}', "dim must be an integer"),
+            ('{"dim": 1, "rho": [[1, 0]]}', "dim must be at least 2"),
+            ('{"dim": 2, "rho": [[1, 0], [0]]}', "16 \\[re, im\\] pairs"),
+            ('{"dim": 2, "rho": [["1", "0"]]}', "entries must be numbers"),
+            ('{"dim": 2, "rho": [[true, false]]}', "entries must be numbers"),
+            ('{"dim": 2, "rho": {"re": 1}}', "entries must be numbers"),
+            ('{"dim": 2, "rho": "AAAA$AAA"}', "not valid base64"),
+            ('{"dim": 2, "rho": "AAA"}', "not valid base64"),
+            ('{"dim": 2, "rho": "AAAA"}', "256 bytes of complex128, got 3"),
+        ],
+    )
+    def test_malformed_payload_named(self, payload, match):
+        with pytest.raises(ValidationError, match=match):
+            TwoQuditState.from_json(payload)
 
 
 def test_state_json_roundtrip(tmp_path, rng):
@@ -266,10 +294,49 @@ def test_state_json_roundtrip(tmp_path, rng):
     assert_allclose(back.rho, state.rho, atol=1e-15)
     assert back.symmetric
 
-    payload = json.loads(path.read_text())
-    assert payload["dim"] == 3
-    assert len(payload["rho"]) == 81
+    pairs = {"dim": 3, "rho": complex_matrix_to_pairs(state.rho)}
+    written = json.loads(path.read_text())
+    assert written["dim"] == 3
+    assert len(pairs["rho"]) == 81
+    assert len(base64.b64decode(written["rho"])) == 81 * 16
 
-    payload["dim"] = 2
-    with pytest.raises(ValidationError):
-        TwoQuditState.from_json(json.dumps(payload))
+    for payload in (pairs, written):
+        assert np.array_equal(TwoQuditState.from_json(json.dumps(payload)).rho, state.rho)
+        for dim in (2, 4):
+            with pytest.raises(ValidationError):
+                TwoQuditState.from_json(json.dumps({**payload, "dim": dim}))
+    # one entry short
+    with pytest.raises(ValidationError, match="81 \\[re, im\\] pairs"):
+        TwoQuditState.from_json(json.dumps({"dim": 3, "rho": pairs["rho"][:-1]}))
+    short = complex_matrix_to_base64(state.rho.reshape(-1)[:-1])
+    with pytest.raises(ValidationError, match="1296 bytes of complex128, got 1280"):
+        TwoQuditState.from_json(json.dumps({"dim": 3, "rho": short}))
+
+
+@pytest.mark.parametrize("d", [2, 3, 16])
+def test_file_roundtrip_is_bitwise(d, tmp_path, rng):
+    rho = 0.1 * random_state(d, rng).rho + 0.9 * maximally_mixed(d).rho
+    # a -0.0 real part and a subnormal imaginary part, in a hermitian pair
+    rho[0, 1], rho[1, 0] = complex(-0.0, 5e-324), complex(-0.0, -5e-324)
+    state = TwoQuditState.from_matrix(rho)
+    path = tmp_path / "state.json"
+    state.to_file(path)
+    back = TwoQuditState.from_file(path)
+    assert back.dim == d and back.symmetric == state.symmetric
+    assert back.rho.tobytes() == rho.tobytes()
+    assert np.signbit(back.rho[0, 1].real) and back.rho[0, 1].imag == 5e-324
+
+    pair_path = tmp_path / "pairs.json"
+    pair_path.write_text(json.dumps({"dim": d, "rho": complex_matrix_to_pairs(rho)}))
+    assert TwoQuditState.from_file(pair_path).rho.tobytes() == rho.tobytes()
+
+
+def test_base64_payload_runs_every_gate():
+    cases = {
+        "hermitian": ghz(2).rho + np.diag([0, 0, 0, 0.1j]),
+        "trace": np.eye(4, dtype=complex),
+        "positive semidefinite": np.diag([1.5, -0.5, 0, 0]).astype(complex),
+    }
+    for match, rho in cases.items():
+        with pytest.raises(ValidationError, match=match):
+            TwoQuditState.from_json(json.dumps({"dim": 2, "rho": complex_matrix_to_base64(rho)}))
