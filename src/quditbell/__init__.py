@@ -17,7 +17,6 @@ from .bellmax import (
     exhaustive_qubit_max,
     lhv_monte_carlo,
     maximize_bell,
-    optimal_a,
     scalar_bound,
     write_trace_csv,
 )
@@ -111,7 +110,6 @@ __all__ = [
     "maximally_mixed",
     "maximize_bell",
     "operator_norm",
-    "optimal_a",
     "pm1_round",
     "product_expectation",
     "random_pm1_observable",

@@ -35,11 +35,11 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
-from .bloch import BlochVector, QuditObservable, _check_int, _check_tol, from_bloch, pm1_round
+from .bloch import BlochVector, QuditObservable, _check_tol, from_bloch, pm1_round
 from .errors import CertificationError, DimensionError, ValidationError
 from .perfectness import certify_state, find_perfect_observables
+from .serialize import _check_int
 from .states import (
     CorrelationMatrix,
     TwoQuditState,
@@ -173,35 +173,11 @@ def bell_expression_bloch(
     return tcorr.dim / 2.0 * (first + sign * second)
 
 
-def optimal_a(
-    tcorr: CorrelationMatrix, b: BlochVector, btilde: BlochVector
-) -> tuple[BlochVector, bool]:
-    """Unit vector maximizing ``|<a, T(b - b~)>|`` over the unit sphere.
-
-    Returns ``(vector, degenerate)``; when ``T(b - b~) = 0`` any unit vector
-    gives a zero first term and the degenerate flag is set.  The optimizer
-    does not call this: its A update is the +-1 rounding of ``T(b - b~)``,
-    which agrees with this vector at d = 2, where the +-1 shell is the unit
-    sphere.
-    """
-    w = tcorr.matrix @ (b.coords - btilde.coords)
-    norm = float(np.linalg.norm(w))
-    if norm < 1e-12:
-        coords = np.zeros(tcorr.dim * tcorr.dim - 1)
-        coords[0] = 1.0
-        return BlochVector(dim=tcorr.dim, coords=coords), True
-    return BlochVector(dim=tcorr.dim, coords=w / norm), False
-
-
 def scalar_bound() -> tuple[float, float]:
-    """Maximize ``sqrt(2(1-z)) + z`` over z in [-1, 1]; equals 3/2 at z = 1/2."""
-    result = minimize_scalar(
-        lambda z: -(np.sqrt(2.0 * (1.0 - z)) + z),
-        bounds=(-1.0, 1.0),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    return -float(result.fun), float(result.x)
+    """Maximize ``sqrt(2(1-z)) + z`` over z in [-1, 1]: the concave function is
+    stationary only at z = 1/2, where it equals 3/2 (both endpoints give 1)."""
+    z = 0.5
+    return float(np.sqrt(2.0 * (1.0 - z)) + z), z
 
 
 # --------------------------------------------------------------------------

@@ -28,7 +28,13 @@ import numpy as np
 
 from .errors import DimensionError, ValidationError
 from .gellmann import generator_entries
-from .serialize import complex_matrix_to_pairs, freeze, pairs_to_complex_matrix, real_vector_to_list
+from .serialize import (
+    complex_matrix_to_pairs,
+    freeze,
+    load_payload,
+    pairs_to_complex_matrix,
+    real_vector_to_list,
+)
 
 # Default tolerance for set-membership tests; well above eigensolver error
 # for the dimensions this package targets (d <= 64).
@@ -42,14 +48,6 @@ def _check_tol(tol: float) -> None:
     """The one gate on a tolerance: finite and non-negative; NaN fails it."""
     if not 0.0 <= tol < np.inf:
         raise ValidationError(f"tol must be finite and non-negative, got {tol}")
-
-
-def _check_int(name: str, value: int, minimum: int) -> None:
-    """The one gate on an integer knob (a seed or a count): numpy integers pass, floats fail."""
-    if not isinstance(value, (int, np.integer)):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValidationError(f"{name} must be at least {minimum}, got {value}")
 
 
 def operator_norm(matrix: np.ndarray) -> float:
@@ -120,9 +118,8 @@ class QuditObservable:
 
     @classmethod
     def from_json(cls, payload: str) -> "QuditObservable":
-        data = json.loads(payload)
-        d = int(data["dim"])
-        matrix = pairs_to_complex_matrix(data["matrix"], (d, d))
+        d, pairs = load_payload(payload, "observable payload", "matrix")
+        matrix = pairs_to_complex_matrix(pairs, (d, d))
         return cls.from_matrix(matrix)
 
 

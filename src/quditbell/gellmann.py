@@ -13,14 +13,14 @@ in ``(m, k)``), then the full antisymmetric block (same order), then the
 diagonal matrices for ``l = 1 .. d-1``.  For d=2 this gives ``[sx, sy, sz]``;
 for d=3 the eight Gell-Mann matrices in the grouped order.
 
-The families are written down once, in :func:`sparse_generators`: a real
-sparse ``(d^2-1) x d^2`` matrix U with two non-zeros per off-diagonal
+The families are written down once, in :func:`generator_entries`: the
+entries of a real ``(d^2-1) x d^2`` matrix U whose row n is ``L_n`` flattened
+row-major (divided by ``i`` on the antisymmetric rows), two per off-diagonal
 generator and ``l+1`` for diagonal label ``l``.  U is the one representation
-the library computes with: the correlation matrix, the Bloch maps and the
-witness search all work from it (through :func:`generator_entries`, its
-entries with their phases), and none needs the dense ``(d^2-1, d, d)`` array.
-:func:`build_basis` expands U into that array for callers that want the
-matrices themselves.
+the library computes with: the correlation matrix applies it
+(:func:`_apply_u`), the Bloch maps and the witness search read its entries,
+and none needs the dense ``(d^2-1, d, d)`` array, which :func:`build_basis`
+expands for callers that want the matrices themselves.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy import sparse
 
 from .errors import DimensionCapError, DimensionError
 from .serialize import freeze
@@ -57,14 +56,14 @@ def antisymmetric_rows(d: int) -> slice:
 
 
 @functools.lru_cache(maxsize=None)
-def sparse_generators(d: int, cap: int = DEFAULT_DIMENSION_CAP) -> sparse.csr_array:
-    """The generators as the rows of a real ``(d^2-1) x d^2`` CSR matrix U.
+def generator_entries(d: int, cap: int = DEFAULT_DIMENSION_CAP) -> tuple[np.ndarray, ...]:
+    """The stored entries of U with their phases, as ``(rows, cols, values)``.
 
-    Row n is ``L_n`` flattened row-major, divided by ``i`` on
-    :func:`antisymmetric_rows`: ``L_n = c_n U[n].reshape(d, d)`` with
-    ``c_n = 1j`` there and ``1`` elsewhere.  Cached and read-only; raises
-    :class:`DimensionError` for ``d < 2`` and :class:`DimensionCapError`
-    above ``cap``.
+    ``L_n.flat[j] = values[k]`` for ``(n, j) = (rows[k], cols[k])``, and every
+    other entry of ``L_n`` is zero; ``values`` is U's entry times 1j on
+    :func:`antisymmetric_rows`.  The entries run row by row, columns ascending.
+    Cached and read-only; raises :class:`DimensionError` for ``d < 2`` and
+    :class:`DimensionCapError` above ``cap``.
     """
     _check_dim(d, cap)
     m, k = np.triu_indices(d, 1)
@@ -75,31 +74,41 @@ def sparse_generators(d: int, cap: int = DEFAULT_DIMENSION_CAP) -> sparse.csr_ar
     scales = np.sqrt(2.0 / (labels * (labels + 1)))
     diag_cols = [(d + 1) * np.arange(l + 1) for l in labels]
     diag_vals = [np.append(np.full(l, s), -l * s) for l, s in zip(labels, scales)]
-    data = np.concatenate([np.ones(2 * n_off), np.tile([-1.0, 1.0], n_off), *diag_vals])
-    indices = np.concatenate([off_cols, off_cols, *diag_cols])
-    counts = np.concatenate([np.full(2 * n_off, 2), labels + 1])
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    u = sparse.csr_array((data, indices, indptr), shape=(d * d - 1, d * d))
-    for arr in (u.data, u.indices, u.indptr):
-        arr.setflags(write=False)
-    return u
+    values = np.concatenate([np.ones(2 * n_off), np.tile([-1.0, 1.0], n_off) * 1j, *diag_vals])
+    cols = np.concatenate([off_cols, off_cols, *diag_cols])
+    rows = np.repeat(np.arange(d * d - 1), np.concatenate([np.full(2 * n_off, 2), labels + 1]))
+    return freeze(rows), freeze(cols), freeze(values)
 
 
-@functools.lru_cache(maxsize=None)
-def generator_entries(d: int, cap: int = DEFAULT_DIMENSION_CAP) -> tuple[np.ndarray, ...]:
-    """The stored entries of U with their phases, as ``(rows, cols, values)``.
+def _apply_u(d: int, x: np.ndarray) -> np.ndarray:
+    """``U @ x`` for a real ``(d^2, k)`` array, each sum taken in U's stored order.
 
-    ``L_n.flat[j] = values[k]`` for ``(n, j) = (rows[k], cols[k])``, and every
-    other entry of ``L_n`` is zero; ``values`` is U's data times ``c_n``.  The
-    entries keep U's CSR order.  Cached and read-only; raises like
-    :func:`sparse_generators`.
+    Every row starts from 0.0 and adds its terms in the order of
+    :func:`generator_entries`, so the result is bitwise that of a CSR product
+    with U, signed zeros included.
     """
-    u = sparse_generators(d, cap)
-    rows = np.repeat(np.arange(u.shape[0]), np.diff(u.indptr))
-    values = u.data.astype(complex)
-    anti = antisymmetric_rows(d)
-    values[u.indptr[anti.start] : u.indptr[anti.stop]] *= 1j
-    return freeze(rows), u.indices, freeze(values)
+    rows, cols, values = generator_entries(d)
+    n_off = d * (d - 1) // 2
+    out = np.zeros((d * d - 1, x.shape[1]))
+    # rows (m, k > m): symmetric x[m*d+k] + x[k*d+m], antisymmetric x[k*d+m] - x[m*d+k];
+    # slices per m, since gathering the rows by ``cols`` is 2-3x slower at d >= 16
+    x3 = x.reshape(d, d, -1)
+    start = 0
+    for m in range(d - 1):
+        stop = start + d - 1 - m
+        np.add(x3[m, m + 1 :], x3[m + 1 :, m], out=out[start:stop])
+        np.subtract(x3[m + 1 :, m], x3[m, m + 1 :], out=out[n_off + start : n_off + stop])
+        start = stop
+    out[: 2 * n_off] += 0.0  # a sum started from 0.0 is never -0.0
+    # diagonal row l adds coeff[j, l-1] x[j(d+1)] for j = 0 .. l, in j order
+    diag = slice(4 * n_off, None)
+    coeff = np.zeros((d, d - 1))
+    coeff[cols[diag] // (d + 1), rows[diag] - 2 * n_off] = values[diag].real
+    acc = out[2 * n_off :]
+    for j, xj in enumerate(x[:: d + 1]):
+        lo = max(j, 1) - 1  # rows l >= max(j, 1) have an entry at x[j(d+1)]
+        acc[lo:] += coeff[j, lo:, None] * xj
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -107,7 +116,7 @@ def build_basis(d: int, cap: int = DEFAULT_DIMENSION_CAP) -> np.ndarray:
     """The generators as a dense read-only array of shape ``(d^2-1, d, d)``.
 
     ``build_basis(d)[n]`` is ``L_n`` in the grouped ordering.  A dense
-    expansion of :func:`sparse_generators` for callers that want the
+    expansion of :func:`generator_entries` for callers that want the
     matrices; it costs O(d^4) memory (about 268 MB at d = 64) and no library
     computation uses it.  Cached; raises :class:`DimensionError` for
     ``d < 2`` and :class:`DimensionCapError` above ``cap``.

@@ -31,7 +31,6 @@ from .bloch import (
     BlochVector,
     QuditObservable,
     SET_TOL,
-    _check_int,
     _check_tol,
     _shell_residual,
     from_bloch,
@@ -41,6 +40,7 @@ from .bloch import (
     pm1_round,
 )
 from .errors import CertificationError, DimensionError, ValidationError
+from .serialize import _check_int
 from .states import (
     CorrelationMatrix,
     EigenCluster,

@@ -12,12 +12,34 @@ Complex matrices have two JSON encodings, both row-major and both exact:
 from __future__ import annotations
 
 import base64
+import json
 
 import numpy as np
 
 from .errors import ValidationError
 
 _C16 = np.dtype("<c16")
+
+
+def _check_int(name: str, value: int, minimum: int) -> None:
+    """The one gate on an integer knob (a seed or a count): numpy integers pass, floats fail."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValidationError(f"{name} must be at least {minimum}, got {value}")
+
+
+def load_payload(payload: str | bytes, what: str, key: str) -> tuple:
+    """``(dim, data[key])`` of the JSON object ``what``, with ``dim`` an integer >= 2; invalid
+    JSON, a non-object, a missing key or a bad ``dim`` raise a named :class:`ValidationError`."""
+    try:
+        data = json.loads(payload)
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8/16/32
+        raise ValidationError(f"{what} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict) or not {"dim", key} <= data.keys():
+        raise ValidationError(f"{what} must be a JSON object with keys 'dim' and {key!r}")
+    _check_int("dim", data["dim"], 2)
+    return data["dim"], data[key]
 
 
 def complex_matrix_to_pairs(matrix: np.ndarray) -> list[list[float]]:

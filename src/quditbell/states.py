@@ -7,9 +7,9 @@ The correlation matrix of a state ``rho`` on C^d (x) C^d is the real
 
 in the generator ordering of :mod:`quditbell.gellmann`.  For swap-invariant
 states T is symmetric.  :func:`correlation_matrix` builds T in O(d^4) as a
-sparse change of basis with the real generator matrix U of
-:func:`~quditbell.gellmann.sparse_generators`.  U is the one representation
-of the generators the library computes with; the dense basis of
+change of basis with the real generator matrix U, applied directly from its
+entries (:func:`~quditbell.gellmann.generator_entries`).  U is the one
+representation of the generators the library computes with; the dense basis of
 :func:`~quditbell.gellmann.build_basis` is an expansion of U for callers and
 is built on no library path.  Expectations of observable pairs reduce to the
 quadratic form ``tr[rho (A (x) B)] = (d/2) <a, T b>`` in the Bloch vectors
@@ -29,13 +29,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .bloch import BlochVector, QuditObservable, _check_int
+from .bloch import BlochVector, QuditObservable
 from .errors import DimensionError, ValidationError
-from .gellmann import antisymmetric_rows, sparse_generators
+from .gellmann import _apply_u, antisymmetric_rows
 from .serialize import (
     base64_to_complex_matrix,
     complex_matrix_to_base64,
     freeze,
+    load_payload,
     pairs_to_complex_matrix,
 )
 
@@ -99,15 +100,7 @@ class TwoQuditState:
 
         Either payload goes through every :meth:`from_matrix` gate.
         """
-        try:
-            data = json.loads(payload)
-        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8/16/32
-            raise ValidationError(f"state file is not valid JSON: {exc}") from None
-        if not isinstance(data, dict) or not {"dim", "rho"} <= data.keys():
-            raise ValidationError("state file must be a JSON object with keys 'dim' and 'rho'")
-        d = data["dim"]
-        _check_int("dim", d, 2)
-        rho = data["rho"]
+        d, rho = load_payload(payload, "state file", "rho")
         decode = base64_to_complex_matrix if isinstance(rho, str) else pairs_to_complex_matrix
         return cls.from_matrix(decode(rho, (d * d, d * d)))
 
@@ -217,17 +210,19 @@ def correlation_matrix(state: TwoQuditState) -> CorrelationMatrix:
     """Compute ``T[n, m] = tr[rho (L_n (x) L_m)]`` for all generator pairs.
 
     With ``R[(a,j),(b,k)] = rho[jk,ab]`` and the generators as the rows of
-    ``V = diag(c) U`` (see :func:`~quditbell.gellmann.sparse_generators`),
+    ``V = diag(c) U`` (see :func:`~quditbell.gellmann.generator_entries`),
     ``T = V R V^T``.  The real products ``P = U Re(R) U^T`` and
     ``Q = U Im(R) U^T`` give it entrywise: ``c_n c_m`` is 1, ``i`` or -1, so
     ``T`` is ``P``, ``-Q`` or ``-P`` and the other product is the imaginary
-    part, which must vanish.  Each product costs O(d^4).
+    part, which must vanish.  U is real, so one pass over the interleaved
+    real and imaginary parts computes both; each product costs O(d^4).
     """
     d = state.dim
-    u = sparse_generators(d)
-    r_t = state.as_4index().transpose(3, 1, 2, 0)  # R^T[(b,k),(a,j)] = rho[jk,ab]
-    # U (U R^T)^T = U R U^T, for the real and the imaginary part of R
-    p, q = (u @ (u @ part.reshape(d * d, d * d)).T for part in (r_t.real, r_t.imag))
+    # R^T[(b,k),(a,j)] = rho[jk,ab]; U (U R^T)^T = U R U^T
+    r_t = np.ascontiguousarray(state.as_4index().transpose(3, 1, 2, 0)).reshape(d * d, -1)
+    half = _apply_u(d, r_t.view(float)).view(complex)
+    full = _apply_u(d, np.ascontiguousarray(half.T).view(float)).view(complex)
+    p, q = full.real, full.imag
     anti = antisymmetric_rows(d)
     imaginary = np.zeros(len(p), dtype=bool)
     imaginary[anti] = True

@@ -25,7 +25,6 @@ from quditbell import (
     lhv_monte_carlo,
     maximally_mixed,
     maximize_bell,
-    optimal_a,
     pm1_round,
     scalar_bound,
     write_trace_csv,
@@ -110,26 +109,6 @@ class TestBlockEmbedding:
         assert cert.accepted and cert.sign == sign
         for obs in (a, b, btil):
             assert_allclose(np.abs(obs.eigenvalues()), 1.0, atol=1e-12)
-
-
-class TestOptimalA:
-    def test_direction(self):
-        t = correlation_matrix(ghz(2))
-        a, degenerate = optimal_a(t, from_bloch([0, 0, 1], 2).bloch, from_bloch([1, 0, 0], 2).bloch)
-        assert not degenerate
-        assert_allclose(a.coords, np.array([-1, 0, 1]) / np.sqrt(2), atol=1e-12)
-
-    def test_degenerate_flag(self):
-        t = correlation_matrix(ghz(2))
-        b = from_bloch([0, 0, 1], 2).bloch
-        a, degenerate = optimal_a(t, b, b)
-        assert degenerate
-        assert a.norm == pytest.approx(1.0)
-
-    def test_second_direction(self):
-        t = correlation_matrix(ghz(2))
-        a, _ = optimal_a(t, from_bloch([0, 0, 1], 2).bloch, from_bloch([0, 1, 0], 2).bloch)
-        assert_allclose(a.coords, np.array([0, 1, 1]) / np.sqrt(2), atol=1e-12)
 
 
 class TestScalarBound:

@@ -275,6 +275,24 @@ def test_observable_json_roundtrip():
     assert_allclose(back.bloch.coords, obs.bloch.coords, atol=1e-14)
 
 
+@pytest.mark.parametrize(
+    "payload, match",
+    [
+        ('{"dim": 2.7, "matrix": [[1, 0], [0, 0], [0, 0], [-1, 0]]}', "dim must be an integer"),
+        ('{"dim": "2", "matrix": [[1, 0], [0, 0], [0, 0], [-1, 0]]}', "dim must be an integer"),
+        ('{"dim": 1, "matrix": [[0, 0]]}', "dim must be at least 2"),
+        ('{"matrix": [[1, 0], [0, 0], [0, 0], [-1, 0]]}', "keys 'dim' and 'matrix'"),
+        ('{"dim": 2}', "JSON object with keys 'dim' and 'matrix'"),
+        ("[1, 2]", "JSON object with keys 'dim' and 'matrix'"),
+        ("not json", "observable payload is not valid JSON"),
+        ('{"dim": 2, "matrix": [[1, 0], [0]]}', "4 \\[re, im\\] pairs"),
+    ],
+)
+def test_malformed_observable_payload_named(payload, match):
+    with pytest.raises(ValidationError, match=match):
+        QuditObservable.from_json(payload)
+
+
 def test_generators_map_to_unit_coordinates():
     basis = build_basis(3)
     for j, g in enumerate(basis):

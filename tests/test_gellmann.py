@@ -1,11 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import quditbell
 from quditbell import DimensionCapError, DimensionError, build_basis, flat_index, index_label
-from quditbell.gellmann import antisymmetric_rows, sparse_generators
+from quditbell.gellmann import _apply_u, antisymmetric_rows, generator_entries
 
 from conftest import SX, SY, SZ
 
@@ -79,32 +85,80 @@ class TestConstruction:
         assert len(build_basis(17, cap=20)) == 288
 
 
-class TestSparseGenerators:
+def _real_coefficients(d, rows, values):
+    """U's real entries: ``values`` divided by ``1j`` on the antisymmetric rows."""
+    anti = antisymmetric_rows(d)
+    return np.where((rows >= anti.start) & (rows < anti.stop), values.imag, values.real)
+
+
+class TestGeneratorEntries:
     @pytest.mark.parametrize("d", [2, 3, 4, 7, 16])
     def test_reproduces_dense_basis_exactly(self, d):
-        u = sparse_generators(d)
-        assert u.shape == (d * d - 1, d * d)
+        rows, cols, values = generator_entries(d)
         # two entries per off-diagonal generator, l + 1 for diagonal label l
-        assert u.nnz == 2 * d * (d - 1) + (d - 1) * (d + 2) // 2
+        n_entries = 2 * d * (d - 1) + (d - 1) * (d + 2) // 2
+        assert rows.shape == cols.shape == values.shape == (n_entries,)
+        # row by row, columns ascending
+        assert np.all(np.diff(rows) >= 0)
+        assert np.all(np.diff(cols)[np.diff(rows) == 0] > 0)
+        u = np.zeros((d * d - 1, d * d))
+        u[rows, cols] = _real_coefficients(d, rows, values)
         coeff = np.ones(d * d - 1, dtype=complex)
         coeff[antisymmetric_rows(d)] = 1j
-        dense = coeff[:, None, None] * u.toarray().reshape(-1, d, d)
+        dense = coeff[:, None, None] * u.reshape(-1, d, d)
         assert np.array_equal(dense, build_basis(d))
+        assert np.array_equal(coeff[rows] * _real_coefficients(d, rows, values), values)
 
     def test_cached_and_read_only(self):
-        u = sparse_generators(5)
-        assert sparse_generators(5) is u
-        with pytest.raises(ValueError):
-            u.data[0] = 2.0
+        entries = generator_entries(5)
+        assert generator_entries(5) is entries
+        for arr in entries:
+            with pytest.raises(ValueError):
+                arr[0] = 2
 
     def test_errors(self):
         with pytest.raises(DimensionError):
-            sparse_generators(1)
+            generator_entries(1)
         with pytest.raises(DimensionCapError):
-            sparse_generators(65)
+            generator_entries(65)
         with pytest.raises(DimensionCapError):
-            sparse_generators(17, cap=16)
-        assert sparse_generators(17, cap=20).shape == (288, 289)
+            generator_entries(17, cap=16)
+        rows, cols, _ = generator_entries(17, cap=20)
+        assert (rows.max(), cols.max()) == (287, 288)
+
+
+def _reference_apply_u(d, x):
+    """``U @ x`` one stored entry at a time: each row starts from 0.0, terms in stored order."""
+    rows, cols, values = generator_entries(d)
+    out = np.zeros((d * d - 1, x.shape[1]))
+    for n, j, u in zip(rows, cols, _real_coefficients(d, rows, values)):
+        out[n] += u * x[j]
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6])
+def test_apply_u_is_bitwise_the_stored_order_sum(d, rng):
+    # a third each of random values, +0.0 and -0.0, so that zero signs are pinned too
+    x = rng.standard_normal((d * d, 12))
+    kind = rng.integers(0, 3, size=x.shape)
+    x[kind == 1] = 0.0
+    x[kind == 2] = -0.0
+    x[:, 0], x[:, 1] = 0.0, -0.0
+    got = _apply_u(d, x)
+    assert got.shape == (d * d - 1, 12)
+    assert np.array_equal(got.view(np.uint64), _reference_apply_u(d, x).view(np.uint64))
+
+
+def test_library_imports_no_scipy():
+    code = (
+        "import sys, quditbell, quditbell.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    paths = [str(Path(quditbell.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestIndexing:
