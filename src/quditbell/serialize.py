@@ -22,8 +22,9 @@ _C16 = np.dtype("<c16")
 
 
 def _check_int(name: str, value: int, minimum: int) -> None:
-    """The one gate on an integer knob (a seed or a count): numpy integers pass, floats fail."""
-    if not isinstance(value, (int, np.integer)):
+    """The one gate on an integer knob (a seed or a count): numpy integers pass, floats and
+    bools fail."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ValidationError(f"{name} must be at least {minimum}, got {value}")

@@ -16,9 +16,12 @@ quadratic form ``tr[rho (A (x) B)] = (d/2) <a, T b>`` in the Bloch vectors
 ``a, b`` of A and B; both evaluation paths are exposed and cross-checked in
 the test suite.
 
-States from outside go through :meth:`TwoQuditState.from_matrix`, whose
-positivity check is O(d^6); :func:`ghz` and :func:`maximally_mixed` are valid
-and symmetric by construction and skip it.
+States from outside go through :meth:`TwoQuditState.from_matrix`.  Its
+positivity check is a Cholesky factorisation of ``rho - floor * I`` (with the
+floor ``-1e-10``), a constructive certificate that costs O(d^6) but about a
+fifth of a full ``eigvalsh``; only a state it fails on pays for the eigenvalues.
+:func:`ghz` and :func:`maximally_mixed` are valid and symmetric by construction
+and skip it.
 """
 
 from __future__ import annotations
@@ -62,7 +65,18 @@ class TwoQuditState:
 
     @classmethod
     def from_matrix(cls, rho: np.ndarray) -> "TwoQuditState":
-        rho = np.asarray(rho, dtype=complex)
+        """Validate ``rho`` as a density matrix on C^d (x) C^d and cache its swap symmetry.
+
+        ``rho`` must be a finite square matrix of numbers of size d^2 (d >= 2), hermitian and of
+        unit trace.  It is positive semidefinite when ``rho - floor * I = L L^dag`` has a
+        Cholesky factor, with ``floor = -1e-10``; when the factorisation fails, ``eigvalsh``
+        decides, and a minimum eigenvalue below the floor (or NaN) is rejected with that
+        eigenvalue in the message.  Any failed gate raises :class:`ValidationError`.
+        """
+        try:
+            rho = np.asarray(rho, dtype=complex)
+        except (TypeError, ValueError) as exc:  # non-numeric entries or ragged nesting
+            raise ValidationError(f"state must be a matrix of numbers: {exc}") from None
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
             raise ValidationError(f"state must be a square matrix, got shape {rho.shape}")
         d = int(round(np.sqrt(rho.shape[0])))
@@ -78,11 +92,16 @@ class TwoQuditState:
         trace_res = abs(complex(np.trace(rho)) - 1.0)
         if trace_res > _TRACE_TOL:
             raise ValidationError(f"state trace differs from 1: residual {trace_res:.3e}")
-        min_eig = float(np.min(np.linalg.eigvalsh(rho)))
-        if min_eig < _PSD_FLOOR:
-            raise ValidationError(
-                f"state is not positive semidefinite: min eigenvalue {min_eig:.3e}"
-            )
+        shifted = rho.copy()
+        shifted.flat[:: d * d + 1] -= _PSD_FLOOR
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:  # near the floor rounding can fail it; eigvalsh decides
+            min_eig = float(np.min(np.linalg.eigvalsh(rho)))
+            if not min_eig >= _PSD_FLOOR:
+                raise ValidationError(
+                    f"state is not positive semidefinite: min eigenvalue {min_eig:.3e}"
+                ) from None
         return cls(dim=d, rho=rho, symmetric=_swap_residual(rho, d) <= _SWAP_TOL)
 
     def as_4index(self) -> np.ndarray:

@@ -310,6 +310,21 @@ def test_integer_knobs_are_gated_by_name(call, name):
         call()
 
 
+@pytest.mark.parametrize("flag", [True, np.True_])
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda flag: lhv_monte_carlo(1, 10, seed=flag), "seed"),
+        (lambda flag: certify_state(ghz(4), restarts=flag), "restarts"),
+        (lambda flag: MaximizeOptions(restarts=flag), "restarts"),
+        (lambda flag: TwoQuditState.from_json(json.dumps({"dim": bool(flag), "rho": []})), "dim"),
+    ],
+)
+def test_bool_is_not_an_integer(call, name, flag):
+    with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+        call(flag)
+
+
 def test_numpy_integer_knobs_are_accepted_and_serialize():
     lhv = lhv_monte_carlo(1, 10, seed=np.int64(4))
     assert lhv.to_json() == lhv_monte_carlo(1, 10, seed=4).to_json()

@@ -21,6 +21,7 @@ from quditbell import (
 )
 
 from quditbell import gellmann, states
+from quditbell.bloch import haar_unitary
 from quditbell.serialize import complex_matrix_to_base64, complex_matrix_to_pairs
 from quditbell.states import cluster_eigenvalues
 
@@ -259,6 +260,11 @@ class TestValidation:
         with pytest.raises(ValidationError, match="finite"):
             TwoQuditState.from_json(json.dumps(payload))
 
+    @pytest.mark.parametrize("bad", [[["a"]], "x", [[0.5, 0], [0]]])
+    def test_non_numeric_or_ragged_input_named(self, bad):
+        with pytest.raises(ValidationError, match="state must be a matrix of numbers"):
+            TwoQuditState.from_matrix(bad)
+
     @pytest.mark.parametrize(
         "payload, match",
         [
@@ -283,6 +289,77 @@ class TestValidation:
     def test_malformed_payload_named(self, payload, match):
         with pytest.raises(ValidationError, match=match):
             TwoQuditState.from_json(payload)
+
+
+def _state_with_spectrum(eigenvalues, rng):
+    """Hermitian ``V diag(eigenvalues) V^dag`` for a Haar-random unitary V."""
+    v = haar_unitary(len(eigenvalues), rng)
+    rho = (v * eigenvalues) @ v.conj().T
+    return (rho + rho.conj().T) / 2
+
+
+class TestPositivityGate:
+    """``from_matrix`` certifies positivity by a shifted Cholesky factorisation, with
+    ``eigvalsh`` as the fallback that decides and names the minimum eigenvalue."""
+
+    @pytest.mark.parametrize("d", [2, 4, 16])
+    def test_rank_one_rotated_ghz_accepted(self, d, rng):
+        uu = np.kron(*[haar_unitary(d, rng)] * 2)
+        rho = uu @ ghz(d).rho @ uu.conj().T
+        assert np.linalg.matrix_rank(rho) == 1
+        assert np.array_equal(TwoQuditState.from_matrix(rho).rho, rho)
+
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    @pytest.mark.parametrize("scale", [1 - 1e-2, 1 + 1e-2])
+    def test_near_floor_verdict_matches_eigvalsh(self, d, scale, rng):
+        n = d * d
+        for _ in range(5):
+            eigenvalues = np.zeros(n)
+            eigenvalues[0] = -1e-10 * scale
+            eigenvalues[n // 2 :] = rng.random(n - n // 2)  # rank deficient: n // 2 - 1 zeros
+            eigenvalues[n // 2 :] *= (1 - eigenvalues[0]) / eigenvalues[n // 2 :].sum()
+            rho = _state_with_spectrum(eigenvalues, rng)
+            expected = np.linalg.eigvalsh(rho).min() >= -1e-10
+            assert expected == (scale < 1)
+            if expected:
+                TwoQuditState.from_matrix(rho)
+            else:
+                with pytest.raises(ValidationError, match="positive semidefinite"):
+                    TwoQuditState.from_matrix(rho)
+
+    def test_eigenvalue_on_the_floor_accepted_by_fallback(self):
+        # the shift leaves an exact zero pivot, so Cholesky fails and eigvalsh accepts
+        rho = np.diag([1 + 1e-10, -1e-10, 0, 0]).astype(complex)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(rho + 1e-10 * np.eye(4))
+        assert TwoQuditState.from_matrix(rho).dim == 2
+
+    def test_rejection_names_min_eigenvalue(self, rng):
+        rho = _state_with_spectrum(np.array([0.7, 0.4, -0.1, 0.0]), rng)
+        min_eig = float(np.linalg.eigvalsh(rho).min())
+        with pytest.raises(ValidationError, match=f"min eigenvalue {min_eig:.3e}$"):
+            TwoQuditState.from_matrix(rho)
+
+    def test_accepting_computes_no_eigenvalues(self, monkeypatch, rng):
+        calls = []
+        real = np.linalg.eigvalsh
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        for rho in (
+            ghz(3).rho,
+            random_state(3, rng).rho,
+            maximally_mixed(4).rho,
+            _state_with_spectrum(np.array([0.5, 0.5, 0.0, 0.0]), rng),
+        ):
+            TwoQuditState.from_matrix(rho)
+        assert calls == []
+        with pytest.raises(ValidationError):
+            TwoQuditState.from_matrix(np.diag([1.5, -0.5, 0, 0]).astype(complex))
+        assert calls == [1]
 
 
 def test_state_json_roundtrip(tmp_path, rng):
