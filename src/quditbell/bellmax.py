@@ -36,10 +36,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BlochVector, QuditObservable, _check_tol, from_bloch, pm1_round
-from .errors import CertificationError, DimensionError, ValidationError
+from .bloch import BlochVector, QuditObservable, from_bloch, pm1_round
+from .errors import (
+    CertificationError, DimensionError, ValidationError, check_dim, check_int, check_sign, check_tol
+)
 from .perfectness import certify_state, find_perfect_observables
-from .serialize import _check_int
 from .states import (
     CorrelationMatrix,
     TwoQuditState,
@@ -67,10 +68,10 @@ class MaximizeOptions:
     max_iters: int = 500
 
     def __post_init__(self):
-        _check_int("restarts", self.restarts, 1)
-        _check_int("max_iters", self.max_iters, 1)
-        _check_int("seed", self.seed, 0)
-        _check_tol(self.tol)
+        check_int("restarts", self.restarts, 1)
+        check_int("max_iters", self.max_iters, 1)
+        check_int("seed", self.seed, 0)
+        check_tol(self.tol)
 
 
 @dataclass(frozen=True)
@@ -106,9 +107,9 @@ class BellMaxReport:
             "b_perfect_residual": self.b_perfect_residual,
             "restarts": self.restarts,
             "seed": self.seed,
-            "best_A": json.loads(self.best_a.to_json()),
-            "best_B": json.loads(self.best_b.to_json()),
-            "best_Btilde": json.loads(self.best_btilde.to_json()),
+            "best_A": self.best_a.to_dict(),
+            "best_B": self.best_b.to_dict(),
+            "best_Btilde": self.best_btilde.to_dict(),
             "per_restart": [
                 {
                     "restart": r.restart,
@@ -149,8 +150,7 @@ def bell_expression(
     sign: int,
 ) -> float:
     """Direct-trace evaluation of the three-correlator Bell combination."""
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
+    sign = check_sign(sign)
     for obs, name in ((a, "A"), (b, "B"), (btilde, "Btilde")):
         _check_observable_range(obs, name)
     e_ab = product_expectation(state, a, b)
@@ -167,6 +167,7 @@ def bell_expression_bloch(
     sign: int,
 ) -> float:
     """Correlation-matrix evaluation ``(d/2)(|<a, T(b - b~)>| +- <b, T b~>)``."""
+    sign = check_sign(sign)
     t = tcorr.matrix
     first = abs(float(a.coords @ (t @ (b.coords - btilde.coords))))
     second = float(b.coords @ (t @ btilde.coords))
@@ -245,7 +246,6 @@ def maximize_bell(
     state: TwoQuditState,
     sign: int,
     opts: MaximizeOptions | None = None,
-    progress=None,
 ) -> BellMaxReport:
     """Multi-restart maximization of the Bell combination under perfectness.
 
@@ -253,18 +253,10 @@ def maximize_bell(
     alternates the exact B~ and A block updates.
     Results are reduced deterministically (best value, ties to the lowest
     restart index); the reported value is recomputed by direct traces.
-
-    ``progress(restart_index, converged_value)`` is invoked once per restart,
-    in restart order, after all restarts have finished.
     """
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
+    sign = check_sign(sign)
     opts = opts or MaximizeOptions()
-    d = state.dim
-    if d % 2 != 0:
-        raise DimensionError(
-            f"dimension {d} is odd: no traceless observables with eigenvalues +-1 exist"
-        )
+    d = check_dim(state.dim, even=True)
     if not state.symmetric:
         raise ValidationError("state is not swap-symmetric; the maximization requires symmetry")
 
@@ -281,9 +273,6 @@ def maximize_bell(
         d, tmat, b, gauss, sign, opts.max_iters
     )
     values = values.tolist()
-    if progress is not None:
-        for i in indices:
-            progress(i, values[i])
 
     best = int(np.argmax(values))
     best_a = from_bloch(BlochVector(dim=d, coords=a[best]))
@@ -347,11 +336,10 @@ def exhaustive_qubit_max(state: TwoQuditState, sign: int, grid_steps: int) -> fl
     before the square root) and ``sign <b, T b~>``; the maximum is kept
     across tiles.
     """
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
+    sign = check_sign(sign)
     if state.dim != 2:
         raise DimensionError(f"the exhaustive oracle is defined for d = 2 only, got {state.dim}")
-    _check_int("grid_steps", grid_steps, 2)
+    check_int("grid_steps", grid_steps, 2)
     if not state.symmetric:
         raise ValidationError("the oracle requires a swap-symmetric state")
     tmat = correlation_matrix(state).matrix
@@ -497,10 +485,9 @@ def lhv_monte_carlo(sign: int, n_models: int, seed: int = 0) -> LhvCheckReport:
     are drawn 1024 per batch, the last batch shorter; a run's full batches
     are the first batches of every longer run with the same seed.
     """
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    _check_int("n_models", n_models, 1)
-    _check_int("seed", seed, 0)
+    sign = check_sign(sign)
+    n_models = check_int("n_models", n_models, 1)
+    seed = check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     grid = np.asarray(OUTCOME_GRID)
     max_value = -np.inf
@@ -523,5 +510,5 @@ def lhv_monte_carlo(sign: int, n_models: int, seed: int = 0) -> LhvCheckReport:
         sign=sign,
         max_bell_value=float(max_value),
         constraint_residual_max=float(max_residual),
-        seed=int(seed),
+        seed=seed,
     )

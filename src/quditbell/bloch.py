@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError
+from .errors import ValidationError, check_dim, check_sign, check_tol
 from .gellmann import generator_entries
 from .serialize import (
     complex_matrix_to_pairs,
@@ -44,12 +44,6 @@ _HERMITICITY_TOL = 1e-10
 _TRACELESS_TOL = 1e-10
 
 
-def _check_tol(tol: float) -> None:
-    """The one gate on a tolerance: finite and non-negative; NaN fails it."""
-    if not 0.0 <= tol < np.inf:
-        raise ValidationError(f"tol must be finite and non-negative, got {tol}")
-
-
 def operator_norm(matrix: np.ndarray) -> float:
     """Largest absolute eigenvalue of a hermitian matrix."""
     return float(np.max(np.abs(np.linalg.eigvalsh(matrix))))
@@ -61,8 +55,7 @@ def bloch_ball_radius(d: int) -> float:
     Equal to 1 for even d and sqrt((d-1)/d) for odd d: with eigenvalues in
     [-1, 1] and zero trace, ``tr[X^2]`` cannot exceed d (even) or d - 1 (odd).
     """
-    if d < 2:
-        raise DimensionError(f"dimension must be >= 2, got {d}")
+    d = check_dim(d)
     return 1.0 if d % 2 == 0 else float(np.sqrt((d - 1) / d))
 
 
@@ -74,6 +67,7 @@ class BlochVector:
     coords: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", check_dim(self.dim))
         object.__setattr__(self, "coords", freeze(_checked_coords(self.coords, self.dim)))
 
     @property
@@ -107,14 +101,15 @@ class QuditObservable:
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
 
+    def to_dict(self) -> dict:
+        return {
+            "dim": self.dim,
+            "matrix": complex_matrix_to_pairs(self.matrix),
+            "bloch": self.bloch.to_list(),
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "dim": self.dim,
-                "matrix": complex_matrix_to_pairs(self.matrix),
-                "bloch": self.bloch.to_list(),
-            }
-        )
+        return json.dumps(self.to_dict())
 
     @classmethod
     def from_json(cls, payload: str) -> "QuditObservable":
@@ -216,13 +211,13 @@ def _as_bloch(r, d: int | None = None) -> BlochVector:
 
 
 def _implied_dim(length: int) -> int:
-    """The d whose d^2 - 1 is nearest to ``length``."""
-    return int(round(np.sqrt(length + 1)))
+    """The d >= 2 whose d^2 - 1 is nearest to ``length``."""
+    return max(2, int(round(np.sqrt(length + 1))))
 
 
 def in_bloch_region(r: BlochVector | np.ndarray, tol: float = SET_TOL) -> bool:
     """True iff the operator norm of ``r . L`` is at most sqrt(2/d) + tol."""
-    _check_tol(tol)
+    check_tol(tol)
     vec = _as_bloch(r)
     return operator_norm(_generator_sum(vec.coords, vec.dim)) <= np.sqrt(2.0 / vec.dim) + tol
 
@@ -234,21 +229,13 @@ def in_pm1_shell(r: BlochVector | np.ndarray, tol: float = SET_TOL) -> bool:
     False): unit Euclidean norm together with operator norm of ``r . L``
     equal to sqrt(2/d), both within ``tol``.
     """
-    _check_tol(tol)
+    check_tol(tol)
     vec = _as_bloch(r)
     if vec.dim % 2 != 0:
         return False
     if abs(vec.norm - 1.0) > tol:
         return False
     return _shell_residual(vec.coords, vec.dim) <= tol
-
-
-def _require_even(d: int) -> None:
-    if d < 2 or d % 2 != 0:
-        raise DimensionError(
-            f"dimension {d} is not an even integer >= 2; traceless observables "
-            "with eigenvalues +-1 need a balanced spectrum"
-        )
 
 
 def pm1_round(r: BlochVector | np.ndarray, dim: int | None = None) -> BlochVector | np.ndarray:
@@ -266,12 +253,11 @@ def pm1_round(r: BlochVector | np.ndarray, dim: int | None = None) -> BlochVecto
     """
     stack = not isinstance(r, BlochVector) and np.ndim(r) == 2
     if stack:
-        d = _implied_dim(np.shape(r)[1]) if dim is None else dim
+        d = check_dim(_implied_dim(np.shape(r)[1]) if dim is None else dim, even=True)
         coords = _checked_coords(r, d, stack=True)
     else:
         vec = _as_bloch(r, dim)
-        d, coords = vec.dim, vec.coords
-    _require_even(d)
+        d, coords = check_dim(vec.dim, even=True), vec.coords
     _, v = np.linalg.eigh(np.sqrt(d / 2.0) * _generator_sum(coords, d))
     signs = np.concatenate([-np.ones(d // 2), np.ones(d // 2)])
     rounded = _bloch_coords((v * signs) @ v.conj().swapaxes(-1, -2), stack)
@@ -280,12 +266,10 @@ def pm1_round(r: BlochVector | np.ndarray, dim: int | None = None) -> BlochVecto
 
 def make_diag_pm1(d: int, signs) -> QuditObservable:
     """Diagonal observable ``sum_m signs_m |m><m|`` with balanced +-1 signs."""
-    _require_even(d)
-    signs = [int(s) for s in signs]
+    d = check_dim(d, even=True)
+    signs = [check_sign(s) for s in signs]
     if len(signs) != d:
         raise ValidationError(f"need {d} signs, got {len(signs)}")
-    if any(s not in (-1, 1) for s in signs):
-        raise ValidationError(f"signs must be +-1, got {signs}")
     if sum(signs) != 0:
         raise ValidationError(f"signs must sum to zero for tracelessness, got sum {sum(signs)}")
     matrix = np.diag(np.asarray(signs, dtype=complex))
@@ -293,7 +277,7 @@ def make_diag_pm1(d: int, signs) -> QuditObservable:
 
 
 def _check_gammas(d: int, gammas) -> list[int]:
-    _require_even(d)
+    check_dim(d, even=True)
     gammas = [int(g) for g in gammas]
     if len(gammas) != d // 2:
         raise ValidationError(f"need {d // 2} gamma exponents (one per level pair), got {len(gammas)}")
@@ -335,6 +319,7 @@ def make_offdiag_imag_pm1(d: int, gammas) -> QuditObservable:
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix."""
+    d = check_dim(d)
     z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     phases = np.diagonal(r).copy()
@@ -348,7 +333,7 @@ def random_pm1_observable(d: int, seed: int) -> QuditObservable:
     Deterministic in ``seed``; the spectrum constraint holds exactly by
     construction.
     """
-    _require_even(d)
+    d = check_dim(d, even=True)
     rng = np.random.default_rng(seed)
     u = haar_unitary(d, rng)
     diag = np.concatenate([np.ones(d // 2), -np.ones(d // 2)])

@@ -22,12 +22,7 @@ import sys
 from dataclasses import dataclass
 
 from .bellmax import MaximizeOptions, lhv_monte_carlo, maximize_bell, write_trace_csv
-from .errors import (
-    CertificationError,
-    DimensionCapError,
-    DimensionError,
-    ValidationError,
-)
+from .errors import CertificationError, ValidationError
 from .perfectness import (
     DEFAULT_RESTARTS,
     certify_state,
@@ -43,6 +38,8 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_CERTIFICATION_FAILURE = 2
 EXIT_BOUND_VIOLATION = 3
+
+SIGNS = {"+": 1, "-": -1}  # --sign choices
 
 BOUND_LIMIT = 1.5
 BOUND_TOL = 1e-6
@@ -85,14 +82,6 @@ def _env_int(name: str, default: int) -> int:
 
 def _default_seed() -> int:
     return _env_int(ENV_SEED, 0)
-
-
-def _parse_sign(token: str) -> int:
-    if token == "+":
-        return 1
-    if token == "-":
-        return -1
-    raise ValidationError(f"sign must be '+' or '-', got {token!r}")
 
 
 def _load_state(source: str, dim: int | None) -> TwoQuditState:
@@ -189,15 +178,13 @@ def cmd_certify(args) -> int:
             continue
         observables = find_perfect_observables(membership, entry.sign, count=2)
         key = "+" if entry.sign > 0 else "-"
-        report["signs"][key]["perfect_observables"] = [
-            json.loads(obs.to_json()) for obs in observables
-        ]
+        report["signs"][key]["perfect_observables"] = [obs.to_dict() for obs in observables]
     _emit_report(config, report, args.out)
     return EXIT_OK if membership.in_class else EXIT_CERTIFICATION_FAILURE
 
 
 def cmd_maximize(args) -> int:
-    sign = _parse_sign(args.sign)
+    sign = SIGNS[args.sign]
     config = RunConfig(
         command="maximize",
         state_source=args.state,
@@ -231,7 +218,7 @@ def cmd_maximize(args) -> int:
 
 
 def cmd_lhv(args) -> int:
-    sign = _parse_sign(args.sign)
+    sign = SIGNS[args.sign]
     config = RunConfig(command="lhv", sign=args.sign, models=args.models, seed=args.seed)
     report = lhv_monte_carlo(sign, args.models, seed=args.seed)
     _emit_report(config, report.to_dict(), args.out)
@@ -271,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("maximize", help="maximize the Bell combination under perfectness")
     add_state_args(p)
-    p.add_argument("--sign", required=True, choices=("+", "-"))
+    p.add_argument("--sign", required=True, choices=tuple(SIGNS))
     p.add_argument("--restarts", type=int, default=64)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--max-iters", type=int, default=500)
@@ -281,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lhv", help="Monte-Carlo check of the classical bound")
     p.add_argument("--models", type=int, default=10000)
-    p.add_argument("--sign", required=True, choices=("+", "-"))
+    p.add_argument("--sign", required=True, choices=tuple(SIGNS))
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_lhv)
@@ -296,10 +283,7 @@ def main(argv=None) -> int:
     except CertificationError as exc:
         sys.stderr.write(f"certification failure: {exc}\n")
         return EXIT_CERTIFICATION_FAILURE
-    except (DimensionError, DimensionCapError, ValidationError) as exc:
-        sys.stderr.write(f"input error: {exc}\n")
-        return EXIT_INPUT_ERROR
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # every named input error is a ValueError
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT_ERROR
 

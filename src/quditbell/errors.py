@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one gate per input rule.
+
+Each gate returns the checked value as a plain Python number, which reports
+can store and ``json.dumps`` can write.
+"""
+
+import numpy as np
+
+DIMENSION_CAP = 64  # largest d for dense two-qudit arrays: rho and T need O(d^4) memory
 
 
 class QuditBellError(Exception):
@@ -10,7 +18,7 @@ class DimensionError(QuditBellError, ValueError):
 
 
 class DimensionCapError(QuditBellError, ValueError):
-    """Dimension exceeds the configured resource cap for dense bases."""
+    """Dimension exceeds the resource cap for dense two-qudit arrays."""
 
 
 class ValidationError(QuditBellError, ValueError):
@@ -23,3 +31,50 @@ class ValidationError(QuditBellError, ValueError):
 class CertificationError(QuditBellError, RuntimeError):
     """A state could not be certified for perfect correlations, or the
     witness search failed; the message carries the search diagnostics."""
+
+
+def _is_int(value) -> bool:
+    """Python and numpy integers count; bools, floats and strings do not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_int(name: str, value, minimum: int) -> int:
+    """An integer knob (a seed or a count) of at least ``minimum``."""
+    if not _is_int(value):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValidationError(f"{name} must be at least {minimum}, got {value}")
+    return int(value)
+
+
+def check_tol(tol) -> float:
+    """A tolerance: a finite, non-negative real number; NaN fails it."""
+    if not (isinstance(tol, (int, float, np.integer, np.floating)) and 0.0 <= tol < np.inf):
+        raise ValidationError(f"tol must be finite and non-negative, got {tol}")
+    return float(tol)
+
+
+def check_sign(sign) -> int:
+    """A perfectness sign: the integer +1 (correlations) or -1 (anticorrelations)."""
+    if not _is_int(sign) or sign not in (1, -1):
+        raise ValidationError(f"sign must be the integer +1 or -1, got {sign!r}")
+    return int(sign)
+
+
+def check_dim(d, even: bool = False, cap: bool = False) -> int:
+    """A single-qudit dimension: an integer d >= 2, even with ``even`` (at odd d no
+    traceless observable has eigenvalues +-1), at most :data:`DIMENSION_CAP` with ``cap``."""
+    if not _is_int(d):
+        raise DimensionError(f"dimension must be an integer, got {d!r}")
+    if d < 2:
+        raise DimensionError(f"dimension must be at least 2, got {d}")
+    if even and d % 2:
+        raise DimensionError(
+            f"dimension {d} is odd: traceless observables with eigenvalues +-1 "
+            "exist only in even dimensions"
+        )
+    if cap and d > DIMENSION_CAP:
+        raise DimensionCapError(
+            f"dimension {d} exceeds cap {DIMENSION_CAP}; two-qudit arrays need O(d^4) memory"
+        )
+    return int(d)

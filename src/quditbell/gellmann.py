@@ -29,24 +29,13 @@ import functools
 
 import numpy as np
 
-from .errors import DimensionCapError, DimensionError
+from .errors import check_dim
 from .serialize import freeze
-
-DEFAULT_DIMENSION_CAP = 64
 
 KIND_SYMMETRIC = "symmetric"
 KIND_ANTISYMMETRIC = "antisymmetric"
 KIND_DIAGONAL = "diagonal"
 KINDS = (KIND_SYMMETRIC, KIND_ANTISYMMETRIC, KIND_DIAGONAL)
-
-
-def _check_dim(d: int, cap: int) -> None:
-    if d < 2:
-        raise DimensionError(f"basis requires dimension >= 2, got {d}")
-    if d > cap:
-        raise DimensionCapError(
-            f"dimension {d} exceeds cap {cap}; two-qudit arrays need O(d^4) memory"
-        )
 
 
 def antisymmetric_rows(d: int) -> slice:
@@ -55,17 +44,17 @@ def antisymmetric_rows(d: int) -> slice:
     return slice(n_off, 2 * n_off)
 
 
-@functools.lru_cache(maxsize=None)
-def generator_entries(d: int, cap: int = DEFAULT_DIMENSION_CAP) -> tuple[np.ndarray, ...]:
+# typed caches: 4.0 == 4, but only the int may pass check_dim
+@functools.lru_cache(maxsize=None, typed=True)
+def generator_entries(d: int) -> tuple[np.ndarray, ...]:
     """The stored entries of U with their phases, as ``(rows, cols, values)``.
 
     ``L_n.flat[j] = values[k]`` for ``(n, j) = (rows[k], cols[k])``, and every
     other entry of ``L_n`` is zero; ``values`` is U's entry times 1j on
     :func:`antisymmetric_rows`.  The entries run row by row, columns ascending.
-    Cached and read-only; raises :class:`DimensionError` for ``d < 2`` and
-    :class:`DimensionCapError` above ``cap``.
+    Cached and read-only; ``d`` must pass ``check_dim(d, cap=True)``.
     """
-    _check_dim(d, cap)
+    d = check_dim(d, cap=True)
     m, k = np.triu_indices(d, 1)
     n_off = m.size
     # flat positions of |m><k| and |k><m|, ascending because m < k
@@ -111,17 +100,16 @@ def _apply_u(d: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def build_basis(d: int, cap: int = DEFAULT_DIMENSION_CAP) -> np.ndarray:
+@functools.lru_cache(maxsize=None, typed=True)
+def build_basis(d: int) -> np.ndarray:
     """The generators as a dense read-only array of shape ``(d^2-1, d, d)``.
 
     ``build_basis(d)[n]`` is ``L_n`` in the grouped ordering.  A dense
     expansion of :func:`generator_entries` for callers that want the
     matrices; it costs O(d^4) memory (about 268 MB at d = 64) and no library
-    computation uses it.  Cached; raises :class:`DimensionError` for
-    ``d < 2`` and :class:`DimensionCapError` above ``cap``.
+    computation uses it.  Cached; ``d`` must pass ``check_dim(d, cap=True)``.
     """
-    rows, cols, values = generator_entries(d, cap)
+    rows, cols, values = generator_entries(d)
     gens = np.zeros((d * d - 1, d * d), dtype=complex)
     gens[rows, cols] = values
     gens.setflags(write=False)
@@ -135,8 +123,7 @@ def flat_index(d: int, kind: str, m: int, k: int | None = None) -> int:
     ``1 <= m < k <= d``) or ``diagonal`` (pass ``m`` as the label
     ``1 <= l <= d-1`` and leave ``k`` unset).
     """
-    if d < 2:
-        raise DimensionError(f"basis requires dimension >= 2, got {d}")
+    d = check_dim(d)
     n_off = d * (d - 1) // 2
     if kind in (KIND_SYMMETRIC, KIND_ANTISYMMETRIC):
         if k is None:
@@ -160,8 +147,7 @@ def index_label(d: int, index: int) -> tuple:
     Returns ``(kind, m, k)`` for off-diagonal generators and ``(kind, l)``
     for diagonal ones.
     """
-    if d < 2:
-        raise DimensionError(f"basis requires dimension >= 2, got {d}")
+    d = check_dim(d)
     n_off = d * (d - 1) // 2
     n = d * d - 1
     if not (0 <= index < n):

@@ -31,7 +31,6 @@ from .bloch import (
     BlochVector,
     QuditObservable,
     SET_TOL,
-    _check_tol,
     _shell_residual,
     from_bloch,
     make_diag_pm1,
@@ -39,8 +38,9 @@ from .bloch import (
     make_offdiag_real_pm1,
     pm1_round,
 )
-from .errors import CertificationError, DimensionError, ValidationError
-from .serialize import _check_int
+from .errors import (
+    CertificationError, DimensionError, ValidationError, check_dim, check_int, check_sign, check_tol
+)
 from .states import (
     CorrelationMatrix,
     EigenCluster,
@@ -100,7 +100,7 @@ class PerfectnessCertificate:
                 for v in self.spectral_violations
             ],
             "tol": self.tol,
-            "observable": json.loads(self.observable.to_json()),
+            "observable": self.observable.to_dict(),
         }
 
 
@@ -144,6 +144,7 @@ class ClassMembership:
     seed: int  # of the witness search's random starts; not in to_dict
 
     def for_sign(self, sign: int) -> SignWitness:
+        sign = check_sign(sign)
         for entry in self.sign_results:
             if entry.sign == sign:
                 return entry
@@ -174,7 +175,7 @@ def check_bell_condition(
     probability on eigenprojection pairs whose eigenvalue product differs
     from that sign.  Acceptance additionally requires operator norm 1.
     """
-    _check_tol(tol)
+    check_tol(tol)
     if observable.dim != state.dim:
         raise DimensionError(
             f"observable dim {observable.dim} does not match state dim {state.dim}"
@@ -237,7 +238,8 @@ def bell_condition_spectral_form(
     ``beta`` are the coefficients of ``b`` in the eigenbasis of T; the sum
     vanishing is equivalent to ``<b, T b> = +- 2/d``.
     """
-    _check_tol(tol)
+    sign = check_sign(sign)
+    check_tol(tol)
     if b.dim != tcorr.dim:
         raise DimensionError(f"Bloch dim {b.dim} does not match correlation dim {tcorr.dim}")
     if abs(b.norm - 1.0) > tol:
@@ -343,15 +345,10 @@ def certify_state(
     ``seed``; ``restarts=0`` tries the canonical starts only.  Each sign
     reports the first witness found.
     """
-    _check_tol(tol)
-    _check_int("restarts", restarts, 0)
-    _check_int("seed", seed, 0)
-    d = state.dim
-    if d % 2 != 0:
-        raise DimensionError(
-            f"dimension {d} is odd: the +-1-spectrum observable set is empty, "
-            "so perfectness certification applies only to even dimensions"
-        )
+    check_tol(tol)
+    check_int("restarts", restarts, 0)
+    check_int("seed", seed, 0)
+    d = check_dim(state.dim, even=True)
     if not state.symmetric:
         raise ValidationError("state is not swap-symmetric; certification requires symmetry")
     tcorr = correlation_matrix(state)
@@ -411,9 +408,8 @@ def find_perfect_observables(
     tolerance.  Raises :class:`CertificationError` when the state is not
     certified for the sign.
     """
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    _check_int("count", count, 1)
+    sign = check_sign(sign)
+    check_int("count", count, 1)
     d = membership.dim
     entry = membership.for_sign(sign)
     if entry.cluster is None:

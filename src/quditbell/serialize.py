@@ -16,18 +16,9 @@ import json
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_int
 
 _C16 = np.dtype("<c16")
-
-
-def _check_int(name: str, value: int, minimum: int) -> None:
-    """The one gate on an integer knob (a seed or a count): numpy integers pass, floats and
-    bools fail."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValidationError(f"{name} must be at least {minimum}, got {value}")
 
 
 def load_payload(payload: str | bytes, what: str, key: str) -> tuple:
@@ -39,8 +30,7 @@ def load_payload(payload: str | bytes, what: str, key: str) -> tuple:
         raise ValidationError(f"{what} is not valid JSON: {exc}") from None
     if not isinstance(data, dict) or not {"dim", key} <= data.keys():
         raise ValidationError(f"{what} must be a JSON object with keys 'dim' and {key!r}")
-    _check_int("dim", data["dim"], 2)
-    return data["dim"], data[key]
+    return check_int("dim", data["dim"], 2), data[key]
 
 
 def complex_matrix_to_pairs(matrix: np.ndarray) -> list[list[float]]:

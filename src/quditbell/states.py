@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .bloch import BlochVector, QuditObservable
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError, ValidationError, check_dim
 from .gellmann import _apply_u, antisymmetric_rows
 from .serialize import (
     base64_to_complex_matrix,
@@ -74,9 +74,12 @@ class TwoQuditState:
         eigenvalue in the message.  Any failed gate raises :class:`ValidationError`.
         """
         try:
-            rho = np.asarray(rho, dtype=complex)
-        except (TypeError, ValueError) as exc:  # non-numeric entries or ragged nesting
+            rho = np.asarray(rho)
+        except ValueError as exc:  # ragged nesting
             raise ValidationError(f"state must be a matrix of numbers: {exc}") from None
+        if rho.dtype.kind not in "iufc":  # strings, bools and objects are not numbers
+            raise ValidationError(f"state must be a matrix of numbers, got {rho.dtype} entries")
+        rho = rho.astype(complex, copy=False)
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
             raise ValidationError(f"state must be a square matrix, got shape {rho.shape}")
         d = int(round(np.sqrt(rho.shape[0])))
@@ -140,16 +143,14 @@ def _swap_residual(rho: np.ndarray, d: int) -> float:
 
 def ghz(d: int) -> TwoQuditState:
     """Maximally entangled state ``(1/d) sum_{j,k} |jj><kk|`` (pure, symmetric)."""
-    if d < 2:
-        raise DimensionError(f"GHZ state requires dimension >= 2, got {d}")
+    d = check_dim(d, cap=True)
     psi = np.zeros(d * d, dtype=complex)
     psi[:: d + 1] = 1.0 / np.sqrt(d)
     return TwoQuditState(dim=d, rho=np.outer(psi, psi.conj()), symmetric=True)
 
 
 def maximally_mixed(d: int) -> TwoQuditState:
-    if d < 2:
-        raise DimensionError(f"dimension must be >= 2, got {d}")
+    d = check_dim(d, cap=True)
     return TwoQuditState(dim=d, rho=np.eye(d * d, dtype=complex) / (d * d), symmetric=True)
 
 

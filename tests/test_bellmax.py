@@ -257,15 +257,6 @@ class TestMaximize:
         assert "timing" in report.to_dict(include_timing=True)
         assert report.wall_time > 0
 
-    def test_progress_callback(self):
-        seen = []
-        maximize_bell(
-            ghz(2), 1, MaximizeOptions(restarts=5, seed=0),
-            progress=lambda idx, value: seen.append((idx, value)),
-        )
-        assert [idx for idx, _ in seen] == [0, 1, 2, 3, 4]
-        assert all(v <= 1.5 + 1e-9 for _, v in seen)
-
     def test_odd_dim_rejected(self):
         with pytest.raises(DimensionError):
             maximize_bell(ghz(3), 1)

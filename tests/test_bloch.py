@@ -133,7 +133,7 @@ class TestMembership:
         r /= np.linalg.norm(r)
         assert not in_pm1_shell(r)
 
-    @pytest.mark.parametrize("length", [5, 7, 10])
+    @pytest.mark.parametrize("length", [1, 5, 7, 10])
     def test_length_not_d2_minus_1_rejected(self, length):
         r = np.ones(length) / np.sqrt(length)
         for check in (in_bloch_region, in_pm1_shell, from_bloch):
@@ -200,6 +200,8 @@ class TestConstructors:
             make_diag_pm1(3, [1, -1, 1])
         with pytest.raises(ValidationError):
             make_diag_pm1(2, [2, -2])
+        with pytest.raises(ValidationError, match="sign must be the integer"):
+            make_diag_pm1(2, [1.5, -1.5])  # not truncated to [1, -1]
 
     def test_offdiag_real(self):
         assert_allclose(make_offdiag_real_pm1(2, [0]).matrix, SX)

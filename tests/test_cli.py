@@ -62,6 +62,11 @@ class TestSpectrum:
         assert "positive semidefinite" in err
         assert "-5" in err  # the offending min eigenvalue appears in the message
 
+    def test_over_cap_dim_is_input_error(self, capsys):
+        code, out, err = run_cli(["spectrum", "--state", "ghz", "--dim", "65"], capsys)
+        assert (code, out) == (1, "")
+        assert "exceeds cap" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(["spectrum", "--state", "file:/nonexistent.json"], capsys)
         assert code == 1
@@ -226,7 +231,7 @@ class TestMaximize:
 
         real = cli_mod.maximize_bell
 
-        def inflated(state, sign, opts, progress=None):
+        def inflated(state, sign, opts):
             report = real(state, sign, opts)
             object.__setattr__(report, "best_value", bad_value)
             return report

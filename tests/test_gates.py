@@ -1,0 +1,101 @@
+"""Every public entry point gates a sign or a dimension with the shared gates of
+``quditbell.errors``: one rule, one named error, and a plain int in reports."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import quditbell as qb
+from quditbell import DimensionCapError, QuditBellError, ValidationError
+from quditbell.gellmann import generator_entries
+
+_STATE = qb.ghz(2)
+_MEMBERSHIP = qb.certify_state(_STATE)
+_TCORR = _MEMBERSHIP.tcorr
+_SZ = qb.make_diag_pm1(2, [1, -1])
+_SX = qb.make_offdiag_real_pm1(2, [0])
+
+# name -> call with the sign as the only argument left open
+SIGN_CALLS = {
+    "bell_expression": lambda s: qb.bell_expression(_STATE, _SX, _SZ, _SX, s),
+    "bell_expression_bloch": lambda s: qb.bell_expression_bloch(
+        _TCORR, _SX.bloch, _SZ.bloch, _SX.bloch, s
+    ),
+    "bell_condition_spectral_form": lambda s: qb.bell_condition_spectral_form(
+        _TCORR, _SZ.bloch, s
+    ),
+    "ClassMembership.for_sign": lambda s: _MEMBERSHIP.for_sign(s).to_dict(),
+    "find_perfect_observables": lambda s: [
+        b.to_dict() for b in qb.find_perfect_observables(_MEMBERSHIP, s, count=1)
+    ],
+    "exhaustive_qubit_max": lambda s: qb.exhaustive_qubit_max(_STATE, s, 8),
+    "lhv_monte_carlo": lambda s: qb.lhv_monte_carlo(s, 10),
+    "maximize_bell": lambda s: qb.maximize_bell(_STATE, s, qb.MaximizeOptions(restarts=2)),
+}
+
+
+@pytest.mark.parametrize("name", SIGN_CALLS)
+@pytest.mark.parametrize("bad", [True, 1.0, np.float64(1), 0, 2, "+"])
+def test_sign_gate_rejects_all_but_integer_pm1(name, bad):
+    with pytest.raises(ValidationError, match="sign must be the integer"):
+        SIGN_CALLS[name](bad)
+
+
+@pytest.mark.parametrize("name", SIGN_CALLS)
+@pytest.mark.parametrize("sign", [1, -1])
+def test_numpy_integer_sign_gives_the_int_result(name, sign):
+    result = SIGN_CALLS[name](np.int64(sign))
+    if isinstance(result, (qb.BellMaxReport, qb.LhvCheckReport)):
+        assert f'"sign": {sign},' in result.to_json()
+        assert result.to_json() == SIGN_CALLS[name](sign).to_json()
+    else:
+        assert result == SIGN_CALLS[name](sign)
+
+
+# name -> call with the dimension as the only argument left open
+DIM_CALLS = {
+    "ghz": qb.ghz,
+    "maximally_mixed": qb.maximally_mixed,
+    "build_basis": qb.build_basis,
+    "generator_entries": generator_entries,
+    "flat_index": lambda d: qb.flat_index(d, "diagonal", 1),
+    "index_label": lambda d: qb.index_label(d, 0),
+    "bloch_ball_radius": qb.bloch_ball_radius,
+    "BlochVector": lambda d: qb.BlochVector(dim=d, coords=np.zeros(15)),
+    "from_bloch": lambda d: qb.from_bloch(np.zeros(15), d),
+    "pm1_round": lambda d: qb.pm1_round(np.ones(15), d),
+    "pm1_round stack": lambda d: qb.pm1_round(np.ones((2, 15)), d),
+    "make_diag_pm1": lambda d: qb.make_diag_pm1(d, [1, 1, -1, -1]),
+    "make_offdiag_real_pm1": lambda d: qb.make_offdiag_real_pm1(d, [0, 1]),
+    "make_offdiag_imag_pm1": lambda d: qb.make_offdiag_imag_pm1(d, [0, 1]),
+    "random_pm1_observable": lambda d: qb.random_pm1_observable(d, 0),
+    "haar_unitary": lambda d: qb.haar_unitary(d, np.random.default_rng(0)),
+}
+
+
+@pytest.mark.parametrize("name", DIM_CALLS)
+@pytest.mark.parametrize("bad", [4.0, "4", True, 1])
+def test_dimension_gate_rejects_non_integer_or_small_d(name, bad):
+    DIM_CALLS[name](4)  # a cached d = 4 must not let 4.0 or True through
+    DIM_CALLS[name](np.int64(4))
+    with pytest.raises(QuditBellError, match="dimension must be"):
+        DIM_CALLS[name](bad)
+
+
+def test_gated_dimensions_are_stored_as_int():
+    assert type(qb.ghz(np.int64(2)).dim) is int
+    assert type(qb.BlochVector(dim=np.int64(2), coords=np.zeros(3)).dim) is int
+    assert type(qb.flat_index(np.int64(4), "diagonal", 1)) is int
+
+
+@pytest.mark.parametrize("build", [qb.ghz, qb.maximally_mixed])
+def test_over_cap_state_fails_before_allocating(build):
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionCapError, match="exceeds cap 64"):
+            build(65)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -79,10 +79,6 @@ class TestConstruction:
             build_basis(1)
         with pytest.raises(DimensionCapError):
             build_basis(65)
-        # cap is configurable
-        with pytest.raises(DimensionCapError):
-            build_basis(17, cap=16)
-        assert len(build_basis(17, cap=20)) == 288
 
 
 def _real_coefficients(d, rows, values):
@@ -121,10 +117,6 @@ class TestGeneratorEntries:
             generator_entries(1)
         with pytest.raises(DimensionCapError):
             generator_entries(65)
-        with pytest.raises(DimensionCapError):
-            generator_entries(17, cap=16)
-        rows, cols, _ = generator_entries(17, cap=20)
-        assert (rows.max(), cols.max()) == (287, 288)
 
 
 def _reference_apply_u(d, x):

@@ -260,7 +260,15 @@ class TestValidation:
         with pytest.raises(ValidationError, match="finite"):
             TwoQuditState.from_json(json.dumps(payload))
 
-    @pytest.mark.parametrize("bad", [[["a"]], "x", [[0.5, 0], [0]]])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [["a"]],
+            "x",
+            [[0.5, 0], [0]],
+            [["0.5", "0", "0", "0.5"], ["0"] * 4, ["0"] * 4, ["0.5", "0", "0", "0.5"]],
+        ],
+    )
     def test_non_numeric_or_ragged_input_named(self, bad):
         with pytest.raises(ValidationError, match="state must be a matrix of numbers"):
             TwoQuditState.from_matrix(bad)
