@@ -30,7 +30,6 @@ batch with one weighted sum per correlator.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 
@@ -96,10 +95,10 @@ class BellMaxReport:
     best_btilde: QuditObservable
     per_restart: tuple[RestartSummary, ...]
     trace: tuple[tuple[int, int, float], ...]  # (restart, iteration, value)
-    wall_time: float
+    wall_time: float  # seconds; not in to_dict, the CLI adds it with --timing
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "dim": self.dim,
             "sign": self.sign,
             "best_value": self.best_value,
@@ -120,12 +119,6 @@ class BellMaxReport:
                 for r in self.per_restart
             ],
         }
-        if include_timing:
-            out["timing"] = {"wall_time_seconds": self.wall_time}
-        return out
-
-    def to_json(self, include_timing: bool = False) -> str:
-        return json.dumps(self.to_dict(include_timing=include_timing))
 
 
 def write_trace_csv(report: BellMaxReport, path) -> None:
@@ -452,9 +445,6 @@ class LhvCheckReport:
             "constraint_residual_max": self.constraint_residual_max,
             "seed": self.seed,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def _lhv_values(

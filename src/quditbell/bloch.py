@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, check_dim, check_sign, check_tol
+from .errors import DimensionError, ValidationError, check_dim, check_int, check_sign, check_tol
 from .gellmann import generator_entries
 from .serialize import (
     complex_matrix_to_pairs,
@@ -203,8 +203,12 @@ def _as_bloch(r, d: int | None = None) -> BlochVector:
 
     The length check is :class:`BlochVector`'s, so a length that is not
     d^2 - 1 raises :class:`ValidationError` instead of being read as a nearby d.
+    A :class:`BlochVector` whose own d differs from an explicit ``d`` raises
+    :class:`DimensionError`.
     """
     if isinstance(r, BlochVector):
+        if d is not None and check_dim(d) != r.dim:
+            raise DimensionError(f"Bloch vector has dimension {r.dim}, but dim {d} was given")
         return r
     arr = np.asarray(r, dtype=float)
     return BlochVector(dim=_implied_dim(arr.size) if d is None else d, coords=arr)
@@ -276,28 +280,29 @@ def make_diag_pm1(d: int, signs) -> QuditObservable:
     return QuditObservable.from_matrix(matrix)
 
 
-def _check_gammas(d: int, gammas) -> list[int]:
-    check_dim(d, even=True)
-    gammas = [int(g) for g in gammas]
+def _offdiag_pm1(d: int, gammas, lower: complex, upper: complex) -> QuditObservable:
+    """``sum (-1)^g_m (lower |m+1><m| + upper |m><m+1|)`` over the level pairs."""
+    d = check_dim(d, even=True)
+    gammas = [check_int("gamma", g, 0) for g in gammas]
     if len(gammas) != d // 2:
         raise ValidationError(f"need {d // 2} gamma exponents (one per level pair), got {len(gammas)}")
-    return gammas
+    matrix = np.zeros((d, d), dtype=complex)
+    for i, g in enumerate(gammas):
+        m = 2 * i
+        s = (-1.0) ** g
+        matrix[m + 1, m] = lower * s
+        matrix[m, m + 1] = upper * s
+    return QuditObservable.from_matrix(matrix)
 
 
 def make_offdiag_real_pm1(d: int, gammas) -> QuditObservable:
     """Observable ``sum (-1)^g_m (|m+1><m| + |m><m+1|)`` over level pairs.
 
     The sum runs over the pairs (1,2), (3,4), ..., (d-1, d); each pair
-    contributes a real sx-type block with sign ``(-1)^g``.
+    contributes a real sx-type block with sign ``(-1)^g``.  Each gamma is a
+    non-negative integer.
     """
-    gammas = _check_gammas(d, gammas)
-    matrix = np.zeros((d, d), dtype=complex)
-    for i, g in enumerate(gammas):
-        m = 2 * i
-        s = (-1.0) ** g
-        matrix[m + 1, m] = s
-        matrix[m, m + 1] = s
-    return QuditObservable.from_matrix(matrix)
+    return _offdiag_pm1(d, gammas, 1, 1)
 
 
 def make_offdiag_imag_pm1(d: int, gammas) -> QuditObservable:
@@ -307,14 +312,7 @@ def make_offdiag_imag_pm1(d: int, gammas) -> QuditObservable:
     g = 0 block equals minus the antisymmetric generator of the pair, so
     ``make_offdiag_imag_pm1(2, [1])`` is sy itself.
     """
-    gammas = _check_gammas(d, gammas)
-    matrix = np.zeros((d, d), dtype=complex)
-    for i, g in enumerate(gammas):
-        m = 2 * i
-        s = (-1.0) ** g
-        matrix[m + 1, m] = -1j * s
-        matrix[m, m + 1] = 1j * s
-    return QuditObservable.from_matrix(matrix)
+    return _offdiag_pm1(d, gammas, -1j, 1j)
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

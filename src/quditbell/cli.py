@@ -9,17 +9,19 @@ machine-readable reports:
 * ``lhv``       - Monte-Carlo check of the classical bound 1
 
 Exit codes: 0 success, 1 input error, 2 certification failure, 3 bound
-violation.  Output JSON is deterministic for a fixed config and seed; timing
-lives in a separate opt-in field so default reports are byte-identical.
+violation.  Reports are the library's ``to_dict()`` dicts, and this module is
+the one place that encodes them.  Output JSON is deterministic for a fixed
+config and seed; ``--timing`` adds a separate field here, so default reports
+are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass
+
+import numpy as np
 
 from .bellmax import MaximizeOptions, lhv_monte_carlo, maximize_bell, write_trace_csv
 from .errors import CertificationError, ValidationError
@@ -32,7 +34,6 @@ from .perfectness import (
 from .states import TwoQuditState, correlation_matrix, ghz
 
 SCHEMA_VERSION = "1"
-ENV_SEED = "QUDITBELL_SEED"
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -43,45 +44,6 @@ SIGNS = {"+": 1, "-": -1}  # --sign choices
 
 BOUND_LIMIT = 1.5
 BOUND_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation parameters echoed into every report."""
-
-    command: str
-    state_source: str | None = None
-    dim: int | None = None
-    sign: str | None = None
-    restarts: int | None = None
-    seed: int = 0
-    tol: float = 1e-9
-    max_iters: int | None = None
-    models: int | None = None
-    fmt: str = "json"
-
-    def to_dict(self) -> dict:
-        out = {"command": self.command, "seed": self.seed, "tol": self.tol}
-        for key in ("state_source", "dim", "sign", "restarts", "max_iters", "models"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        out["format"] = self.fmt
-        return out
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValidationError(f"{name} must be an integer, got {raw!r}") from None
-
-
-def _default_seed() -> int:
-    return _env_int(ENV_SEED, 0)
 
 
 def _load_state(source: str, dim: int | None) -> TwoQuditState:
@@ -97,34 +59,35 @@ def _load_state(source: str, dim: int | None) -> TwoQuditState:
     raise ValidationError(f"state source must be 'ghz' or 'file:PATH', got {source!r}")
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+def _emit_report(args, report: dict) -> None:
+    """Write ``report`` and the invocation's config as sorted, indented JSON.
+
+    The config echoes the parsed arguments; ``tol`` and ``format`` take their
+    defaults where a subcommand has no such flag, and a ``None`` is dropped.
+    """
+    config = {
+        "command": args.command,
+        "seed": args.seed,
+        "tol": getattr(args, "tol", 1e-9),
+        "format": getattr(args, "format", "json"),
+        "state_source": getattr(args, "state", None),
+        **{key: getattr(args, key, None) for key in ("dim", "sign", "restarts", "max_iters", "models")},
+    }
+    config = {key: value for key, value in config.items() if value is not None}
+    payload = {"schema": SCHEMA_VERSION, "config": config, "report": report}
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _emit_report(config: RunConfig, report: dict, out_path: str | None) -> None:
-    payload = {"schema": SCHEMA_VERSION, "config": config.to_dict(), "report": report}
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", out_path)
-
-
 def cmd_spectrum(args) -> int:
-    config = RunConfig(
-        command="spectrum",
-        state_source=args.state,
-        dim=args.dim,
-        seed=args.seed,
-        fmt=args.format,
-    )
     state = _load_state(args.state, args.dim)
     tcorr = correlation_matrix(state)
     if args.format == "csv":
-        if args.out:
-            tcorr.to_csv(args.out)
-        else:
-            tcorr.to_csv(sys.stdout)
+        np.savetxt(args.out or sys.stdout, tcorr.matrix, delimiter=",")
         return EXIT_OK
     spectral = correlation_spectrum(tcorr)
     d = state.dim
@@ -157,19 +120,11 @@ def cmd_spectrum(args) -> int:
             "minus_multiplicity": expected_minus_mult,
             "matches": matches,
         }
-    _emit_report(config, report, args.out)
+    _emit_report(args, report)
     return EXIT_OK
 
 
 def cmd_certify(args) -> int:
-    config = RunConfig(
-        command="certify",
-        state_source=args.state,
-        dim=args.dim,
-        restarts=args.restarts,
-        seed=args.seed,
-        tol=args.tol,
-    )
     state = _load_state(args.state, args.dim)
     membership = certify_state(state, tol=args.tol, restarts=args.restarts, seed=args.seed)
     report = membership.to_dict()
@@ -179,22 +134,12 @@ def cmd_certify(args) -> int:
         observables = find_perfect_observables(membership, entry.sign, count=2)
         key = "+" if entry.sign > 0 else "-"
         report["signs"][key]["perfect_observables"] = [obs.to_dict() for obs in observables]
-    _emit_report(config, report, args.out)
+    _emit_report(args, report)
     return EXIT_OK if membership.in_class else EXIT_CERTIFICATION_FAILURE
 
 
 def cmd_maximize(args) -> int:
     sign = SIGNS[args.sign]
-    config = RunConfig(
-        command="maximize",
-        state_source=args.state,
-        dim=args.dim,
-        sign=args.sign,
-        restarts=args.restarts,
-        seed=args.seed,
-        tol=args.tol,
-        max_iters=args.max_iters,
-    )
     state = _load_state(args.state, args.dim)
     opts = MaximizeOptions(
         restarts=args.restarts,
@@ -205,7 +150,10 @@ def cmd_maximize(args) -> int:
     report = maximize_bell(state, sign, opts)
     if args.trace_out:
         write_trace_csv(report, args.trace_out)
-    _emit_report(config, report.to_dict(include_timing=args.timing), args.out)
+    fields = report.to_dict()
+    if args.timing:
+        fields["timing"] = {"wall_time_seconds": report.wall_time}
+    _emit_report(args, fields)
     if any(r.hit_cap for r in report.per_restart):
         sys.stderr.write("warning: at least one restart hit the iteration cap\n")
     if not report.best_value <= BOUND_LIMIT + BOUND_TOL:
@@ -219,9 +167,8 @@ def cmd_maximize(args) -> int:
 
 def cmd_lhv(args) -> int:
     sign = SIGNS[args.sign]
-    config = RunConfig(command="lhv", sign=args.sign, models=args.models, seed=args.seed)
     report = lhv_monte_carlo(sign, args.models, seed=args.seed)
-    _emit_report(config, report.to_dict(), args.out)
+    _emit_report(args, report.to_dict())
     return EXIT_OK
 
 
@@ -241,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--dim", type=int, default=None, help="single-qudit dimension")
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
-        p.add_argument("--seed", type=int, default=_default_seed())
+        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("spectrum", help="correlation-matrix spectrum report")
     add_state_args(p)
@@ -269,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lhv", help="Monte-Carlo check of the classical bound")
     p.add_argument("--models", type=int, default=10000)
     p.add_argument("--sign", required=True, choices=tuple(SIGNS))
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_lhv)
 

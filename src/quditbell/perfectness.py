@@ -22,7 +22,6 @@ certified witness.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,9 +79,6 @@ class PerfectnessCertificate:
     spectral_violations: tuple[SpectralViolation, ...]
     tol: float
     observable: QuditObservable
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
     def to_dict(self) -> dict:
         return {
@@ -149,9 +145,6 @@ class ClassMembership:
             if entry.sign == sign:
                 return entry
         raise KeyError(f"no result for sign {sign}")
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
     def to_dict(self) -> dict:
         return {

@@ -221,10 +221,6 @@ class CorrelationMatrix:
             eigenvalues=freeze(eigenvalues), clusters=cluster_eigenvalues(eigenvalues, vectors)
         )
 
-    def to_csv(self, path) -> None:
-        """Plain real entries, one row per line."""
-        np.savetxt(path, self.matrix, delimiter=",")
-
 
 def correlation_matrix(state: TwoQuditState) -> CorrelationMatrix:
     """Compute ``T[n, m] = tr[rho (L_n (x) L_m)]`` for all generator pairs.

@@ -30,6 +30,7 @@ from quditbell import (
     write_trace_csv,
 )
 from quditbell.bellmax import OUTCOME_GRID, WITNESS_COUNT, _lhv_values, _sphere_grid
+from quditbell.cli import main as cli_main
 
 from conftest import SX, SZ, random_state, random_traceless_hermitian, rotated_ghz, singlet
 
@@ -251,11 +252,14 @@ class TestMaximize:
         assert lines[0] == "restart,iteration,value"
         assert len(lines) == len(report.trace) + 1
 
-    def test_timing_field_optional(self):
+    def test_timing_field_optional(self, capsys):
         report = maximize_bell(ghz(2), 1, MaximizeOptions(restarts=2, seed=0))
         assert "timing" not in report.to_dict()
-        assert "timing" in report.to_dict(include_timing=True)
         assert report.wall_time > 0
+        # the CLI adds the wall time with --timing
+        args = ["maximize", "--dim", "2", "--sign", "+", "--restarts", "2", "--timing"]
+        assert cli_main(args) == 0
+        assert "timing" in json.loads(capsys.readouterr().out)["report"]
 
     def test_odd_dim_rejected(self):
         with pytest.raises(DimensionError):
@@ -318,7 +322,7 @@ def test_bool_is_not_an_integer(call, name, flag):
 
 def test_numpy_integer_knobs_are_accepted_and_serialize():
     lhv = lhv_monte_carlo(1, 10, seed=np.int64(4))
-    assert lhv.to_json() == lhv_monte_carlo(1, 10, seed=4).to_json()
+    assert json.dumps(lhv.to_dict()) == json.dumps(lhv_monte_carlo(1, 10, seed=4).to_dict())
     opts = MaximizeOptions(restarts=np.int32(2), seed=np.uint8(1))
     report = maximize_bell(ghz(2), 1, opts).to_dict()
     assert json.loads(json.dumps(report))["seed"] == 1
@@ -429,7 +433,7 @@ class TestLhv:
     def test_deterministic(self):
         r1 = lhv_monte_carlo(1, 500, seed=4)
         r2 = lhv_monte_carlo(1, 500, seed=4)
-        assert r1.to_json() == r2.to_json()
+        assert json.dumps(r1.to_dict()) == json.dumps(r2.to_dict())
 
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2049])

@@ -85,6 +85,17 @@ class TestCorrespondence:
         with pytest.raises(ValidationError):
             from_bloch([1.0, 0.0], 2)
 
+    def test_explicit_dim_must_match_bloch_vector(self):
+        v = to_bloch(SZ)
+        assert from_bloch(v).dim == from_bloch(v, 2).dim == 2
+        assert pm1_round(v, 2).dim == 2
+        for call in (from_bloch, pm1_round):
+            with pytest.raises(DimensionError, match="dimension 2, but dim 4"):
+                call(v, 4)
+        # an array of the same length fails too, on its length
+        with pytest.raises(ValidationError, match="length 15"):
+            from_bloch(v.coords, 4)
+
     @pytest.mark.parametrize("matrix", [3.0, np.array(1.0), np.zeros((2, 2, 2))])
     def test_from_matrix_rejects_non_matrices(self, matrix):
         with pytest.raises(ValidationError, match="square matrix"):
@@ -230,6 +241,12 @@ class TestConstructors:
             make_offdiag_real_pm1(3, [0])
         with pytest.raises(ValidationError):
             make_offdiag_imag_pm1(4, [0, 1, 0])
+        for make in (make_offdiag_real_pm1, make_offdiag_imag_pm1):
+            for bad in (0.7, "1", True, np.float64(1)):  # not truncated or parsed to 0 or 1
+                with pytest.raises(ValidationError, match="gamma must be an integer"):
+                    make(2, [bad])
+            with pytest.raises(ValidationError, match="gamma must be at least 0"):
+                make(2, [-1])
 
     @pytest.mark.parametrize("d", [2, 4, 6])
     def test_all_constructions_have_pm1_spectrum(self, d, rng):

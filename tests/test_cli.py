@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from quditbell import TwoQuditState, maximally_mixed
+from quditbell import TwoQuditState, ghz, maximally_mixed
 from quditbell.cli import main
 from quditbell.serialize import complex_matrix_to_pairs
 
@@ -223,7 +223,8 @@ class TestMaximize:
         _, out_plain, _ = run_cli(args, capsys)
         _, out_timed, _ = run_cli(args + ["--timing"], capsys)
         assert "timing" not in json.loads(out_plain)["report"]
-        assert "timing" in json.loads(out_timed)["report"]
+        wall_time = json.loads(out_timed)["report"]["timing"]["wall_time_seconds"]
+        assert isinstance(wall_time, float) and wall_time > 0
 
     @pytest.mark.parametrize("bad_value", [1.51, float("nan")])
     def test_bound_violation_exit_code(self, monkeypatch, capsys, bad_value):
@@ -268,25 +269,57 @@ class TestLhv:
         assert "seed" in err
 
 
-class TestEnvironmentOverrides:
-    def test_seed_env(self, monkeypatch, capsys):
-        monkeypatch.setenv("QUDITBELL_SEED", "17")
-        code, out, _ = run_cli(["lhv", "--models", "5", "--sign", "+"], capsys)
-        assert code == 0
-        assert json.loads(out)["config"]["seed"] == 17
-
-    @pytest.mark.parametrize(
-        "var, args",
-        [
-            ("QUDITBELL_SEED", ["lhv", "--models", "10", "--sign", "+"]),
-        ],
-    )
-    def test_non_integer_env_is_input_error(self, monkeypatch, capsys, var, args):
-        monkeypatch.setenv(var, "abc")
-        code, out, err = run_cli(args, capsys)
-        assert code == 1
-        assert out == ""
-        assert err == f"input error: {var} must be an integer, got 'abc'\n"
+@pytest.mark.parametrize(
+    "args, expected",
+    [
+        (
+            ["spectrum", "--state", "ghz", "--dim", "2"],
+            {"command": "spectrum", "state_source": "ghz", "dim": 2},
+        ),
+        (["spectrum", "--state", "FILE"], {"command": "spectrum", "state_source": "FILE"}),
+        (
+            ["certify", "--state", "ghz", "--dim", "4", "--restarts", "3", "--tol", "1e-8"],
+            {"command": "certify", "state_source": "ghz", "dim": 4, "restarts": 3, "tol": 1e-8},
+        ),
+        (
+            ["certify", "--state", "FILE", "--seed", "2"],
+            {"command": "certify", "state_source": "FILE", "restarts": 32, "seed": 2},
+        ),
+        (
+            ["maximize", "--state", "ghz", "--dim", "2", "--sign", "-", "--restarts", "2"],
+            {
+                "command": "maximize",
+                "state_source": "ghz",
+                "dim": 2,
+                "sign": "-",
+                "restarts": 2,
+                "max_iters": 500,
+            },
+        ),
+        (
+            ["maximize", "--state", "FILE", "--sign", "+", "--restarts", "1", "--max-iters", "3"],
+            {
+                "command": "maximize",
+                "state_source": "FILE",
+                "sign": "+",
+                "restarts": 1,
+                "max_iters": 3,
+            },
+        ),
+        (
+            ["lhv", "--models", "5", "--sign", "+", "--seed", "7"],
+            {"command": "lhv", "sign": "+", "models": 5, "seed": 7},
+        ),
+    ],
+)
+def test_config_echo(args, expected, tmp_path, capsys):
+    source = write_state(tmp_path / "ghz2.json", ghz(2).rho)
+    args = [source if a == "FILE" else a for a in args]
+    expected = {k: source if v == "FILE" else v for k, v in expected.items()}
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    # seed, tol and format are echoed by every subcommand, spectrum and lhv included
+    assert json.loads(out)["config"] == {"seed": 0, "tol": 1e-9, "format": "json", **expected}
 
 
 def test_state_file_roundtrip_through_cli(tmp_path, capsys):

@@ -103,7 +103,7 @@ class TestCheckBellCondition:
 
     def test_json_payload(self):
         cert = check_bell_condition(ghz(2), QuditObservable.from_matrix(SZ))
-        payload = json.loads(cert.to_json())
+        payload = json.loads(json.dumps(cert.to_dict()))
         assert payload["accepted"] is True
         assert payload["sign"] == 1
         assert payload["observable"]["dim"] == 2
@@ -254,7 +254,7 @@ class TestCertifyState:
             assert np.linalg.norm(entry.cluster.vectors.T @ v) == pytest.approx(1.0, abs=1e-12)
 
     def test_json_payload(self):
-        payload = json.loads(certify_state(ghz(2)).to_json())
+        payload = json.loads(json.dumps(certify_state(ghz(2)).to_dict()))
         assert payload["in_class"] is True
         assert set(payload["signs"]) == {"+", "-"}
         assert payload["signs"]["+"]["certified"] is True
