@@ -84,13 +84,13 @@ def _emit_report(args, report: dict) -> None:
 
 
 def cmd_spectrum(args) -> int:
-    state = _load_state(args.state, args.dim)
-    tcorr = correlation_matrix(state)
+    # no reference to the state is kept, so rho is freed before the eigendecomposition
+    tcorr = correlation_matrix(_load_state(args.state, args.dim))
     if args.format == "csv":
         np.savetxt(args.out or sys.stdout, tcorr.matrix, delimiter=",")
         return EXIT_OK
     spectral = correlation_spectrum(tcorr)
-    d = state.dim
+    d = tcorr.dim
     report = {
         "dim": d,
         "eigenvalues": [float(x) for x in spectral.eigenvalues],

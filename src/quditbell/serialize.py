@@ -82,7 +82,15 @@ def real_vector_to_list(vec: np.ndarray) -> list[float]:
 
 
 def freeze(arr: np.ndarray) -> np.ndarray:
-    """Return a read-only copy; used to make container types immutable."""
+    """Return a read-only array with ``arr``'s contents; used to make container types immutable.
+
+    Idempotent: an ndarray that is already read-only and owns its data is returned as it is,
+    so ``freeze(freeze(x)) is freeze(x)`` and an array built read-only is not copied again.
+    A writable array, a view or any other input is copied, so the caller's array stays
+    private.
+    """
+    if type(arr) is np.ndarray and arr.flags.owndata and not arr.flags.writeable:
+        return arr
     out = np.array(arr)
     out.setflags(write=False)
     return out

@@ -16,6 +16,12 @@ quadratic form ``tr[rho (A (x) B)] = (d/2) <a, T b>`` in the Bloch vectors
 ``a, b`` of A and B; both evaluation paths are exposed and cross-checked in
 the test suite.
 
+Memory is what limits large d: rho holds d^4 complex entries (268 MB at d = 64).
+:func:`correlation_matrix` keeps at most three such d^4 buffers alive at once,
+rho included; in its last stage the third is T, which is half of rho's size.
+:func:`ghz` and :func:`maximally_mixed` write rho once and hand it over read-only,
+so :func:`~quditbell.serialize.freeze` does not copy it again.
+
 States from outside go through :meth:`TwoQuditState.from_matrix`.  Its
 positivity check is a Cholesky factorisation of ``rho - floor * I`` (with the
 floor ``-1e-10``), a constructive certificate that costs O(d^6) but about a
@@ -47,6 +53,7 @@ _TRACE_TOL = 1e-12
 _HERM_TOL = 1e-12
 _PSD_FLOOR = -1e-10
 _SWAP_TOL = 1e-12
+_ASYM_ROWS = 128  # rows of T per chunk of the symmetry check
 
 # Relative gap used to group nearly equal eigenvalues into multiplets.
 CLUSTER_RTOL = 1e-8
@@ -144,14 +151,21 @@ def _swap_residual(rho: np.ndarray, d: int) -> float:
 def ghz(d: int) -> TwoQuditState:
     """Maximally entangled state ``(1/d) sum_{j,k} |jj><kk|`` (pure, symmetric)."""
     d = check_dim(d, cap=True)
-    psi = np.zeros(d * d, dtype=complex)
-    psi[:: d + 1] = 1.0 / np.sqrt(d)
-    return TwoQuditState(dim=d, rho=np.outer(psi, psi.conj()), symmetric=True)
+    amp = 1.0 / np.sqrt(d)
+    # the entries of np.outer(psi, psi.conj()), psi = amp |jj>: (a+0j)(a-0j) is a^2+0j, and
+    # every other product is +0+0j
+    rho = np.zeros((d * d, d * d), dtype=complex)
+    jj = np.arange(0, d * d, d + 1)
+    rho[jj[:, None], jj] = amp * amp
+    rho.setflags(write=False)
+    return TwoQuditState(dim=d, rho=rho, symmetric=True)
 
 
 def maximally_mixed(d: int) -> TwoQuditState:
     d = check_dim(d, cap=True)
-    return TwoQuditState(dim=d, rho=np.eye(d * d, dtype=complex) / (d * d), symmetric=True)
+    rho = np.eye(d * d, dtype=complex) / (d * d)
+    rho.setflags(write=False)
+    return TwoQuditState(dim=d, rho=rho, symmetric=True)
 
 
 @dataclass(frozen=True)
@@ -215,7 +229,8 @@ class CorrelationMatrix:
 
     @cached_property
     def spectral(self) -> SpectralData:
-        sym = (self.matrix + self.matrix.T) / 2.0
+        sym = self.matrix + self.matrix.T
+        sym /= 2.0  # in place: the bits of (m + m.T) / 2.0 without a second n^2 buffer
         eigenvalues, vectors = np.linalg.eigh(sym)
         return SpectralData(
             eigenvalues=freeze(eigenvalues), clusters=cluster_eigenvalues(eigenvalues, vectors)
@@ -232,23 +247,55 @@ def correlation_matrix(state: TwoQuditState) -> CorrelationMatrix:
     ``T`` is ``P``, ``-Q`` or ``-P`` and the other product is the imaginary
     part, which must vanish.  U is real, so one pass over the interleaved
     real and imaginary parts computes both; each product costs O(d^4).
+
+    Memory: besides ``rho``, at most two complex buffers of rho's size are alive at once
+    (the permuted copy of rho and ``U R^T``, then ``U R^T`` and its transpose, then that
+    transpose and ``P + iQ``).  ``T`` is written from ``P + iQ`` one generator block at a
+    time, so the last stage holds rho, ``P + iQ`` and ``T`` (half of rho's size).  The
+    symmetry check runs in row chunks, and ``T`` is handed over read-only, uncopied.
+
+    A non-zero imaginary part or a NaN or inf anywhere in ``T`` raises
+    :class:`ValidationError`; both can only come from a state built without
+    :meth:`TwoQuditState.from_matrix`.
     """
     d = state.dim
+    n = d * d - 1
     # R^T[(b,k),(a,j)] = rho[jk,ab]; U (U R^T)^T = U R U^T
     r_t = np.ascontiguousarray(state.as_4index().transpose(3, 1, 2, 0)).reshape(d * d, -1)
     half = _apply_u(d, r_t.view(float)).view(complex)
-    full = _apply_u(d, np.ascontiguousarray(half.T).view(float)).view(complex)
-    p, q = full.real, full.imag
+    del r_t
+    half = np.ascontiguousarray(half.T)
+    full = _apply_u(d, half.view(float)).view(complex)
+    del half
+    # c_n c_m is i between the antisymmetric rows and the rest (T = -Q), -1 within the
+    # antisymmetric rows (T = -P) and 1 elsewhere (T = P); the other product is the residual
     anti = antisymmetric_rows(d)
-    imaginary = np.zeros(len(p), dtype=bool)
-    imaginary[anti] = True
-    mixed = imaginary[:, None] != imaginary[None, :]
-    t = np.where(mixed, -q, p)
-    t[anti, anti] *= -1.0
-    resid = float(np.max(np.abs(np.where(mixed, p, q))))
+    blocks = ((slice(0, anti.start), False), (anti, True), (slice(anti.stop, n), False))
+    t = np.empty((n, n))
+    resids = []
+    for rows, row_imag in blocks:
+        for cols, col_imag in blocks:
+            p, q = full.real[rows, cols], full.imag[rows, cols]
+            if row_imag != col_imag:
+                np.negative(q, out=t[rows, cols])
+                resids.append(np.max(np.abs(p)))
+            else:
+                np.multiply(p, -1.0 if row_imag else 1.0, out=t[rows, cols])
+                resids.append(np.max(np.abs(q)))
+    del full
+    resid = float(np.max(resids))  # np.max, unlike max(), keeps a NaN
     if not resid <= 1e-12:
         raise ValidationError(f"correlation matrix has imaginary residual {resid:.3e}")
-    asym = float(np.max(np.abs(t - t.T)))
+    # a NaN or inf anywhere in T makes its mirror difference NaN or inf (inf - inf on the
+    # diagonal), which the gate below reports
+    with np.errstate(invalid="ignore"):
+        asym = float(np.max([
+            np.max(np.abs(t[i : i + _ASYM_ROWS] - t[:, i : i + _ASYM_ROWS].T))
+            for i in range(0, n, _ASYM_ROWS)
+        ]))
+    if not np.isfinite(asym):
+        raise ValidationError(f"correlation matrix is not finite: max |T - T^T| = {asym:.3e}")
+    t.setflags(write=False)
     return CorrelationMatrix(dim=d, matrix=t, symmetric=asym <= 1e-11)
 
 

@@ -1,5 +1,6 @@
 import base64
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,10 +23,10 @@ from quditbell import (
 
 from quditbell import gellmann, states
 from quditbell.bloch import haar_unitary
-from quditbell.serialize import complex_matrix_to_base64, complex_matrix_to_pairs
+from quditbell.serialize import complex_matrix_to_base64, complex_matrix_to_pairs, freeze
 from quditbell.states import cluster_eigenvalues
 
-from conftest import SY, SZ, random_state, random_traceless_hermitian
+from conftest import SY, SZ, random_state, random_traceless_hermitian, rotated_ghz
 
 
 class TestGhz:
@@ -43,6 +44,12 @@ class TestGhz:
     def test_rejects_small_dim(self):
         with pytest.raises(DimensionError):
             ghz(1)
+
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_bitwise_equal_to_outer_product(self, d):
+        psi = np.zeros(d * d, dtype=complex)
+        psi[:: d + 1] = 1.0 / np.sqrt(d)
+        assert_bitwise_equal(ghz(d).rho, np.outer(psi, psi.conj()))
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_built_in_states_pass_the_full_check(self, d):
@@ -143,13 +150,124 @@ class TestSparseTransform:
             monkeypatch.setattr(module, "build_basis", dense_basis, raising=False)
         assert correlation_matrix(random_state(5, rng)).matrix.shape == (24, 24)
 
-    @pytest.mark.parametrize("bad", [np.nan, 0.1j])
-    def test_imaginary_residual_gate(self, bad):
-        # bypasses from_matrix: a NaN or non-hermitian rho must not yield a T
-        rho = ghz(2).rho.copy()
-        rho[0, 3] += bad
-        with pytest.raises(ValidationError, match="imaginary residual"):
-            correlation_matrix(TwoQuditState(dim=2, rho=rho, symmetric=False))
+    @pytest.mark.parametrize(
+        "d, entry, bad, match",
+        [
+            pytest.param(2, (0, 3), np.nan, "imaginary residual", id="nan"),
+            pytest.param(2, (0, 3), 0.1j, "imaginary residual", id="0.1j"),
+            # rho[jk, jk] reaches only the diagonal x diagonal block, where Q stays 0
+            *(
+                pytest.param(d, (1, 1), bad, "not finite", id=f"diag-d{d}-{bad}")
+                for d in (2, 3)
+                for bad in (np.nan, np.inf)
+            ),
+            # rho[jk, jb] with b != k, and rho[jk, ak] with a != j
+            *(
+                pytest.param(d, entry, bad, "imaginary residual", id=f"{kind}-d{d}-{bad}")
+                for d, kind, entry in (
+                    (2, "jb", (1, 0)),
+                    (2, "ak", (2, 0)),
+                    (3, "jb", (5, 3)),
+                    (3, "ak", (7, 1)),
+                )
+                for bad in (np.nan, np.inf)
+            ),
+        ],
+    )
+    def test_imaginary_residual_gate(self, d, entry, bad, match):
+        # bypasses from_matrix: a NaN, inf or non-hermitian rho must not yield a T
+        rho = ghz(d).rho.copy()
+        rho[entry] += bad
+        with pytest.raises(ValidationError, match=match):
+            correlation_matrix(TwoQuditState(dim=d, rho=rho, symmetric=False))
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_bitwise_equal_to_mask_reference(self, d, rng):
+        for state in (random_state(d, rng), random_state(d, rng, symmetric=True)):
+            tcorr = correlation_matrix(state)
+            reference, symmetric = _mask_reference(state)
+            assert_bitwise_equal(tcorr.matrix, reference)
+            assert tcorr.symmetric == symmetric
+            sym = (reference + reference.T) / 2.0
+            assert_bitwise_equal(tcorr.spectral.eigenvalues, np.linalg.eigh(sym)[0])
+
+    @pytest.mark.parametrize("d", [16, 24])
+    def test_bitwise_equal_to_mask_reference_at_large_d(self, d, rng):
+        # n = 255 and 575 are not multiples of the symmetry check's row chunk
+        state = rotated_ghz(d, rng)
+        tcorr = correlation_matrix(state)
+        reference, symmetric = _mask_reference(state)
+        assert_bitwise_equal(tcorr.matrix, reference)
+        assert tcorr.symmetric and symmetric
+
+
+def assert_bitwise_equal(actual, expected):
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+def _mask_reference(state):
+    """``(T, symmetric)`` from the mask-based post-processing that the blockwise one replaced."""
+    d = state.dim
+    r_t = np.ascontiguousarray(state.as_4index().transpose(3, 1, 2, 0)).reshape(d * d, -1)
+    half = gellmann._apply_u(d, r_t.view(float)).view(complex)
+    full = gellmann._apply_u(d, np.ascontiguousarray(half.T).view(float)).view(complex)
+    p, q = full.real, full.imag
+    anti = gellmann.antisymmetric_rows(d)
+    imaginary = np.zeros(len(p), dtype=bool)
+    imaginary[anti] = True
+    mixed = imaginary[:, None] != imaginary[None, :]
+    t = np.where(mixed, -q, p)
+    t[anti, anti] *= -1.0
+    assert float(np.max(np.abs(np.where(mixed, p, q)))) <= 1e-12
+    return t, float(np.max(np.abs(t - t.T))) <= 1e-11
+
+
+class TestMemory:
+    """Peak allocations, measured with tracemalloc, and the read-only arrays that avoid copies."""
+
+    @staticmethod
+    def _peak(call):
+        tracemalloc.start()
+        try:
+            result = call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, peak
+
+    def test_correlation_matrix_peak(self, rng):
+        # the mask-based version peaked at 4.56 rho.nbytes
+        state = rotated_ghz(16, rng)
+        _, peak = self._peak(lambda: correlation_matrix(state))
+        assert peak <= 2.5 * state.rho.nbytes
+
+    def test_ghz_peak(self):
+        # np.outer plus the copy freeze made peaked at 2.00 rho.nbytes
+        state, peak = self._peak(lambda: ghz(16))
+        assert peak <= 1.1 * state.rho.nbytes
+
+    def test_freeze_is_idempotent_and_copies_writable_input(self):
+        x = np.arange(6.0).reshape(2, 3)
+        frozen = freeze(x)
+        assert frozen is not x and not frozen.flags.writeable
+        assert freeze(frozen) is frozen
+        x[0, 0] = 7.0  # a writable input stays private
+        assert frozen[0, 0] == 0.0
+        view = frozen[:, 1:]  # read-only, but a view: copied
+        assert freeze(view) is not view and freeze(view).flags.owndata
+
+    @pytest.mark.parametrize(
+        "array",
+        [
+            lambda: ghz(4).rho,
+            lambda: correlation_matrix(rotated_ghz(4, np.random.default_rng(0))).matrix,
+        ],
+        ids=["ghz.rho", "correlation_matrix.matrix"],
+    )
+    def test_built_arrays_are_read_only(self, array):
+        with pytest.raises(ValueError, match="read-only"):
+            array()[0, 0] = 1.0
 
 
 class TestExpectations:
