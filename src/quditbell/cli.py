@@ -125,8 +125,10 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    state = _load_state(args.state, args.dim)
-    membership = certify_state(state, tol=args.tol, restarts=args.restarts, seed=args.seed)
+    # no reference to the state is kept, so certify_state frees rho once T is built
+    membership = certify_state(
+        _load_state(args.state, args.dim), tol=args.tol, restarts=args.restarts, seed=args.seed
+    )
     report = membership.to_dict()
     for entry in membership.sign_results:
         if not entry.certified:

@@ -193,7 +193,7 @@ def check_bell_condition(
             if abs(lam_i * lam_k - sign) <= tol:
                 continue
             prob = complex(np.einsum("jkab,aj,bk->", r4, proj_i, proj_k)).real
-            if prob > tol:
+            if not prob <= tol:  # a NaN probability is a violation
                 violations.append(
                     SpectralViolation(eigenvalue_i=lam_i, eigenvalue_k=lam_k, probability=prob)
                 )
@@ -345,6 +345,7 @@ def certify_state(
     if not state.symmetric:
         raise ValidationError("state is not swap-symmetric; certification requires symmetry")
     tcorr = correlation_matrix(state)
+    del state  # a caller that keeps no reference frees rho before the eigendecomposition
     spectral = correlation_spectrum(tcorr)
     norm = spectral.spectral_norm
     target = 2.0 / d

@@ -58,9 +58,18 @@ def pairs_to_complex_matrix(pairs, shape: tuple[int, int]) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=float).view(complex).reshape(shape)
 
 
+def complex_matrix_to_base64_bytes(matrix: np.ndarray) -> bytes:
+    """Base64 of the row-major little-endian complex128 bytes of ``matrix``, as ASCII bytes.
+
+    The encoder reads the array's buffer directly, so a C-contiguous complex128 matrix is
+    not copied to a ``bytes`` object first.
+    """
+    return base64.b64encode(np.ascontiguousarray(matrix, dtype=_C16))
+
+
 def complex_matrix_to_base64(matrix: np.ndarray) -> str:
     """Base64 of the row-major little-endian complex128 bytes of ``matrix``."""
-    return base64.b64encode(np.ascontiguousarray(matrix, dtype=_C16).tobytes()).decode("ascii")
+    return complex_matrix_to_base64_bytes(matrix).decode("ascii")
 
 
 def base64_to_complex_matrix(text: str, shape: tuple[int, int]) -> np.ndarray:

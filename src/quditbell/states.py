@@ -26,13 +26,21 @@ States from outside go through :meth:`TwoQuditState.from_matrix`.  Its
 positivity check is a Cholesky factorisation of ``rho - floor * I`` (with the
 floor ``-1e-10``), a constructive certificate that costs O(d^6) but about a
 fifth of a full ``eigvalsh``; only a state it fails on pays for the eigenvalues.
+The hermiticity and swap checks run in chunks of rows, so besides rho the gates
+hold at most two rho-sized buffers (the shifted copy and its Cholesky factor).
 :func:`ghz` and :func:`maximally_mixed` are valid and symmetric by construction
 and skip it.
+
+State files are ``{"dim": d, "rho": "<base64>"}`` (:meth:`TwoQuditState.to_json`)
+and cost one base64 pass each way.  Writing holds, besides rho, only the base64
+bytes (4/3 of rho's size; the encoder reserves twice rho's size while it runs),
+which go to the file between a fixed header and ``"}``.  Reading holds the file's
+bytes only while they are parsed and the base64 text only until it is decoded, so
+the gates of :meth:`~TwoQuditState.from_matrix` see the decoded matrix alone.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -44,6 +52,7 @@ from .gellmann import _apply_u, antisymmetric_rows
 from .serialize import (
     base64_to_complex_matrix,
     complex_matrix_to_base64,
+    complex_matrix_to_base64_bytes,
     freeze,
     load_payload,
     pairs_to_complex_matrix,
@@ -53,7 +62,10 @@ _TRACE_TOL = 1e-12
 _HERM_TOL = 1e-12
 _PSD_FLOOR = -1e-10
 _SWAP_TOL = 1e-12
+_HERM_ROWS = 64  # rows of rho per chunk of the hermiticity check
 _ASYM_ROWS = 128  # rows of T per chunk of the symmetry check
+# json.dumps({"dim": d, "rho": text}) for an int d and base64 text is head % d, text, tail
+_FILE_HEAD, _FILE_TAIL = '{"dim": %d, "rho": "', '"}'
 
 # Relative gap used to group nearly equal eigenvalues into multiplets.
 CLUSTER_RTOL = 1e-8
@@ -96,7 +108,7 @@ class TwoQuditState:
             )
         if not np.all(np.isfinite(rho)):
             raise ValidationError("state entries must be finite")
-        herm = float(np.max(np.abs(rho - rho.conj().T)))
+        herm = _herm_residual(rho)
         if herm > _HERM_TOL:
             raise ValidationError(f"state is not hermitian: max |rho - rho^dag| = {herm:.3e}")
         trace_res = abs(complex(np.trace(rho)) - 1.0)
@@ -120,32 +132,62 @@ class TwoQuditState:
         return self.rho.reshape(d, d, d, d)
 
     def to_json(self) -> str:
-        """``{"dim": d, "rho": "<base64 of rho's row-major little-endian complex128>"}``."""
-        return json.dumps({"dim": self.dim, "rho": complex_matrix_to_base64(self.rho)})
+        """``{"dim": d, "rho": "<base64 of rho's row-major little-endian complex128>"}``.
+
+        The text is ``json.dumps`` of that object, formatted directly: base64 needs no
+        escaping.  Alive besides rho: the base64 text and the result, 8/3 of rho's size.
+        """
+        return f"{_FILE_HEAD % self.dim}{complex_matrix_to_base64(self.rho)}{_FILE_TAIL}"
 
     @classmethod
     def from_json(cls, payload: str | bytes) -> "TwoQuditState":
         """Read :meth:`to_json` output, or ``"rho"`` as row-major ``[[re, im], ...]`` pairs.
 
-        Either payload goes through every :meth:`from_matrix` gate.
+        Either payload goes through every :meth:`from_matrix` gate.  The base64 text is
+        freed once decoded, so the gates hold the payload, the decoded matrix and their
+        own buffers.
         """
-        d, rho = load_payload(payload, "state file", "rho")
-        decode = base64_to_complex_matrix if isinstance(rho, str) else pairs_to_complex_matrix
-        return cls.from_matrix(decode(rho, (d * d, d * d)))
+        return cls._load(lambda: payload)
 
     @classmethod
     def from_file(cls, path) -> "TwoQuditState":
+        """:meth:`from_json` of the file's bytes, which are freed once parsed."""
         with open(path, "rb") as fh:
-            return cls.from_json(fh.read())
+            return cls._load(fh.read)
+
+    @classmethod
+    def _load(cls, read) -> "TwoQuditState":
+        # read() goes to the parser unnamed, so nothing here keeps a file's bytes
+        d, rho = load_payload(read(), "state file", "rho")
+        decode = base64_to_complex_matrix if isinstance(rho, str) else pairs_to_complex_matrix
+        matrix = decode(rho, (d * d, d * d))
+        del rho  # the base64 text or the pair lists: the gates need only the matrix
+        return cls.from_matrix(matrix)
 
     def to_file(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())
+        """Write :meth:`to_json`'s text as ASCII bytes, from one base64 pass over rho.
+
+        Alive besides rho: only the base64 bytes, 4/3 of rho's size, for which the
+        encoder reserves twice rho's size while it runs.
+        """
+        with open(path, "wb") as fh:
+            fh.write((_FILE_HEAD % self.dim).encode("ascii"))
+            fh.write(complex_matrix_to_base64_bytes(self.rho))
+            fh.write(_FILE_TAIL.encode("ascii"))
+
+
+def _herm_residual(rho: np.ndarray) -> float:
+    """``max |rho - rho^dag|``, one chunk of rows at a time: the dense formula's entries."""
+    return float(np.max([  # np.max, unlike max(), keeps a NaN
+        np.max(np.abs(rho[i : i + _HERM_ROWS] - rho[:, i : i + _HERM_ROWS].conj().T))
+        for i in range(0, len(rho), _HERM_ROWS)
+    ]))
 
 
 def _swap_residual(rho: np.ndarray, d: int) -> float:
+    """``max |R[j,k,a,b] - R[k,j,b,a]|``, one first index j at a time."""
     r4 = rho.reshape(d, d, d, d)
-    return float(np.max(np.abs(r4 - r4.transpose(1, 0, 3, 2))))
+    return float(np.max([np.max(np.abs(r4[j] - r4[:, j].transpose(0, 2, 1))) for j in range(d)]))
 
 
 def ghz(d: int) -> TwoQuditState:

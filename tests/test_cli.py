@@ -1,9 +1,11 @@
 import json
+import sys
+import weakref
 
 import numpy as np
 import pytest
 
-from quditbell import TwoQuditState, ghz, maximally_mixed
+from quditbell import TwoQuditState, cli, ghz, maximally_mixed, perfectness
 from quditbell.cli import main
 from quditbell.serialize import complex_matrix_to_pairs
 
@@ -122,6 +124,30 @@ class TestCertify:
         code, _, err = run_cli(["certify", "--state", source], capsys)
         assert code == 1
         assert "symmetric" in err
+
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11),
+        reason="CPython 3.10 keeps call arguments on the caller's stack until the call returns",
+    )
+    def test_state_is_freed_before_the_eigendecomposition(self, monkeypatch, tmp_path, capsys):
+        source = write_state(tmp_path / "rot4.json", rotated_ghz(4, np.random.default_rng(2)).rho)
+        loaded, alive = [], []
+        load, spectrum = cli._load_state, perfectness.correlation_spectrum
+
+        def tracked_load(*args):
+            state = load(*args)
+            loaded.append(weakref.ref(state))
+            return state
+
+        def tracked_spectrum(tcorr):
+            alive.append(loaded[0]() is not None)
+            return spectrum(tcorr)
+
+        monkeypatch.setattr(cli, "_load_state", tracked_load)
+        monkeypatch.setattr(perfectness, "correlation_spectrum", tracked_spectrum)
+        code, _, err = run_cli(["certify", "--state", source], capsys)
+        assert code == 0, err
+        assert alive == [False]
 
 
 class TestMaximize:

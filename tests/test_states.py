@@ -247,6 +247,26 @@ class TestMemory:
         state, peak = self._peak(lambda: ghz(16))
         assert peak <= 1.1 * state.rho.nbytes
 
+    @pytest.mark.parametrize(
+        "call, bound",
+        # the json.dumps writer, the loader that kept the file bytes and the base64 text, and
+        # the dense hermiticity and swap checks peaked at 4.01, 6.17, 4.83 and 2.50
+        [("to_file", 2.5), ("from_file", 4.5), ("from_json", 4.0), ("from_matrix", 2.25)],
+    )
+    def test_state_file_peak(self, call, bound, tmp_path, rng):
+        state = rotated_ghz(16, rng)
+        path = tmp_path / "state.json"
+        state.to_file(path)
+        payload, rho = state.to_json(), state.rho.copy()
+        run = {
+            "to_file": lambda: state.to_file(path),
+            "from_file": lambda: TwoQuditState.from_file(path),
+            "from_json": lambda: TwoQuditState.from_json(payload),
+            "from_matrix": lambda: TwoQuditState.from_matrix(rho),
+        }[call]
+        _, peak = self._peak(run)
+        assert peak <= bound * state.rho.nbytes
+
     def test_freeze_is_idempotent_and_copies_writable_input(self):
         x = np.arange(6.0).reshape(2, 3)
         frozen = freeze(x)
@@ -532,6 +552,46 @@ def test_file_roundtrip_is_bitwise(d, tmp_path, rng):
     pair_path = tmp_path / "pairs.json"
     pair_path.write_text(json.dumps({"dim": d, "rho": complex_matrix_to_pairs(rho)}))
     assert TwoQuditState.from_file(pair_path).rho.tobytes() == rho.tobytes()
+
+
+@pytest.mark.parametrize("d", [*range(2, 9), 16])
+def test_written_text_is_json_dumps(d, tmp_path, rng):
+    path = tmp_path / "state.json"
+    for state in (ghz(d), maximally_mixed(d), random_state(d, rng)):
+        reference = json.dumps({"dim": d, "rho": complex_matrix_to_base64(state.rho)})
+        assert state.to_json() == reference
+        state.to_file(path)
+        assert path.read_bytes() == reference.encode()
+
+
+def _dense_residuals(rho, d):
+    """The hermiticity and swap residuals as whole-matrix formulas."""
+    r4 = rho.reshape(d, d, d, d)
+    return (
+        float(np.max(np.abs(rho - rho.conj().T))),
+        float(np.max(np.abs(r4 - r4.transpose(1, 0, 3, 2)))),
+    )
+
+
+@pytest.mark.parametrize("d", [*range(2, 9), 12, 16, 24])
+def test_chunked_residuals_equal_dense_formulas(d, rng):
+    # d^2 = 4 ... 49 and 144 are not multiples of the 64-row hermiticity chunk
+    n = d * d
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    hermitian = (m + m.conj().T) / 2
+    r4 = hermitian.reshape(d, d, d, d)
+    swap_symmetric = (hermitian + r4.transpose(1, 0, 3, 2).reshape(n, n)) / 2
+    for rho in (m, hermitian, hermitian + 1e-13 * m, swap_symmetric, swap_symmetric + 1e-13 * m):
+        herm, swap = _dense_residuals(rho, d)
+        assert states._herm_residual(rho) == herm
+        assert states._swap_residual(rho, d) == swap
+
+
+def test_non_hermitian_message_carries_the_dense_residual(rng):
+    rho = rotated_ghz(16, rng).rho + 1e-9 * rng.standard_normal((256, 256))
+    herm, _ = _dense_residuals(rho, 16)
+    with pytest.raises(ValidationError, match=f"max \\|rho - rho\\^dag\\| = {herm:.3e}$"):
+        TwoQuditState.from_matrix(rho)
 
 
 def test_base64_payload_runs_every_gate():
