@@ -31,15 +31,16 @@ batch with one weighted sum per correlator.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bloch import BlochVector, QuditObservable, from_bloch, pm1_round
+from .bloch import SET_TOL, BlochVector, QuditObservable, from_bloch, pm1_round
 from .errors import (
-    CertificationError, DimensionError, ValidationError, check_dim, check_int, check_sign, check_tol
+    CertificationError, DimensionError, ValidationError, check_dim, check_int, check_range,
+    check_sign, check_tol,
 )
-from .perfectness import certify_state, find_perfect_observables
+from .perfectness import certify_state, correlation_spectrum, find_perfect_observables
 from .states import (
     CorrelationMatrix,
     TwoQuditState,
@@ -47,7 +48,6 @@ from .states import (
     product_expectation,
 )
 
-_EIGRANGE_TOL = 1e-9
 # Perfect observables B that maximize_bell finds; restart i holds B at witness i mod 8.
 WITNESS_COUNT = 8
 
@@ -129,12 +129,6 @@ def write_trace_csv(report: BellMaxReport, path) -> None:
             fh.write(f"{restart},{iteration},{value!r}\n")
 
 
-def _check_observable_range(obs: QuditObservable, name: str) -> None:
-    norm = obs.operator_norm
-    if not norm <= 1.0 + _EIGRANGE_TOL:
-        raise ValidationError(f"{name} has eigenvalues outside [-1, 1]: operator norm {norm:.6e}")
-
-
 def bell_expression(
     state: TwoQuditState,
     a: QuditObservable,
@@ -145,7 +139,7 @@ def bell_expression(
     """Direct-trace evaluation of the three-correlator Bell combination."""
     sign = check_sign(sign)
     for obs, name in ((a, "A"), (b, "B"), (btilde, "Btilde")):
-        _check_observable_range(obs, name)
+        check_range(obs.operator_norm, name, SET_TOL)
     e_ab = product_expectation(state, a, b)
     e_abt = product_expectation(state, a, btilde)
     e_bbt = product_expectation(state, b, btilde)
@@ -161,6 +155,11 @@ def bell_expression_bloch(
 ) -> float:
     """Correlation-matrix evaluation ``(d/2)(|<a, T(b - b~)>| +- <b, T b~>)``."""
     sign = check_sign(sign)
+    if {a.dim, b.dim, btilde.dim} != {tcorr.dim}:
+        raise DimensionError(
+            f"Bloch vector dims ({a.dim}, {b.dim}, {btilde.dim}) do not match "
+            f"correlation dim {tcorr.dim}"
+        )
     t = tcorr.matrix
     first = abs(float(a.coords @ (t @ (b.coords - btilde.coords))))
     second = float(b.coords @ (t @ btilde.coords))
@@ -322,6 +321,12 @@ def exhaustive_qubit_max(state: TwoQuditState, sign: int, grid_steps: int) -> fl
     a full Bloch-sphere grid and the a-maximization is the exact norm
     ``||T(b - b~)||`` (every unit vector is admissible at d = 2).
 
+    T's spectrum is :func:`~quditbell.perfectness.correlation_spectrum`'s, the
+    one eigendecomposition per call, so T must pass its symmetry gate.  The
+    spectral norm must be at most 1 + 1e-9, and the eigenspace is the multiplet
+    whose mean lies within 1e-9 of ``sign``, as in
+    :func:`~quditbell.perfectness.certify_state`.
+
     Every (b, b~) pair of the two grids is still scanned, with no pruning,
     in tiles of 400 b-points by 128 b~-points.  One small matrix product per
     tile gives every pair's Gram form
@@ -335,21 +340,20 @@ def exhaustive_qubit_max(state: TwoQuditState, sign: int, grid_steps: int) -> fl
     check_int("grid_steps", grid_steps, 2)
     if not state.symmetric:
         raise ValidationError("the oracle requires a swap-symmetric state")
-    tmat = correlation_matrix(state).matrix
-    tmat = (tmat + tmat.T) / 2.0
-    eigenvalues, vectors = np.linalg.eigh(tmat)
-    spectral_norm = np.max(np.abs(eigenvalues))
-    if not (spectral_norm <= 1.0 + 1e-9):
+    tcorr = correlation_matrix(state)
+    spectral = correlation_spectrum(tcorr)
+    if not spectral.spectral_norm <= 1.0 + 1e-9:
         raise ValidationError(
-            f"two-qubit correlation matrix has spectral norm {spectral_norm:.6f} > 1"
+            f"two-qubit correlation matrix has spectral norm {spectral.spectral_norm:.6f} > 1"
         )
-    keep = np.abs(eigenvalues - float(sign)) <= 1e-9
-    if not np.any(keep):
+    cluster = spectral.cluster_at(float(sign), 1e-9)
+    if cluster is None:
         raise CertificationError(
             f"state has no eigenvalue {sign:+d} in its correlation spectrum; "
             "no observable satisfies the perfectness constraint"
         )
-    subspace = vectors[:, keep]
+    subspace = cluster.vectors
+    tmat = (tcorr.matrix + tcorr.matrix.T) / 2.0  # the matrix whose eigenvectors these are
     k = subspace.shape[1]
     if k == 1:
         b_points = np.stack([subspace[:, 0], -subspace[:, 0]])
@@ -438,13 +442,7 @@ class LhvCheckReport:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "models_sampled": self.models_sampled,
-            "sign": self.sign,
-            "max_bell_value": self.max_bell_value,
-            "constraint_residual_max": self.constraint_residual_max,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def _lhv_values(

@@ -332,7 +332,7 @@ def random_pm1_observable(d: int, seed: int) -> QuditObservable:
     construction.
     """
     d = check_dim(d, even=True)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_int("seed", seed, 0))
     u = haar_unitary(d, rng)
     diag = np.concatenate([np.ones(d // 2), -np.ones(d // 2)])
     matrix = (u * diag) @ u.conj().T

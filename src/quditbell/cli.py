@@ -100,16 +100,14 @@ def cmd_spectrum(args) -> int:
         "spectral_norm": spectral.spectral_norm,
     }
     if args.state == "ghz":
-        plus = next((c for c in spectral.clusters if c.value > 0), None)
-        minus = next((c for c in spectral.clusters if c.value < 0), None)
+        plus = spectral.cluster_at(2.0 / d, 1e-11)
+        minus = spectral.cluster_at(-2.0 / d, 1e-11)
         expected_plus_mult = d * (d - 1) // 2 + (d - 1)
         expected_minus_mult = d * (d - 1) // 2
         matches = (
             len(spectral.clusters) == 2
             and plus is not None
             and minus is not None
-            and abs(plus.value - 2.0 / d) <= 1e-11
-            and abs(minus.value + 2.0 / d) <= 1e-11
             and plus.multiplicity == expected_plus_mult
             and minus.multiplicity == expected_minus_mult
         )

@@ -38,20 +38,28 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def check_int(name: str, value, minimum: int) -> int:
-    """An integer knob (a seed or a count) of at least ``minimum``."""
+def check_int(name: str, value, minimum: int | None = None) -> int:
+    """An integer knob (a seed, a count or an index) of at least ``minimum``, if given."""
     if not _is_int(value):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise ValidationError(f"{name} must be at least {minimum}, got {value}")
     return int(value)
 
 
 def check_tol(tol) -> float:
-    """A tolerance: a finite, non-negative real number; NaN fails it."""
-    if not (isinstance(tol, (int, float, np.integer, np.floating)) and 0.0 <= tol < np.inf):
+    """A tolerance: a finite, non-negative real number; NaN and bools fail it."""
+    real = isinstance(tol, (int, float, np.integer, np.floating)) and not isinstance(tol, bool)
+    if not (real and 0.0 <= tol < np.inf):
         raise ValidationError(f"tol must be finite and non-negative, got {tol}")
     return float(tol)
+
+
+def check_range(norm, name: str, tol: float) -> float:
+    """An operator norm of at most ``1 + tol``: eigenvalues in [-1, 1]; NaN fails it."""
+    if not norm <= 1.0 + tol:
+        raise ValidationError(f"{name} has eigenvalues outside [-1, 1]: operator norm {norm:.6e}")
+    return float(norm)
 
 
 def check_sign(sign) -> int:

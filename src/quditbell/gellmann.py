@@ -29,7 +29,7 @@ import functools
 
 import numpy as np
 
-from .errors import check_dim
+from .errors import check_dim, check_int
 from .serialize import freeze
 
 KIND_SYMMETRIC = "symmetric"
@@ -121,9 +121,12 @@ def flat_index(d: int, kind: str, m: int, k: int | None = None) -> int:
 
     ``kind`` is one of ``symmetric``/``antisymmetric`` (pass 1-based
     ``1 <= m < k <= d``) or ``diagonal`` (pass ``m`` as the label
-    ``1 <= l <= d-1`` and leave ``k`` unset).
+    ``1 <= l <= d-1`` and leave ``k`` unset).  Non-integer indices raise
+    :class:`~quditbell.errors.ValidationError`, out-of-range ones :class:`IndexError`.
     """
     d = check_dim(d)
+    m = check_int("m", m)
+    k = None if k is None else check_int("k", k)
     n_off = d * (d - 1) // 2
     if kind in (KIND_SYMMETRIC, KIND_ANTISYMMETRIC):
         if k is None:
@@ -148,6 +151,7 @@ def index_label(d: int, index: int) -> tuple:
     for diagonal ones.
     """
     d = check_dim(d)
+    index = check_int("index", index)
     n_off = d * (d - 1) // 2
     n = d * d - 1
     if not (0 <= index < n):

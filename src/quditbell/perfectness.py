@@ -22,7 +22,7 @@ certified witness.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -38,7 +38,8 @@ from .bloch import (
     pm1_round,
 )
 from .errors import (
-    CertificationError, DimensionError, ValidationError, check_dim, check_int, check_sign, check_tol
+    CertificationError, DimensionError, ValidationError, check_dim, check_int, check_range,
+    check_sign, check_tol,
 )
 from .states import (
     CorrelationMatrix,
@@ -87,14 +88,7 @@ class PerfectnessCertificate:
             "value": self.value,
             "residual": self.residual,
             "operator_norm": self.operator_norm,
-            "spectral_violations": [
-                {
-                    "eigenvalue_i": v.eigenvalue_i,
-                    "eigenvalue_k": v.eigenvalue_k,
-                    "probability": v.probability,
-                }
-                for v in self.spectral_violations
-            ],
+            "spectral_violations": [asdict(v) for v in self.spectral_violations],
             "tol": self.tol,
             "observable": self.observable.to_dict(),
         }
@@ -174,11 +168,7 @@ def check_bell_condition(
             f"observable dim {observable.dim} does not match state dim {state.dim}"
         )
     eigenvalues, vectors = np.linalg.eigh(observable.matrix)
-    op_norm = float(np.max(np.abs(eigenvalues)))
-    if not op_norm <= 1.0 + tol:
-        raise ValidationError(
-            f"observable eigenvalues must lie in [-1, 1]: operator norm {op_norm:.6e}"
-        )
+    op_norm = check_range(np.max(np.abs(eigenvalues)), "observable", tol)
     value = product_expectation(state, observable, observable)
     sign = 1 if abs(value - 1.0) <= abs(value + 1.0) else -1
     residual = abs(value - sign)
@@ -356,9 +346,7 @@ def certify_state(
 
     sign_results = []
     for sign in (1, -1):
-        cluster = next(
-            (c for c in spectral.clusters if abs(c.value - sign * target) <= tol), None
-        )
+        cluster = spectral.cluster_at(sign * target, tol)
         coords, best_res, used = None, np.inf, 0
         if norm_ok and cluster is not None:
             for coords, res, used in _witnesses(cluster, d, sign, tol, restarts, seed):

@@ -62,8 +62,7 @@ _TRACE_TOL = 1e-12
 _HERM_TOL = 1e-12
 _PSD_FLOOR = -1e-10
 _SWAP_TOL = 1e-12
-_HERM_ROWS = 64  # rows of rho per chunk of the hermiticity check
-_ASYM_ROWS = 128  # rows of T per chunk of the symmetry check
+_MIRROR_ROWS = 64  # rows per chunk of the hermiticity check of rho and the symmetry check of T
 # json.dumps({"dim": d, "rho": text}) for an int d and base64 text is head % d, text, tail
 _FILE_HEAD, _FILE_TAIL = '{"dim": %d, "rho": "', '"}'
 
@@ -108,7 +107,7 @@ class TwoQuditState:
             )
         if not np.all(np.isfinite(rho)):
             raise ValidationError("state entries must be finite")
-        herm = _herm_residual(rho)
+        herm = _mirror_residual(rho)
         if herm > _HERM_TOL:
             raise ValidationError(f"state is not hermitian: max |rho - rho^dag| = {herm:.3e}")
         trace_res = abs(complex(np.trace(rho)) - 1.0)
@@ -176,12 +175,14 @@ class TwoQuditState:
             fh.write(_FILE_TAIL.encode("ascii"))
 
 
-def _herm_residual(rho: np.ndarray) -> float:
-    """``max |rho - rho^dag|``, one chunk of rows at a time: the dense formula's entries."""
-    return float(np.max([  # np.max, unlike max(), keeps a NaN
-        np.max(np.abs(rho[i : i + _HERM_ROWS] - rho[:, i : i + _HERM_ROWS].conj().T))
-        for i in range(0, len(rho), _HERM_ROWS)
-    ]))
+def _mirror_residual(m: np.ndarray) -> float:
+    """``max |M - M^dag|`` of a square matrix, one chunk of rows at a time: the dense
+    formula's entries.  A NaN or inf entry gives NaN or inf (inf - inf on the diagonal)."""
+    with np.errstate(invalid="ignore"):
+        return float(np.max([  # np.max, unlike max(), keeps a NaN
+            np.max(np.abs(m[i : i + _MIRROR_ROWS] - m[:, i : i + _MIRROR_ROWS].conj().T))
+            for i in range(0, len(m), _MIRROR_ROWS)
+        ]))
 
 
 def _swap_residual(rho: np.ndarray, d: int) -> float:
@@ -249,6 +250,10 @@ class SpectralData:
     @property
     def spectral_norm(self) -> float:
         return float(np.max(np.abs(self.eigenvalues)))
+
+    def cluster_at(self, value: float, tol: float) -> EigenCluster | None:
+        """The first multiplet whose value lies within ``tol`` of ``value``, or None."""
+        return next((c for c in self.clusters if abs(c.value - value) <= tol), None)
 
 
 @dataclass(eq=False)
@@ -328,13 +333,7 @@ def correlation_matrix(state: TwoQuditState) -> CorrelationMatrix:
     resid = float(np.max(resids))  # np.max, unlike max(), keeps a NaN
     if not resid <= 1e-12:
         raise ValidationError(f"correlation matrix has imaginary residual {resid:.3e}")
-    # a NaN or inf anywhere in T makes its mirror difference NaN or inf (inf - inf on the
-    # diagonal), which the gate below reports
-    with np.errstate(invalid="ignore"):
-        asym = float(np.max([
-            np.max(np.abs(t[i : i + _ASYM_ROWS] - t[:, i : i + _ASYM_ROWS].T))
-            for i in range(0, n, _ASYM_ROWS)
-        ]))
+    asym = _mirror_residual(t)  # NaN or inf for a NaN or inf anywhere in T
     if not np.isfinite(asym):
         raise ValidationError(f"correlation matrix is not finite: max |T - T^T| = {asym:.3e}")
     t.setflags(write=False)

@@ -1,4 +1,5 @@
-"""One call builds the correlation matrix once and certifies the state once.
+"""One call builds the correlation matrix once and certifies the state once; the
+d = 2 oracle decomposes it once.
 
 ``correlation_matrix`` and ``certify_state`` are wrapped with counters in
 every module that binds them, so calls through any import path are seen.
@@ -6,6 +7,7 @@ every module that binds them, so calls through any import path are seen.
 
 import collections
 
+import numpy as np
 import pytest
 
 import quditbell
@@ -41,3 +43,16 @@ def test_cli_certify_builds_t_once_and_certifies_once(calls, capsys):
 def test_maximize_bell_builds_t_once(calls, sign):
     bellmax.maximize_bell(ghz(4), sign, MaximizeOptions(restarts=2))
     assert calls == {"correlation_matrix": 1, "certify_state": 1}
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_exhaustive_qubit_max_builds_t_once_and_decomposes_it_once(calls, monkeypatch, sign):
+    real_eigh = np.linalg.eigh
+
+    def counted_eigh(*args, **kwargs):
+        calls["eigh"] += 1
+        return real_eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    bellmax.exhaustive_qubit_max(ghz(2), sign, 8)
+    assert calls == {"correlation_matrix": 1, "eigh": 1}

@@ -101,3 +101,21 @@ def test_over_cap_state_fails_before_allocating(build):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "seed, match",
+    [(-1, "seed must be at least 0"), (1.5, "seed must be an integer"), (True, "seed must be an integer")],
+)
+def test_random_pm1_observable_gates_its_seed(seed, match):
+    with pytest.raises(ValidationError, match=match):
+        qb.random_pm1_observable(2, seed)
+
+
+@pytest.mark.parametrize("slot", range(3))
+def test_bell_expression_bloch_rejects_a_foreign_dimension(slot):
+    tcorr = qb.certify_state(qb.ghz(4)).tcorr
+    vectors = [qb.make_diag_pm1(4, [1, 1, -1, -1]).bloch] * 3
+    vectors[slot] = _SZ.bloch  # d = 2
+    with pytest.raises(qb.DimensionError, match="do not match correlation dim 4"):
+        qb.bell_expression_bloch(tcorr, *vectors, 1)

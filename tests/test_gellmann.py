@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import quditbell
-from quditbell import DimensionCapError, DimensionError, build_basis, flat_index, index_label
+from quditbell import (
+    DimensionCapError, DimensionError, ValidationError, build_basis, flat_index, index_label
+)
 from quditbell.gellmann import _apply_u, antisymmetric_rows, generator_entries
 
 from conftest import SX, SY, SZ
@@ -190,6 +192,32 @@ class TestIndexing:
             flat_index(3, "weird", 1, 2)
         with pytest.raises(IndexError):
             index_label(3, 8)
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda: index_label(4, 2.0), "index"),
+            (lambda: index_label(4, True), "index"),
+            (lambda: index_label(4, "1"), "index"),
+            (lambda: flat_index(4, "symmetric", 1.0, 2), "m"),
+            (lambda: flat_index(4, "symmetric", 1, 2.0), "k"),
+            (lambda: flat_index(4, "antisymmetric", True, 2), "m"),
+            (lambda: flat_index(4, "diagonal", np.float64(1)), "m"),
+            (lambda: flat_index(4, "diagonal", 1, False), "k"),
+        ],
+    )
+    def test_non_integer_indices_are_named(self, call, name):
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer"):
+            call()
+
+    def test_numpy_integer_indices_give_python_ints(self):
+        assert type(flat_index(4, "diagonal", np.int64(1))) is int
+        assert flat_index(4, "diagonal", np.int64(1)) == 12
+        assert type(flat_index(4, "symmetric", np.int32(1), np.int64(2))) is int
+        label = index_label(4, np.int64(13))
+        assert label == ("diagonal", 2) and all(type(x) is int for x in label[1:])
+        label = index_label(np.int64(4), np.int64(7))
+        assert label == ("antisymmetric", 1, 3) and all(type(x) is int for x in label[1:])
 
     @given(st.integers(min_value=2, max_value=12), st.data())
     @settings(max_examples=60, deadline=None)

@@ -401,7 +401,7 @@ _TOL_GATES = {
 
 
 @pytest.mark.parametrize("gate", sorted(_TOL_GATES))
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9, "1e-9", None])
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9, "1e-9", None, True, False])
 def test_every_tolerance_gate_rejects_bad_tol(gate, tol):
     with pytest.raises(ValidationError, match="tol must be finite and non-negative"):
         _TOL_GATES[gate](tol)

@@ -575,7 +575,7 @@ def _dense_residuals(rho, d):
 
 @pytest.mark.parametrize("d", [*range(2, 9), 12, 16, 24])
 def test_chunked_residuals_equal_dense_formulas(d, rng):
-    # d^2 = 4 ... 49 and 144 are not multiples of the 64-row hermiticity chunk
+    # d^2 = 4 ... 49 and 144, and T's 143 rows at d = 12, are not multiples of the 64-row chunk
     n = d * d
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     hermitian = (m + m.conj().T) / 2
@@ -583,8 +583,11 @@ def test_chunked_residuals_equal_dense_formulas(d, rng):
     swap_symmetric = (hermitian + r4.transpose(1, 0, 3, 2).reshape(n, n)) / 2
     for rho in (m, hermitian, hermitian + 1e-13 * m, swap_symmetric, swap_symmetric + 1e-13 * m):
         herm, swap = _dense_residuals(rho, d)
-        assert states._herm_residual(rho) == herm
+        assert states._mirror_residual(rho) == herm
         assert states._swap_residual(rho, d) == swap
+    if d == 12:  # the symmetry check of a real, asymmetric correlation matrix
+        t = rng.standard_normal((n - 1, n - 1))
+        assert states._mirror_residual(t) == float(np.max(np.abs(t - t.T))) > 0
 
 
 def test_non_hermitian_message_carries_the_dense_residual(rng):
