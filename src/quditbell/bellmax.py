@@ -38,7 +38,7 @@ import numpy as np
 from .bloch import SET_TOL, BlochVector, QuditObservable, from_bloch, pm1_round
 from .errors import (
     CertificationError, DimensionError, ValidationError, check_dim, check_int, check_range,
-    check_sign, check_tol,
+    check_sign, check_tol, check_type,
 )
 from .perfectness import certify_state, correlation_spectrum, find_perfect_observables
 from .states import (
@@ -139,7 +139,7 @@ def bell_expression(
     """Direct-trace evaluation of the three-correlator Bell combination."""
     sign = check_sign(sign)
     for obs, name in ((a, "A"), (b, "B"), (btilde, "Btilde")):
-        check_range(obs.operator_norm, name, SET_TOL)
+        check_range(check_type(name, obs, QuditObservable).operator_norm, name, SET_TOL)
     e_ab = product_expectation(state, a, b)
     e_abt = product_expectation(state, a, btilde)
     e_bbt = product_expectation(state, b, btilde)
@@ -155,6 +155,9 @@ def bell_expression_bloch(
 ) -> float:
     """Correlation-matrix evaluation ``(d/2)(|<a, T(b - b~)>| +- <b, T b~>)``."""
     sign = check_sign(sign)
+    check_type("tcorr", tcorr, CorrelationMatrix)
+    for vec, name in ((a, "a"), (b, "b"), (btilde, "btilde")):
+        check_type(name, vec, BlochVector)
     if {a.dim, b.dim, btilde.dim} != {tcorr.dim}:
         raise DimensionError(
             f"Bloch vector dims ({a.dim}, {b.dim}, {btilde.dim}) do not match "

@@ -26,7 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError, check_dim, check_int, check_sign, check_tol
+from .errors import (
+    DimensionError, ValidationError, check_dim, check_int, check_sign, check_tol, check_type,
+)
 from .gellmann import generator_entries
 from .serialize import (
     complex_matrix_to_pairs,
@@ -120,13 +122,21 @@ class QuditObservable:
 
 def _checked_coords(coords, d: int, stack: bool = False) -> np.ndarray:
     """Finite float coordinates of shape (d^2 - 1,), or (R, d^2 - 1) for a ``stack``."""
-    coords = np.asarray(coords, dtype=float)
+    coords = _real_array(coords)
     n = d * d - 1
     if coords.ndim != 1 + stack or coords.shape[-1] != n:
         raise ValidationError(f"Bloch vector for d={d} needs length {n}, got shape {coords.shape}")
     if not np.all(np.isfinite(coords)):
         raise ValidationError("Bloch vector coordinates must be finite")
     return coords
+
+
+def _real_array(r) -> np.ndarray:
+    """``r`` as a float array; strings and ragged nesting raise :class:`ValidationError`."""
+    try:
+        return np.asarray(r, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"Bloch vector must be an array of real numbers: {exc}") from None
 
 
 def _validate_traceless_hermitian(matrix: np.ndarray, stack: bool = False) -> np.ndarray:
@@ -210,7 +220,7 @@ def _as_bloch(r, d: int | None = None) -> BlochVector:
         if d is not None and check_dim(d) != r.dim:
             raise DimensionError(f"Bloch vector has dimension {r.dim}, but dim {d} was given")
         return r
-    arr = np.asarray(r, dtype=float)
+    arr = _real_array(r)
     return BlochVector(dim=_implied_dim(arr.size) if d is None else d, coords=arr)
 
 
@@ -255,9 +265,11 @@ def pm1_round(r: BlochVector | np.ndarray, dim: int | None = None) -> BlochVecto
     one batched eigendecomposition and returned as an (R, d^2 - 1) array;
     each row equals the rounding of that row alone.
     """
-    stack = not isinstance(r, BlochVector) and np.ndim(r) == 2
+    if not isinstance(r, BlochVector):
+        r = _real_array(r)
+    stack = np.ndim(r) == 2
     if stack:
-        d = check_dim(_implied_dim(np.shape(r)[1]) if dim is None else dim, even=True)
+        d = check_dim(_implied_dim(r.shape[1]) if dim is None else dim, even=True)
         coords = _checked_coords(r, d, stack=True)
     else:
         vec = _as_bloch(r, dim)
@@ -318,6 +330,7 @@ def make_offdiag_imag_pm1(d: int, gammas) -> QuditObservable:
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix."""
     d = check_dim(d)
+    check_type("rng", rng, np.random.Generator)
     z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     phases = np.diagonal(r).copy()

@@ -84,7 +84,7 @@ def _emit_report(args, report: dict) -> None:
 
 
 def cmd_spectrum(args) -> int:
-    # no reference to the state is kept, so rho is freed before the eigendecomposition
+    # no reference to the state is kept, so correlation_matrix frees rho once it is permuted
     tcorr = correlation_matrix(_load_state(args.state, args.dim))
     if args.format == "csv":
         np.savetxt(args.out or sys.stdout, tcorr.matrix, delimiter=",")

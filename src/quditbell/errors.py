@@ -47,6 +47,13 @@ def check_int(name: str, value, minimum: int | None = None) -> int:
     return int(value)
 
 
+def check_type(name: str, value, kind: type):
+    """``value`` itself if it is a ``kind``; anything else, ``None`` or a plain array, fails."""
+    if not isinstance(value, kind):
+        raise ValidationError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 def check_tol(tol) -> float:
     """A tolerance: a finite, non-negative real number; NaN and bools fail it."""
     real = isinstance(tol, (int, float, np.integer, np.floating)) and not isinstance(tol, bool)

@@ -39,7 +39,7 @@ from .bloch import (
 )
 from .errors import (
     CertificationError, DimensionError, ValidationError, check_dim, check_int, check_range,
-    check_sign, check_tol,
+    check_sign, check_tol, check_type,
 )
 from .states import (
     CorrelationMatrix,
@@ -163,6 +163,8 @@ def check_bell_condition(
     from that sign.  Acceptance additionally requires operator norm 1.
     """
     check_tol(tol)
+    check_type("state", state, TwoQuditState)
+    check_type("observable", observable, QuditObservable)
     if observable.dim != state.dim:
         raise DimensionError(
             f"observable dim {observable.dim} does not match state dim {state.dim}"
@@ -223,6 +225,8 @@ def bell_condition_spectral_form(
     """
     sign = check_sign(sign)
     check_tol(tol)
+    check_type("tcorr", tcorr, CorrelationMatrix)
+    check_type("b", b, BlochVector)
     if b.dim != tcorr.dim:
         raise DimensionError(f"Bloch dim {b.dim} does not match correlation dim {tcorr.dim}")
     if abs(b.norm - 1.0) > tol:

@@ -19,8 +19,17 @@ the test suite.
 Memory is what limits large d: rho holds d^4 complex entries (268 MB at d = 64).
 :func:`correlation_matrix` keeps at most three such d^4 buffers alive at once,
 rho included; in its last stage the third is T, which is half of rho's size.
-:func:`ghz` and :func:`maximally_mixed` write rho once and hand it over read-only,
-so :func:`~quditbell.serialize.freeze` does not copy it again.
+Once it has permuted rho it drops its own reference, so a caller that keeps none
+frees rho before the rest of T is built.  :func:`ghz` and :func:`maximally_mixed`
+write rho once and hand it over read-only, so :func:`~quditbell.serialize.freeze`
+does not copy it again.
+
+T's eigendecomposition (:attr:`CorrelationMatrix.spectral`) costs O(n^3) in
+n = d^2 - 1, but T of a GHZ-family state is nearly diagonal: the off-diagonal
+generators are eigenvectors with eigenvalue +-2/d, and at d = 32 only 29 of
+1023 coordinates have a non-zero entry off the diagonal.  Each coordinate whose
+row and column are exactly zero off the diagonal is taken as an exact eigenpair,
+and only the coupled rest goes to ``eigh``; a dense T goes whole to one ``eigh``.
 
 States from outside go through :meth:`TwoQuditState.from_matrix`.  Its
 positivity check is a Cholesky factorisation of ``rho - floor * I`` (with the
@@ -47,7 +56,7 @@ from functools import cached_property
 import numpy as np
 
 from .bloch import BlochVector, QuditObservable
-from .errors import DimensionError, ValidationError, check_dim
+from .errors import DimensionError, ValidationError, check_dim, check_type
 from .gellmann import _apply_u, antisymmetric_rows
 from .serialize import (
     base64_to_complex_matrix,
@@ -260,7 +269,9 @@ class SpectralData:
 class CorrelationMatrix:
     """Real correlation matrix with lazily computed spectral data.
 
-    The eigendecomposition is computed once, on first access.
+    The eigendecomposition of ``(M + M^T) / 2`` is computed once, on first access,
+    by :func:`_split_eigh`: decoupled generator coordinates are exact eigenpairs,
+    and only the coupled rest of the matrix goes to ``np.linalg.eigh``.
     """
 
     dim: int
@@ -276,12 +287,48 @@ class CorrelationMatrix:
 
     @cached_property
     def spectral(self) -> SpectralData:
-        sym = self.matrix + self.matrix.T
-        sym /= 2.0  # in place: the bits of (m + m.T) / 2.0 without a second n^2 buffer
-        eigenvalues, vectors = np.linalg.eigh(sym)
+        eigenvalues, vectors = _split_eigh(self.matrix)
         return SpectralData(
             eigenvalues=freeze(eigenvalues), clusters=cluster_eigenvalues(eigenvalues, vectors)
         )
+
+
+def _sym_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    sym = m + m.T
+    sym /= 2.0  # in place: the bits of (m + m.T) / 2.0 without a second n^2 buffer
+    return np.linalg.eigh(sym)
+
+
+def _split_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and orthonormal eigenvectors of ``S = (M + M^T) / 2``.
+
+    A coordinate i whose row and column of M are exactly zero off the diagonal is
+    decoupled: ``(M[i, i], e_i)`` is an exact eigenpair of S.  Only the coupled rest
+    goes to ``eigh``, as ``(B + B^T) / 2`` with ``B = M[rest][:, rest]``; with nothing
+    decoupled that is the dense ``eigh`` of S, and with nothing coupled no ``eigh``
+    runs.  The two parts are merged by a stable sort of their eigenvalues, each
+    vector written once into the n x n result at its final column.
+    """
+    n = len(m)
+    off = m != 0
+    off.flat[:: n + 1] = False
+    coupled = off.any(axis=0) | off.any(axis=1)
+    del off
+    if coupled.all():
+        return _sym_eigh(m)
+    free, rest = np.flatnonzero(~coupled), np.flatnonzero(coupled)
+    values, block = np.diagonal(m)[free], None
+    if len(rest):
+        rest_values, block = _sym_eigh(m[np.ix_(rest, rest)])
+        values = np.concatenate([values, rest_values])
+    order = np.argsort(values, kind="stable")
+    column = np.empty(n, dtype=np.intp)
+    column[order] = np.arange(n)  # the final column of each eigenpair
+    vectors = np.zeros((n, n))
+    vectors[free, column[: len(free)]] = 1.0
+    if block is not None:
+        vectors[np.ix_(rest, column[len(free) :])] = block
+    return values[order], vectors
 
 
 def correlation_matrix(state: TwoQuditState) -> CorrelationMatrix:
@@ -299,7 +346,9 @@ def correlation_matrix(state: TwoQuditState) -> CorrelationMatrix:
     (the permuted copy of rho and ``U R^T``, then ``U R^T`` and its transpose, then that
     transpose and ``P + iQ``).  ``T`` is written from ``P + iQ`` one generator block at a
     time, so the last stage holds rho, ``P + iQ`` and ``T`` (half of rho's size).  The
-    symmetry check runs in row chunks, and ``T`` is handed over read-only, uncopied.
+    reference to ``state`` is dropped once rho is permuted, so rho is freed there when the
+    caller keeps none.  The symmetry check runs in row chunks, and ``T`` is handed over
+    read-only, uncopied.
 
     A non-zero imaginary part or a NaN or inf anywhere in ``T`` raises
     :class:`ValidationError`; both can only come from a state built without
@@ -309,6 +358,7 @@ def correlation_matrix(state: TwoQuditState) -> CorrelationMatrix:
     n = d * d - 1
     # R^T[(b,k),(a,j)] = rho[jk,ab]; U (U R^T)^T = U R U^T
     r_t = np.ascontiguousarray(state.as_4index().transpose(3, 1, 2, 0)).reshape(d * d, -1)
+    del state  # a caller that keeps no reference frees rho before the rest of T is built
     half = _apply_u(d, r_t.view(float)).view(complex)
     del r_t
     half = np.ascontiguousarray(half.T)
@@ -342,6 +392,9 @@ def correlation_matrix(state: TwoQuditState) -> CorrelationMatrix:
 
 def product_expectation(state: TwoQuditState, a: QuditObservable, b: QuditObservable) -> float:
     """Direct trace ``tr[rho (A (x) B)]``."""
+    check_type("state", state, TwoQuditState)
+    check_type("a", a, QuditObservable)
+    check_type("b", b, QuditObservable)
     if a.dim != state.dim or b.dim != state.dim:
         raise DimensionError(
             f"observable dims ({a.dim}, {b.dim}) do not match state dim {state.dim}"
@@ -354,6 +407,9 @@ def product_expectation(state: TwoQuditState, a: QuditObservable, b: QuditObserv
 
 def bloch_expectation(tcorr: CorrelationMatrix, a: BlochVector, b: BlochVector) -> float:
     """Quadratic-form path: ``(d/2) sum_{n,m} T[n,m] a_n b_m``."""
+    check_type("tcorr", tcorr, CorrelationMatrix)
+    check_type("a", a, BlochVector)
+    check_type("b", b, BlochVector)
     if a.dim != tcorr.dim or b.dim != tcorr.dim:
         raise DimensionError(
             f"Bloch vector dims ({a.dim}, {b.dim}) do not match correlation dim {tcorr.dim}"

@@ -1,5 +1,5 @@
 """One call builds the correlation matrix once and certifies the state once; the
-d = 2 oracle decomposes it once.
+d = 2 oracle decomposes it once, and calls ``eigh`` only on a coupled T.
 
 ``correlation_matrix`` and ``certify_state`` are wrapped with counters in
 every module that binds them, so calls through any import path are seen.
@@ -12,6 +12,8 @@ import pytest
 
 import quditbell
 from quditbell import MaximizeOptions, bellmax, cli, ghz, perfectness, states
+
+from conftest import rotated_ghz
 
 COUNTED = ("correlation_matrix", "certify_state")
 
@@ -45,14 +47,27 @@ def test_maximize_bell_builds_t_once(calls, sign):
     assert calls == {"correlation_matrix": 1, "certify_state": 1}
 
 
+@pytest.fixture
+def decompositions(calls, monkeypatch):
+    """``calls``, also counting the spectral split of T and every ``np.linalg.eigh``."""
+    for module, name in ((states, "_split_eigh"), (np.linalg, "eigh")):
+
+        def counted(*args, _name=name, _real=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("sign", [1, -1])
-def test_exhaustive_qubit_max_builds_t_once_and_decomposes_it_once(calls, monkeypatch, sign):
-    real_eigh = np.linalg.eigh
-
-    def counted_eigh(*args, **kwargs):
-        calls["eigh"] += 1
-        return real_eigh(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+def test_exhaustive_qubit_max_builds_t_once_and_decomposes_it_once(decompositions, sign):
     bellmax.exhaustive_qubit_max(ghz(2), sign, 8)
-    assert calls == {"correlation_matrix": 1, "eigh": 1}
+    # GHZ_2's T is diagonal: every coordinate is decoupled, so no eigh runs
+    assert decompositions == {"correlation_matrix": 1, "_split_eigh": 1}
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_exhaustive_qubit_max_on_a_rotated_state_runs_one_eigh(decompositions, sign):
+    bellmax.exhaustive_qubit_max(rotated_ghz(2, np.random.default_rng(5)), sign, 8)
+    assert decompositions == {"correlation_matrix": 1, "_split_eigh": 1, "eigh": 1}

@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from quditbell import TwoQuditState, cli, ghz, maximally_mixed, perfectness
+from quditbell import TwoQuditState, cli, ghz, maximally_mixed, perfectness, states
 from quditbell.cli import main
 from quditbell.serialize import complex_matrix_to_pairs
 
@@ -77,6 +77,30 @@ class TestSpectrum:
         code, _, err = run_cli(["spectrum", "--state", "whatever"], capsys)
         assert code == 1
         assert "ghz" in err
+
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11),
+        reason="CPython 3.10 keeps call arguments on the caller's stack until the call returns",
+    )
+    def test_state_is_freed_before_the_transform(self, monkeypatch, tmp_path, capsys):
+        source = write_state(tmp_path / "rot4.json", rotated_ghz(4, np.random.default_rng(2)).rho)
+        loaded, alive = [], []
+        load, apply_u = cli._load_state, states._apply_u
+
+        def tracked_load(*args):
+            state = load(*args)
+            loaded.append(weakref.ref(state))
+            return state
+
+        def tracked_apply_u(*args):
+            alive.append(loaded[0]() is not None)
+            return apply_u(*args)
+
+        monkeypatch.setattr(cli, "_load_state", tracked_load)
+        monkeypatch.setattr(states, "_apply_u", tracked_apply_u)
+        code, _, err = run_cli(["spectrum", "--state", source], capsys)
+        assert code == 0, err
+        assert alive == [False, False]  # both halves of the transform run without rho
 
 
 class TestCertify:

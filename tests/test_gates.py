@@ -119,3 +119,61 @@ def test_bell_expression_bloch_rejects_a_foreign_dimension(slot):
     vectors[slot] = _SZ.bloch  # d = 2
     with pytest.raises(qb.DimensionError, match="do not match correlation dim 4"):
         qb.bell_expression_bloch(tcorr, *vectors, 1)
+
+
+def test_haar_unitary_names_a_seed_passed_as_rng():
+    with pytest.raises(ValidationError, match="rng must be a Generator, got int"):
+        qb.haar_unitary(2, 3)
+
+
+_Z = _SZ.bloch.coords  # a plain array where a BlochVector belongs
+
+# name -> (call, the argument it names) with one argument of the wrong type
+TYPE_CALLS = {
+    "product_expectation state": (lambda: qb.product_expectation(_STATE.rho, _SZ, _SZ), "state"),
+    "product_expectation a": (lambda: qb.product_expectation(_STATE, None, _SZ), "a"),
+    "product_expectation b": (lambda: qb.product_expectation(_STATE, _SZ, _SZ.matrix), "b"),
+    "bloch_expectation tcorr": (
+        lambda: qb.bloch_expectation(_TCORR.matrix, _SZ.bloch, _SZ.bloch), "tcorr"
+    ),
+    "bloch_expectation a": (lambda: qb.bloch_expectation(_TCORR, _Z, _SZ.bloch), "a"),
+    "bloch_expectation b": (lambda: qb.bloch_expectation(_TCORR, _SZ.bloch, None), "b"),
+    "check_bell_condition state": (lambda: qb.check_bell_condition(None, _SZ), "state"),
+    "check_bell_condition observable": (
+        lambda: qb.check_bell_condition(_STATE, _SZ.matrix), "observable"
+    ),
+    "bell_condition_spectral_form tcorr": (
+        lambda: qb.bell_condition_spectral_form(None, _SZ.bloch, 1), "tcorr"
+    ),
+    "bell_condition_spectral_form b": (lambda: qb.bell_condition_spectral_form(_TCORR, _Z, 1), "b"),
+    "bell_expression Btilde": (lambda: qb.bell_expression(_STATE, _SX, _SZ, None, 1), "Btilde"),
+    "bell_expression_bloch tcorr": (
+        lambda: qb.bell_expression_bloch(None, _SX.bloch, _SZ.bloch, _SX.bloch, 1), "tcorr"
+    ),
+    "bell_expression_bloch a": (
+        lambda: qb.bell_expression_bloch(_TCORR, _Z, _SZ.bloch, _SX.bloch, 1), "a"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", TYPE_CALLS)
+def test_type_gate_names_the_argument(name):
+    call, argument = TYPE_CALLS[name]
+    with pytest.raises(ValidationError, match=f"^{argument} must be a "):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        qb.in_pm1_shell,
+        qb.in_bloch_region,
+        qb.from_bloch,
+        qb.pm1_round,
+        lambda r: qb.BlochVector(dim=2, coords=r),
+    ],
+)
+@pytest.mark.parametrize("bad", ["abc", [[0.0, 1.0], [1.0]], [{}, 1.0, 0.0]])
+def test_non_numeric_bloch_vector_is_named(call, bad):
+    with pytest.raises(ValidationError, match="Bloch vector must be an array of real numbers"):
+        call(bad)

@@ -71,10 +71,11 @@ class TestCorrelationMatrix:
         values = {round(c.value, 9): c.multiplicity for c in spectral.clusters}
         assert values == {round(2 / 3, 9): 5, round(-2 / 3, 9): 3}
 
-    @pytest.mark.parametrize("d", range(2, 8))
+    @pytest.mark.parametrize("d", range(2, 33))
     def test_ghz_norm_and_multiplicities(self, d):
         spectral = correlation_matrix(ghz(d)).spectral
         assert abs(spectral.spectral_norm - 2.0 / d) <= 1e-11
+        assert len(spectral.clusters) == 2
         by_mult = {c.multiplicity: c.value for c in spectral.clusters}
         assert by_mult[d * (d - 1) // 2 + (d - 1)] == pytest.approx(2.0 / d, abs=1e-11)
         assert by_mult[d * (d - 1) // 2] == pytest.approx(-2.0 / d, abs=1e-11)
@@ -96,15 +97,21 @@ class TestCorrelationMatrix:
         assert len(rows) == 3
         assert_allclose(np.loadtxt(path, delimiter=","), np.diag([1.0, -1.0, 1.0]), atol=1e-12)
 
-    def test_eigh_runs_once_per_matrix(self, monkeypatch):
-        calls = []
-        real = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or real(m))
+    def test_eigh_runs_once_per_matrix(self, monkeypatch, rng):
+        calls, eighs = [], []
+        split, eigh = states._split_eigh, np.linalg.eigh
+        monkeypatch.setattr(states, "_split_eigh", lambda m: calls.append(m) or split(m))
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: eighs.append(m) or eigh(m))
+        # every generator coordinate of GHZ_2 and GHZ_4 is decoupled: no eigh runs
         first, second = correlation_matrix(ghz(2)), correlation_matrix(ghz(4))
         for tcorr in (first, second, first, second):
             assert tcorr.spectral is tcorr.spectral
             assert tcorr.spectral_norm == pytest.approx(2 / tcorr.dim, abs=1e-12)
-        assert len(calls) == 2
+        assert len(calls) == 2 and eighs == []
+        # a rotated state's T is dense: one eigh of the whole matrix
+        rotated = correlation_matrix(rotated_ghz(4, rng))
+        assert rotated.spectral is rotated.spectral
+        assert len(calls) == 3 and len(eighs) == 1 and eighs[0].shape == (15, 15)
 
     def test_clusters_cover_dimension(self):
         spectral = correlation_matrix(ghz(5)).spectral
@@ -188,8 +195,7 @@ class TestSparseTransform:
             reference, symmetric = _mask_reference(state)
             assert_bitwise_equal(tcorr.matrix, reference)
             assert tcorr.symmetric == symmetric
-            sym = (reference + reference.T) / 2.0
-            assert_bitwise_equal(tcorr.spectral.eigenvalues, np.linalg.eigh(sym)[0])
+            assert_spectrum_is_the_dense_one(tcorr.spectral, reference)
 
     @pytest.mark.parametrize("d", [16, 24])
     def test_bitwise_equal_to_mask_reference_at_large_d(self, d, rng):
@@ -199,11 +205,52 @@ class TestSparseTransform:
         reference, symmetric = _mask_reference(state)
         assert_bitwise_equal(tcorr.matrix, reference)
         assert tcorr.symmetric and symmetric
+        assert_spectrum_is_the_dense_one(tcorr.spectral, reference)
+
+
+class TestSplitEigh:
+    """``_split_eigh`` decomposes ``(M + M^T) / 2`` exactly like a dense ``eigh``."""
+
+    @staticmethod
+    def _planted(kind, rng, n=40):
+        s = rng.standard_normal((n, n))
+        s = (s + s.T) / 2.0
+        if kind == "block diagonal":  # three blocks and 8 decoupled coordinates, permuted
+            labels = rng.permutation(np.repeat(np.arange(4), [12, 11, 9, 8]))
+            s[labels[:, None] != labels[None, :]] = 0.0
+            s[np.ix_(labels == 3, labels == 3)] = np.diag(rng.standard_normal(8))
+        elif kind == "diagonal":
+            s = np.diag(np.round(rng.standard_normal(n), 1))  # with ties
+        elif kind in ("one pair", "one asymmetric entry"):
+            s = np.diag(rng.standard_normal(n))
+            s[7, 23] = 0.5
+            if kind == "one pair":
+                s[23, 7] = 0.5
+        return s
+
+    @pytest.mark.parametrize(
+        "kind", ["block diagonal", "diagonal", "dense", "one pair", "one asymmetric entry"]
+    )
+    def test_matches_a_dense_decomposition(self, kind, rng):
+        m = self._planted(kind, rng)
+        sym = (m + m.T) / 2.0
+        values, vectors = states._split_eigh(m)
+        assert np.all(np.diff(values) >= 0)
+        assert np.max(np.abs(values - np.linalg.eigvalsh(sym))) <= 1e-13
+        assert np.max(np.abs(vectors.T @ vectors - np.eye(len(m)))) <= 1e-12
+        assert np.linalg.norm(sym @ vectors - vectors * values) <= 1e-12
 
 
 def assert_bitwise_equal(actual, expected):
     assert actual.shape == expected.shape
     assert np.array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+def assert_spectrum_is_the_dense_one(spectral, t):
+    """A dense T's eigenpairs are bitwise those of one ``eigh`` of ``(T + T^T) / 2``."""
+    values, vectors = np.linalg.eigh((t + t.T) / 2.0)
+    assert_bitwise_equal(spectral.eigenvalues, values)
+    assert_bitwise_equal(np.hstack([c.vectors for c in spectral.clusters]), vectors)
 
 
 def _mask_reference(state):
