@@ -65,6 +65,8 @@ COMMANDS = [
     "lhv --models 2000 --sign - --seed 3 --out lhv.json",
     "lhv --models 500 --sign +",
     "lhv --models 3 --sign + --seed -1",
+    "certify --dim four",
+    "maximize --state ghz --dim 2",
 ]
 
 

@@ -37,13 +37,14 @@ import numpy as np
 
 from .bloch import SET_TOL, BlochVector, QuditObservable, from_bloch, pm1_round
 from .errors import (
-    CertificationError, DimensionError, ValidationError, check_dim, check_int, check_range,
-    check_sign, check_tol, check_type,
+    CertificationError, DimensionError, ValidationError, check_int, check_range, check_sign,
+    check_tol, check_type,
 )
 from .perfectness import certify_state, correlation_spectrum, find_perfect_observables
 from .states import (
     CorrelationMatrix,
     TwoQuditState,
+    bloch_expectation,
     correlation_matrix,
     product_expectation,
 )
@@ -123,6 +124,7 @@ class BellMaxReport:
 
 def write_trace_csv(report: BellMaxReport, path) -> None:
     """Convergence trace as ``restart,iteration,value`` rows."""
+    check_type("report", report, BellMaxReport)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("restart,iteration,value\n")
         for restart, iteration, value in report.trace:
@@ -153,20 +155,15 @@ def bell_expression_bloch(
     btilde: BlochVector,
     sign: int,
 ) -> float:
-    """Correlation-matrix evaluation ``(d/2)(|<a, T(b - b~)>| +- <b, T b~>)``."""
+    """Correlation-matrix evaluation ``|E(a, b) - E(a, b~)| +- E(b, b~)``, each ``E`` a
+    :func:`~quditbell.states.bloch_expectation` ``(d/2) <x, T y>``, which gates ``tcorr``."""
     sign = check_sign(sign)
-    check_type("tcorr", tcorr, CorrelationMatrix)
     for vec, name in ((a, "a"), (b, "b"), (btilde, "btilde")):
         check_type(name, vec, BlochVector)
-    if {a.dim, b.dim, btilde.dim} != {tcorr.dim}:
-        raise DimensionError(
-            f"Bloch vector dims ({a.dim}, {b.dim}, {btilde.dim}) do not match "
-            f"correlation dim {tcorr.dim}"
-        )
-    t = tcorr.matrix
-    first = abs(float(a.coords @ (t @ (b.coords - btilde.coords))))
-    second = float(b.coords @ (t @ btilde.coords))
-    return tcorr.dim / 2.0 * (first + sign * second)
+    e_ab = bloch_expectation(tcorr, a, b)
+    e_abt = bloch_expectation(tcorr, a, btilde)
+    e_bbt = bloch_expectation(tcorr, b, btilde)
+    return abs(e_ab - e_abt) + sign * e_bbt
 
 
 def scalar_bound() -> tuple[float, float]:
@@ -250,13 +247,12 @@ def maximize_bell(
     restart index); the reported value is recomputed by direct traces.
     """
     sign = check_sign(sign)
-    opts = opts or MaximizeOptions()
-    d = check_dim(state.dim, even=True)
-    if not state.symmetric:
-        raise ValidationError("state is not swap-symmetric; the maximization requires symmetry")
+    opts = MaximizeOptions() if opts is None else check_type("opts", opts, MaximizeOptions)
 
     start = time.perf_counter()
+    # certify_state gates the state, its even d and its swap symmetry before any work
     membership = certify_state(state, tol=max(opts.tol, 1e-12), seed=opts.seed)
+    d = membership.dim
     witnesses = find_perfect_observables(membership, sign, WITNESS_COUNT)
     tmat = membership.tcorr.matrix
     indices = range(opts.restarts)
@@ -338,7 +334,7 @@ def exhaustive_qubit_max(state: TwoQuditState, sign: int, grid_steps: int) -> fl
     across tiles.
     """
     sign = check_sign(sign)
-    if state.dim != 2:
+    if check_type("state", state, TwoQuditState).dim != 2:
         raise DimensionError(f"the exhaustive oracle is defined for d = 2 only, got {state.dim}")
     check_int("grid_steps", grid_steps, 2)
     if not state.symmetric:
@@ -413,7 +409,7 @@ def chsh_optimal_settings(
     With singular values s1 >= s2, the settings reach ``2 sqrt(s1^2 + s2^2)``
     (2 sqrt(2) on the maximally entangled state).
     """
-    if state.dim != 2:
+    if check_type("state", state, TwoQuditState).dim != 2:
         raise DimensionError(f"closed-form CHSH settings are for d = 2 only, got {state.dim}")
     tmat = correlation_matrix(state).matrix
     u_mat, svals, vt = np.linalg.svd(tmat)

@@ -21,7 +21,6 @@ representation of the generators; none builds the dense basis.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,13 +29,7 @@ from .errors import (
     DimensionError, ValidationError, check_dim, check_int, check_sign, check_tol, check_type,
 )
 from .gellmann import generator_entries
-from .serialize import (
-    complex_matrix_to_pairs,
-    freeze,
-    load_payload,
-    pairs_to_complex_matrix,
-    real_vector_to_list,
-)
+from .serialize import complex_matrix_to_pairs, freeze, real_vector_to_list
 
 # Default tolerance for set-membership tests; well above eigensolver error
 # for the dimensions this package targets (d <= 64).
@@ -110,15 +103,6 @@ class QuditObservable:
             "bloch": self.bloch.to_list(),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, payload: str) -> "QuditObservable":
-        d, pairs = load_payload(payload, "observable payload", "matrix")
-        matrix = pairs_to_complex_matrix(pairs, (d, d))
-        return cls.from_matrix(matrix)
-
 
 def _checked_coords(coords, d: int, stack: bool = False) -> np.ndarray:
     """Finite float coordinates of shape (d^2 - 1,), or (R, d^2 - 1) for a ``stack``."""
@@ -132,11 +116,14 @@ def _checked_coords(coords, d: int, stack: bool = False) -> np.ndarray:
 
 
 def _real_array(r) -> np.ndarray:
-    """``r`` as a float array; strings and ragged nesting raise :class:`ValidationError`."""
+    """``r`` as a float array; complex, string or ragged input raises :class:`ValidationError`."""
     try:
-        return np.asarray(r, dtype=float)
+        arr = np.asarray(r)
+        if arr.dtype.kind != "c":
+            return arr.astype(float, copy=False)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"Bloch vector must be an array of real numbers: {exc}") from None
+    raise ValidationError(f"Bloch vector must be an array of real numbers, got {arr.dtype} entries")
 
 
 def _validate_traceless_hermitian(matrix: np.ndarray, stack: bool = False) -> np.ndarray:
@@ -280,10 +267,18 @@ def pm1_round(r: BlochVector | np.ndarray, dim: int | None = None) -> BlochVecto
     return rounded if stack else BlochVector(dim=d, coords=rounded)
 
 
+def _listed(name: str, values) -> list:
+    """``values`` as a list; a non-iterable raises :class:`ValidationError` naming it."""
+    try:
+        return list(values)
+    except TypeError:
+        raise ValidationError(f"{name} must be a sequence, got {type(values).__name__}") from None
+
+
 def make_diag_pm1(d: int, signs) -> QuditObservable:
     """Diagonal observable ``sum_m signs_m |m><m|`` with balanced +-1 signs."""
     d = check_dim(d, even=True)
-    signs = [check_sign(s) for s in signs]
+    signs = [check_sign(s) for s in _listed("signs", signs)]
     if len(signs) != d:
         raise ValidationError(f"need {d} signs, got {len(signs)}")
     if sum(signs) != 0:
@@ -295,7 +290,7 @@ def make_diag_pm1(d: int, signs) -> QuditObservable:
 def _offdiag_pm1(d: int, gammas, lower: complex, upper: complex) -> QuditObservable:
     """``sum (-1)^g_m (lower |m+1><m| + upper |m><m+1|)`` over the level pairs."""
     d = check_dim(d, even=True)
-    gammas = [check_int("gamma", g, 0) for g in gammas]
+    gammas = [check_int("gamma", g, 0) for g in _listed("gammas", gammas)]
     if len(gammas) != d // 2:
         raise ValidationError(f"need {d // 2} gamma exponents (one per level pair), got {len(gammas)}")
     matrix = np.zeros((d, d), dtype=complex)

@@ -8,11 +8,11 @@ machine-readable reports:
 * ``maximize``  - constrained maximization of the Bell combination
 * ``lhv``       - Monte-Carlo check of the classical bound 1
 
-Exit codes: 0 success, 1 input error, 2 certification failure, 3 bound
-violation.  Reports are the library's ``to_dict()`` dicts, and this module is
-the one place that encodes them.  Output JSON is deterministic for a fixed
-config and seed; ``--timing`` adds a separate field here, so default reports
-are byte-identical.
+Exit codes: 0 success, 1 input error (a usage error included), 2 certification
+failure, 3 bound violation.  Reports are the library's ``to_dict()`` dicts, and
+this module is the one place that encodes them.  Output JSON is deterministic
+for a fixed config and seed; ``--timing`` adds a separate field here, so default
+reports are byte-identical.
 """
 
 from __future__ import annotations
@@ -172,8 +172,15 @@ def cmd_lhv(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a :class:`ValidationError` (exit 1), not exit 2; subparsers inherit it."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quditbell",
         description="Bell-inequality analysis of two-qudit states with perfect correlations",
     )

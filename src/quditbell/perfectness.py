@@ -160,15 +160,12 @@ def check_bell_condition(
 
     Picks the sign with the smaller residual, then records every joint
     probability on eigenprojection pairs whose eigenvalue product differs
-    from that sign.  Acceptance additionally requires operator norm 1.
+    from that sign.  Acceptance additionally requires operator norm 1.  An
+    observable of another dimension fails :func:`product_expectation`'s gate.
     """
     check_tol(tol)
     check_type("state", state, TwoQuditState)
     check_type("observable", observable, QuditObservable)
-    if observable.dim != state.dim:
-        raise DimensionError(
-            f"observable dim {observable.dim} does not match state dim {state.dim}"
-        )
     eigenvalues, vectors = np.linalg.eigh(observable.matrix)
     op_norm = check_range(np.max(np.abs(eigenvalues)), "observable", tol)
     value = product_expectation(state, observable, observable)
@@ -206,13 +203,10 @@ def check_bell_condition(
 def correlation_spectrum(tcorr: CorrelationMatrix) -> SpectralData:
     """Eigendecomposition of T with eigenvalues grouped into multiplets.
 
-    Requires a symmetric correlation matrix (i.e. a swap-symmetric state).
+    Requires a symmetric correlation matrix (i.e. a swap-symmetric state); the gate
+    is :attr:`CorrelationMatrix.spectral`'s, which every read of T's spectrum passes.
     """
-    if not tcorr.symmetric:
-        raise ValidationError(
-            "correlation matrix is not symmetric; spectral analysis needs a swap-symmetric state"
-        )
-    return tcorr.spectral
+    return check_type("tcorr", tcorr, CorrelationMatrix).spectral
 
 
 def bell_condition_spectral_form(
@@ -335,7 +329,7 @@ def certify_state(
     check_tol(tol)
     check_int("restarts", restarts, 0)
     check_int("seed", seed, 0)
-    d = check_dim(state.dim, even=True)
+    d = check_dim(check_type("state", state, TwoQuditState).dim, even=True)
     if not state.symmetric:
         raise ValidationError("state is not swap-symmetric; certification requires symmetry")
     tcorr = correlation_matrix(state)
@@ -396,7 +390,7 @@ def find_perfect_observables(
     """
     sign = check_sign(sign)
     check_int("count", count, 1)
-    d = membership.dim
+    d = check_type("membership", membership, ClassMembership).dim
     entry = membership.for_sign(sign)
     if entry.cluster is None:
         raise CertificationError(

@@ -1,4 +1,4 @@
-"""JSON helpers for complex matrices and real vectors.
+"""JSON helpers for state files, complex matrices and real vectors.
 
 Complex matrices have two JSON encodings, both row-major and both exact:
 
@@ -21,16 +21,16 @@ from .errors import ValidationError, check_int
 _C16 = np.dtype("<c16")
 
 
-def load_payload(payload: str | bytes, what: str, key: str) -> tuple:
-    """``(dim, data[key])`` of the JSON object ``what``, with ``dim`` an integer >= 2; invalid
-    JSON, a non-object, a missing key or a bad ``dim`` raise a named :class:`ValidationError`."""
+def load_payload(payload: str | bytes) -> tuple:
+    """``(dim, data["rho"])`` of a state file, the one JSON input, with ``dim`` an integer >= 2;
+    invalid JSON, a non-object, a missing key or a bad ``dim`` raise :class:`ValidationError`."""
     try:
         data = json.loads(payload)
     except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8/16/32
-        raise ValidationError(f"{what} is not valid JSON: {exc}") from None
-    if not isinstance(data, dict) or not {"dim", key} <= data.keys():
-        raise ValidationError(f"{what} must be a JSON object with keys 'dim' and {key!r}")
-    return check_int("dim", data["dim"], 2), data[key]
+        raise ValidationError(f"state file is not valid JSON: {exc}") from None
+    if not isinstance(data, dict) or not {"dim", "rho"} <= data.keys():
+        raise ValidationError("state file must be a JSON object with keys 'dim' and 'rho'")
+    return check_int("dim", data["dim"], 2), data["rho"]
 
 
 def complex_matrix_to_pairs(matrix: np.ndarray) -> list[list[float]]:

@@ -166,7 +166,7 @@ class TwoQuditState:
     @classmethod
     def _load(cls, read) -> "TwoQuditState":
         # read() goes to the parser unnamed, so nothing here keeps a file's bytes
-        d, rho = load_payload(read(), "state file", "rho")
+        d, rho = load_payload(read())
         decode = base64_to_complex_matrix if isinstance(rho, str) else pairs_to_complex_matrix
         matrix = decode(rho, (d * d, d * d))
         del rho  # the base64 text or the pair lists: the gates need only the matrix
@@ -269,9 +269,10 @@ class SpectralData:
 class CorrelationMatrix:
     """Real correlation matrix with lazily computed spectral data.
 
-    The eigendecomposition of ``(M + M^T) / 2`` is computed once, on first access,
-    by :func:`_split_eigh`: decoupled generator coordinates are exact eigenpairs,
-    and only the coupled rest of the matrix goes to ``np.linalg.eigh``.
+    The eigendecomposition is computed once, on first access, by :func:`_split_eigh`
+    (decoupled generator coordinates are exact eigenpairs; only the coupled rest goes to
+    ``np.linalg.eigh``).  Only a symmetric T has one: on any other, :attr:`spectral` and
+    :attr:`spectral_norm` raise :class:`ValidationError`.
     """
 
     dim: int
@@ -287,6 +288,10 @@ class CorrelationMatrix:
 
     @cached_property
     def spectral(self) -> SpectralData:
+        if not self.symmetric:
+            raise ValidationError(
+                "correlation matrix is not symmetric; spectral analysis needs a swap-symmetric state"
+            )
         eigenvalues, vectors = _split_eigh(self.matrix)
         return SpectralData(
             eigenvalues=freeze(eigenvalues), clusters=cluster_eigenvalues(eigenvalues, vectors)
@@ -354,7 +359,7 @@ def correlation_matrix(state: TwoQuditState) -> CorrelationMatrix:
     :class:`ValidationError`; both can only come from a state built without
     :meth:`TwoQuditState.from_matrix`.
     """
-    d = state.dim
+    d = check_type("state", state, TwoQuditState).dim
     n = d * d - 1
     # R^T[(b,k),(a,j)] = rho[jk,ab]; U (U R^T)^T = U R U^T
     r_t = np.ascontiguousarray(state.as_4index().transpose(3, 1, 2, 0)).reshape(d * d, -1)

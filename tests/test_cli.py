@@ -405,6 +405,28 @@ def test_pair_and_base64_files_give_identical_reports(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, match",
+    [
+        ("certify --dim four", "argument --dim: invalid int value: 'four'"),
+        ("maximize --state ghz --dim 2", "the following arguments are required: --sign"),
+        ("spectrum --bogus", "unrecognized arguments: --bogus"),
+    ],
+)
+def test_usage_error_is_input_error(argv, match, capsys):
+    # argparse's own exit code 2 is the documented code of a certification failure
+    code, out, err = run_cli(argv.split(), capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("input error: quditbell") and match in err
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--help"])
+    assert exc.value.code == 0
+    assert "--restarts" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
     "payload",
     [
         '{"dim": 2.7, "rho": []}',

@@ -2,6 +2,7 @@
 ``quditbell.errors``: one rule, one named error, and a plain int in reports."""
 
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -121,6 +122,11 @@ def test_bell_expression_bloch_rejects_a_foreign_dimension(slot):
         qb.bell_expression_bloch(tcorr, *vectors, 1)
 
 
+def test_check_bell_condition_rejects_a_foreign_dimension():
+    with pytest.raises(qb.DimensionError, match="match state dim 4"):
+        qb.check_bell_condition(qb.ghz(4), _SZ)
+
+
 def test_haar_unitary_names_a_seed_passed_as_rng():
     with pytest.raises(ValidationError, match="rng must be a Generator, got int"):
         qb.haar_unitary(2, 3)
@@ -153,6 +159,18 @@ TYPE_CALLS = {
     "bell_expression_bloch a": (
         lambda: qb.bell_expression_bloch(_TCORR, _Z, _SZ.bloch, _SX.bloch, 1), "a"
     ),
+    "certify_state state": (lambda: qb.certify_state(_STATE.rho), "state"),
+    "correlation_matrix state": (lambda: qb.correlation_matrix(_STATE.rho), "state"),
+    "chsh_optimal_settings state": (lambda: qb.chsh_optimal_settings(_STATE.rho), "state"),
+    "exhaustive_qubit_max state": (lambda: qb.exhaustive_qubit_max(None, 1, 4), "state"),
+    "maximize_bell state": (lambda: qb.maximize_bell(None, 1), "state"),
+    "maximize_bell opts": (lambda: qb.maximize_bell(_STATE, 1, {"restarts": 2}), "opts"),
+    "find_perfect_observables membership": (
+        lambda: qb.find_perfect_observables(None, 1), "membership"
+    ),
+    "write_trace_csv report": (lambda: qb.write_trace_csv(None, os.devnull), "report"),
+    "make_diag_pm1 signs": (lambda: qb.make_diag_pm1(4, 5), "signs"),
+    "make_offdiag_real_pm1 gammas": (lambda: qb.make_offdiag_real_pm1(4, None), "gammas"),
 }
 
 
@@ -173,7 +191,10 @@ def test_type_gate_names_the_argument(name):
         lambda r: qb.BlochVector(dim=2, coords=r),
     ],
 )
-@pytest.mark.parametrize("bad", ["abc", [[0.0, 1.0], [1.0]], [{}, 1.0, 0.0]])
+@pytest.mark.parametrize(
+    "bad", ["abc", [[0.0, 1.0], [1.0]], [{}, 1.0, 0.0], np.array([0.5 + 1j, 0.0, 0.0])]
+)
+@pytest.mark.filterwarnings("error")  # a complex vector must not be cast with a ComplexWarning
 def test_non_numeric_bloch_vector_is_named(call, bad):
     with pytest.raises(ValidationError, match="Bloch vector must be an array of real numbers"):
         call(bad)

@@ -152,6 +152,23 @@ class TestSpectrum:
         with pytest.raises(ValidationError, match="symmetric"):
             correlation_spectrum(tcorr)
 
+    def test_every_read_of_an_asymmetric_spectrum_is_gated(self, rng):
+        # a random full-rank state: (T + T^T) / 2 has a smaller norm than T, so no read of
+        # T's spectrum may decompose the symmetric part in T's place
+        tcorr = correlation_matrix(random_state(4, rng))
+        assert not tcorr.symmetric
+        reads = {
+            "spectral": lambda: tcorr.spectral,
+            "spectral_norm": lambda: tcorr.spectral_norm,
+            "correlation_spectrum": lambda: correlation_spectrum(tcorr),
+            "bell_condition_spectral_form": lambda: bell_condition_spectral_form(
+                tcorr, make_diag_pm1(4, [1, 1, -1, -1]).bloch, 1
+            ),
+        }
+        for name, read in reads.items():
+            with pytest.raises(ValidationError, match="^correlation matrix is not symmetric; "):
+                read()
+
 
 class TestSpectralForm:
     def test_ghz2_directions(self):
@@ -344,6 +361,51 @@ class TestEigenspaceMapping:
             r = make_offdiag_imag_pm1(d, gammas).bloch.coords
             plus_part = plus.vectors.T @ r
             assert np.linalg.norm(plus_part) <= 1e-10
+
+
+def _pure_state(psi):
+    psi = psi / np.linalg.norm(psi)
+    return TwoQuditState.from_matrix(np.outer(psi, psi.conj()))
+
+
+def _takagi_spectrum(m):
+    """T's eigenvalues for psi = vec(M), M = M^T, from M's singular values s: +-2 s_j s_k
+    (j < k), and diag(2 s^2) compressed to the traceless diagonal subspace."""
+    d = len(m)
+    s = np.linalg.svd(m / np.linalg.norm(m), compute_uv=False)
+    j, k = np.triu_indices(d, 1)
+    pairs = 2.0 * s[j] * s[k]
+    # eigenvalue 0 of the centring projector belongs to (1, ..., 1); the rest span sum x = 0
+    traceless = np.linalg.eigh(np.eye(d) - 1.0 / d)[1][:, 1:]
+    diagonal = np.linalg.eigvalsh(traceless.T @ np.diag(2.0 * s**2) @ traceless)
+    return np.sort(np.concatenate([pairs, -pairs, diagonal]))
+
+
+class TestPureSymmetricStates:
+    """An exact oracle for T's spectrum, independent of the generators and of T's eigh."""
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_spectrum_matches_the_takagi_values(self, d, rng):
+        for _ in range(5):
+            z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            m = z + z.T
+            state = _pure_state(m.reshape(-1))
+            assert state.symmetric
+            spectral = correlation_spectrum(correlation_matrix(state))
+            assert np.max(np.abs(spectral.eigenvalues - _takagi_spectrum(m))) <= 1e-12
+
+    def test_pure_symmetric_qubit_states_are_correlated(self, rng):
+        for _ in range(8):
+            z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            assert certify_state(_pure_state((z + z.T).reshape(-1))).for_sign(1).certified
+
+    @pytest.mark.parametrize("d", [2, 4, 6])
+    def test_rotated_maximally_entangled_states_certify_both_signs(self, d, rng):
+        from quditbell.bloch import haar_unitary
+
+        u = haar_unitary(d, rng)
+        membership = certify_state(_pure_state(np.kron(u, u) @ np.eye(d).reshape(-1)))
+        assert membership.for_sign(1).certified and membership.for_sign(-1).certified
 
 
 def test_search_options_flow_through():

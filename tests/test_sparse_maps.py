@@ -4,7 +4,6 @@ The dense ``(d^2-1, d, d)`` basis stays the reference these tests compare
 against; no library path may build it.
 """
 
-import json
 import sys
 
 import numpy as np
@@ -68,6 +67,3 @@ def test_non_finite_observable_rejected_by_name(bad):
             to_bloch(matrix)
         with pytest.raises(ValidationError, match="observable entries must be finite"):
             QuditObservable.from_matrix(matrix)
-        payload = {"dim": 2, "matrix": [[float(z), 0.0] for z in matrix.reshape(-1)]}
-        with pytest.raises(ValidationError, match="observable entries must be finite"):
-            QuditObservable.from_json(json.dumps(payload))

@@ -190,12 +190,18 @@ class TestSparseTransform:
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_bitwise_equal_to_mask_reference(self, d, rng):
-        for state in (random_state(d, rng), random_state(d, rng, symmetric=True)):
+        for state, symmetric in ((random_state(d, rng), False), (random_state(d, rng, True), True)):
             tcorr = correlation_matrix(state)
-            reference, symmetric = _mask_reference(state)
+            reference, reference_symmetric = _mask_reference(state)
             assert_bitwise_equal(tcorr.matrix, reference)
-            assert tcorr.symmetric == symmetric
-            assert_spectrum_is_the_dense_one(tcorr.spectral, reference)
+            assert tcorr.symmetric == reference_symmetric == symmetric
+            if symmetric:
+                assert_spectrum_is_the_dense_one(tcorr.spectral, reference)
+                continue
+            # an asymmetric T has no spectrum behind the gate; its split eigh is still dense
+            with pytest.raises(ValidationError, match="^correlation matrix is not symmetric"):
+                tcorr.spectral
+            assert_eigh_is_the_dense_one(*states._split_eigh(tcorr.matrix), reference)
 
     @pytest.mark.parametrize("d", [16, 24])
     def test_bitwise_equal_to_mask_reference_at_large_d(self, d, rng):
@@ -246,11 +252,16 @@ def assert_bitwise_equal(actual, expected):
     assert np.array_equal(actual.view(np.uint64), expected.view(np.uint64))
 
 
-def assert_spectrum_is_the_dense_one(spectral, t):
+def assert_eigh_is_the_dense_one(values, vectors, t):
     """A dense T's eigenpairs are bitwise those of one ``eigh`` of ``(T + T^T) / 2``."""
-    values, vectors = np.linalg.eigh((t + t.T) / 2.0)
-    assert_bitwise_equal(spectral.eigenvalues, values)
-    assert_bitwise_equal(np.hstack([c.vectors for c in spectral.clusters]), vectors)
+    dense_values, dense_vectors = np.linalg.eigh((t + t.T) / 2.0)
+    assert_bitwise_equal(values, dense_values)
+    assert_bitwise_equal(vectors, dense_vectors)
+
+
+def assert_spectrum_is_the_dense_one(spectral, t):
+    vectors = np.hstack([c.vectors for c in spectral.clusters])
+    assert_eigh_is_the_dense_one(spectral.eigenvalues, vectors, t)
 
 
 def _mask_reference(state):
