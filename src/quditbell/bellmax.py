@@ -36,11 +36,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .bloch import SET_TOL, BlochVector, QuditObservable, from_bloch, pm1_round
-from .errors import (
-    CertificationError, DimensionError, ValidationError, check_int, check_range, check_sign,
-    check_tol, check_type,
-)
-from .perfectness import certify_state, correlation_spectrum, find_perfect_observables
+from .errors import DimensionError, check_int, check_range, check_sign, check_tol, check_type
+from .perfectness import _certified, certify_state, find_perfect_observables
 from .states import (
     CorrelationMatrix,
     TwoQuditState,
@@ -320,11 +317,9 @@ def exhaustive_qubit_max(state: TwoQuditState, sign: int, grid_steps: int) -> fl
     a full Bloch-sphere grid and the a-maximization is the exact norm
     ``||T(b - b~)||`` (every unit vector is admissible at d = 2).
 
-    T's spectrum is :func:`~quditbell.perfectness.correlation_spectrum`'s, the
-    one eigendecomposition per call, so T must pass its symmetry gate.  The
-    spectral norm must be at most 1 + 1e-9, and the eigenspace is the multiplet
-    whose mean lies within 1e-9 of ``sign``, as in
-    :func:`~quditbell.perfectness.certify_state`.
+    The state must be certified for ``sign`` by
+    :func:`~quditbell.perfectness.certify_state`, whose membership supplies T
+    and the eigenspace.
 
     Every (b, b~) pair of the two grids is still scanned, with no pruning,
     in tiles of 400 b-points by 128 b~-points.  One small matrix product per
@@ -337,21 +332,9 @@ def exhaustive_qubit_max(state: TwoQuditState, sign: int, grid_steps: int) -> fl
     if check_type("state", state, TwoQuditState).dim != 2:
         raise DimensionError(f"the exhaustive oracle is defined for d = 2 only, got {state.dim}")
     check_int("grid_steps", grid_steps, 2)
-    if not state.symmetric:
-        raise ValidationError("the oracle requires a swap-symmetric state")
-    tcorr = correlation_matrix(state)
-    spectral = correlation_spectrum(tcorr)
-    if not spectral.spectral_norm <= 1.0 + 1e-9:
-        raise ValidationError(
-            f"two-qubit correlation matrix has spectral norm {spectral.spectral_norm:.6f} > 1"
-        )
-    cluster = spectral.cluster_at(float(sign), 1e-9)
-    if cluster is None:
-        raise CertificationError(
-            f"state has no eigenvalue {sign:+d} in its correlation spectrum; "
-            "no observable satisfies the perfectness constraint"
-        )
-    subspace = cluster.vectors
+    membership = certify_state(state)
+    subspace = _certified(membership, sign).cluster.vectors
+    tcorr = membership.tcorr
     tmat = (tcorr.matrix + tcorr.matrix.T) / 2.0  # the matrix whose eigenvectors these are
     k = subspace.shape[1]
     if k == 1:
@@ -394,6 +377,8 @@ def chsh_value(
     b2: QuditObservable,
 ) -> float:
     """|E(A1,B1) + E(A1,B2) + E(A2,B1) - E(A2,B2)| by direct traces."""
+    for obs, name in ((a1, "A1"), (a2, "A2"), (b1, "B1"), (b2, "B2")):
+        check_range(check_type(name, obs, QuditObservable).operator_norm, name, SET_TOL)
     e11 = product_expectation(state, a1, b1)
     e12 = product_expectation(state, a1, b2)
     e21 = product_expectation(state, a2, b1)

@@ -13,14 +13,14 @@ in ``(m, k)``), then the full antisymmetric block (same order), then the
 diagonal matrices for ``l = 1 .. d-1``.  For d=2 this gives ``[sx, sy, sz]``;
 for d=3 the eight Gell-Mann matrices in the grouped order.
 
-The families are written down once, in :func:`generator_entries`: the
-entries of a real ``(d^2-1) x d^2`` matrix U whose row n is ``L_n`` flattened
-row-major (divided by ``i`` on the antisymmetric rows), two per off-diagonal
-generator and ``l+1`` for diagonal label ``l``.  U is the one representation
-the library computes with: the correlation matrix applies it
-(:func:`_apply_u`), the Bloch maps and the witness search read its entries,
-and none needs the dense ``(d^2-1, d, d)`` array, which :func:`build_basis`
-expands for callers that want the matrices themselves.
+The families are listed in :func:`generator_entries`: the entries of a real
+``(d^2-1) x d^2`` matrix U whose row n is ``L_n`` flattened row-major
+(divided by ``i`` on the antisymmetric rows), two per off-diagonal generator
+and ``l+1`` for diagonal label ``l``.  The Bloch maps and the witness search
+read these entries; the correlation matrix applies U through :func:`_apply_u`,
+which writes the off-diagonal layout again, as slices per row index m, and
+``test_apply_u_is_bitwise_the_stored_order_sum`` ties the two.  No library
+path needs the dense ``(d^2-1, d, d)`` array that :func:`build_basis` expands.
 """
 
 from __future__ import annotations

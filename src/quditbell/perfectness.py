@@ -296,6 +296,8 @@ def _witnesses(cluster: EigenCluster, d: int, sign: int, tol: float, restarts: i
         for _ in range(_PROJECTION_ITERS):
             if res <= tol:
                 break
+            # ``.coords`` is the BlochVector's contiguous copy; the strided ``.real`` view
+            # it is made from changes BLAS's summation order, and the witnesses' last bits.
             c_new = eigvecs.T @ pm1_round(eigvecs @ c, d).coords
             nrm = np.linalg.norm(c_new)
             if nrm < 1e-12:
@@ -373,6 +375,23 @@ def certify_state(
     )
 
 
+def _certified(membership: ClassMembership, sign: int) -> SignWitness:
+    """``membership``'s result for ``sign``, whose ``cluster`` is T's eigenspace at
+    ``sign * 2/d``; raises :class:`CertificationError` unless the sign is certified."""
+    entry = membership.for_sign(sign)
+    if entry.cluster is None:
+        raise CertificationError(
+            f"no extreme eigenvalue {entry.sign * 2.0 / membership.dim:+.6f} in the spectrum "
+            f"(spectral norm {membership.spectral_norm:.6f})"
+        )
+    if not entry.certified:
+        raise CertificationError(
+            f"witness search failed for sign {entry.sign:+d}: best operator-norm residual "
+            f"{entry.norm_residual:.3e} after {entry.restarts_used} restarts"
+        )
+    return entry
+
+
 def find_perfect_observables(
     membership: ClassMembership, sign: int, count: int = 4
 ) -> list[QuditObservable]:
@@ -391,18 +410,7 @@ def find_perfect_observables(
     sign = check_sign(sign)
     check_int("count", count, 1)
     d = check_type("membership", membership, ClassMembership).dim
-    entry = membership.for_sign(sign)
-    if entry.cluster is None:
-        raise CertificationError(
-            f"no extreme eigenvalue {sign * 2.0 / d:+.6f} in the spectrum "
-            f"(spectral norm {membership.spectral_norm:.6f})"
-        )
-    if not entry.certified:
-        raise CertificationError(
-            f"witness search failed for sign {sign:+d}: best operator-norm residual "
-            f"{entry.norm_residual:.3e} after {entry.restarts_used} restarts"
-        )
-
+    entry = _certified(membership, sign)
     budget = max(DEFAULT_RESTARTS, 4 * count, entry.restarts_used)
     found: list[np.ndarray] = []
     for coords, _, _ in _witnesses(entry.cluster, d, sign, membership.tol, budget, membership.seed):

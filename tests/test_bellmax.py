@@ -30,6 +30,7 @@ from quditbell import (
     write_trace_csv,
 )
 from quditbell.bellmax import OUTCOME_GRID, WITNESS_COUNT, _lhv_values, _sphere_grid
+from quditbell.bloch import haar_unitary
 from quditbell.cli import main as cli_main
 
 from conftest import SX, SZ, random_state, random_traceless_hermitian, rotated_ghz, singlet
@@ -142,6 +143,12 @@ class TestExhaustiveOracle:
         with pytest.raises(CertificationError):
             exhaustive_qubit_max(maximally_mixed(2), 1, 10)
 
+    def test_gates_are_certify_states(self, rng):
+        with pytest.raises(ValidationError, match="not swap-symmetric; certification requires"):
+            exhaustive_qubit_max(random_state(2, rng), 1, 10)
+        with pytest.raises(CertificationError, match=r"no extreme eigenvalue \+1\.000000"):
+            exhaustive_qubit_max(singlet(), 1, 10)
+
     @pytest.mark.parametrize("grid_steps", [2.5, np.float64(3.0), float("nan"), 1, 0])
     def test_grid_steps_gate(self, grid_steps):
         with pytest.raises(ValidationError, match="grid_steps"):
@@ -190,6 +197,52 @@ class TestOracleReference:
         # eigenspace of T = -I for -1 is all of R^3: b runs over the sphere grid too
         blocked = exhaustive_qubit_max(singlet(), -1, grid_steps)
         assert abs(blocked - _per_b_oracle(singlet(), -1, grid_steps)) <= 1e-15
+
+
+_BELL_STATES = {
+    "phi+": [1, 0, 0, 1], "phi-": [1, 0, 0, -1], "psi+": [0, 1, 1, 0], "psi-": [0, 1, -1, 0]
+}
+
+
+def _rotated_bell_mixture(first, second, p, rng):
+    """p |first><first| + (1 - p) |second><second| of two Bell states, conjugated by a
+    Haar U (x) U."""
+    a, b = (np.array(_BELL_STATES[name], dtype=complex) / np.sqrt(2) for name in (first, second))
+    rho = p * np.outer(a, a.conj()) + (1 - p) * np.outer(b, b.conj())
+    uu = np.kron(*[haar_unitary(2, rng)] * 2)
+    return TwoQuditState.from_matrix(uu @ rho @ uu.conj().T)
+
+
+def _closed_form_qubit_max(state, sign):
+    """tau + 1/(1 + tau), the exact d = 2 maximum for a state with T b = sign b.
+
+    Over a, the value is ||T(b - b~)||; writing b~ = x b + b~_perp, it is at most
+    sqrt((1 - x)^2 + tau^2 (1 - x^2)) + x, largest at x = 1/(1 + tau), where tau is
+    the norm of T off b: 1 when T's sign-eigenspace has dimension >= 2, else the
+    largest |eigenvalue| off that eigenspace.
+    """
+    eigenvalues = np.linalg.eigvalsh(correlation_matrix(state).matrix)
+    on = np.abs(eigenvalues - sign) <= 1e-9
+    tau = 1.0 if on.sum() >= 2 else float(np.max(np.abs(eigenvalues[~on])))
+    return tau + 1.0 / (1.0 + tau)
+
+
+class TestOracleClosedForm:
+    # each pair's correlation matrices share one eigenvalue, sign, on a common axis;
+    # p = 1 is a pure Bell state, where tau = 1 and the maximum is 3/2
+    @pytest.mark.parametrize(
+        "first, second, sign",
+        [
+            ("phi+", "phi-", 1), ("phi+", "psi+", 1), ("phi+", "psi-", -1),
+            ("phi-", "psi+", 1), ("phi-", "psi-", -1), ("psi+", "psi-", -1),
+        ],
+    )
+    def test_grid_is_below_and_close_to_the_closed_form(self, first, second, sign, rng):
+        for p in np.r_[1.0, rng.uniform(size=9)]:
+            state = _rotated_bell_mixture(first, second, p, rng)
+            exact = _closed_form_qubit_max(state, sign)
+            assert exhaustive_qubit_max(state, sign, 40) <= exact + 1e-12
+            assert exact - exhaustive_qubit_max(state, sign, 200) <= 1e-8
 
 
 class TestMaximize:

@@ -1,5 +1,6 @@
 """One call builds the correlation matrix once and certifies the state once; the
-d = 2 oracle decomposes it once, and calls ``eigh`` only on a coupled T.
+d = 2 oracle takes T and its eigenspace from that one ``certify_state``, so it
+decomposes T once, and calls ``eigh`` only on a coupled T.
 
 ``correlation_matrix`` and ``certify_state`` are wrapped with counters in
 every module that binds them, so calls through any import path are seen.
@@ -64,10 +65,12 @@ def decompositions(calls, monkeypatch):
 def test_exhaustive_qubit_max_builds_t_once_and_decomposes_it_once(decompositions, sign):
     bellmax.exhaustive_qubit_max(ghz(2), sign, 8)
     # GHZ_2's T is diagonal: every coordinate is decoupled, so no eigh runs
-    assert decompositions == {"correlation_matrix": 1, "_split_eigh": 1}
+    assert decompositions == {"correlation_matrix": 1, "certify_state": 1, "_split_eigh": 1}
 
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_exhaustive_qubit_max_on_a_rotated_state_runs_one_eigh(decompositions, sign):
     bellmax.exhaustive_qubit_max(rotated_ghz(2, np.random.default_rng(5)), sign, 8)
-    assert decompositions == {"correlation_matrix": 1, "_split_eigh": 1, "eigh": 1}
+    assert decompositions == {
+        "correlation_matrix": 1, "certify_state": 1, "_split_eigh": 1, "eigh": 1
+    }

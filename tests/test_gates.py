@@ -132,6 +132,19 @@ def test_haar_unitary_names_a_seed_passed_as_rng():
         qb.haar_unitary(2, 3)
 
 
+@pytest.mark.parametrize(
+    "slots, name", [((0,), "A1"), ((1,), "A2"), ((2,), "B1"), ((3,), "B2"), (range(4), "A1")]
+)
+def test_chsh_value_gates_the_range_of_each_observable(slots, name):
+    # the CHSH-optimal settings give 2 sqrt(2); all four scaled by 2 read 4 x 2 sqrt(2) ungated
+    settings = list(qb.chsh_optimal_settings(_STATE))
+    assert abs(qb.chsh_value(_STATE, *settings) - 2 * np.sqrt(2)) <= 1e-12
+    for slot in slots:
+        settings[slot] = qb.QuditObservable.from_matrix(2 * settings[slot].matrix)
+    with pytest.raises(ValidationError, match=rf"^{name} has eigenvalues outside \[-1, 1\]"):
+        qb.chsh_value(_STATE, *settings)
+
+
 _Z = _SZ.bloch.coords  # a plain array where a BlochVector belongs
 
 # name -> (call, the argument it names) with one argument of the wrong type
@@ -162,6 +175,7 @@ TYPE_CALLS = {
     "certify_state state": (lambda: qb.certify_state(_STATE.rho), "state"),
     "correlation_matrix state": (lambda: qb.correlation_matrix(_STATE.rho), "state"),
     "chsh_optimal_settings state": (lambda: qb.chsh_optimal_settings(_STATE.rho), "state"),
+    "chsh_value B1": (lambda: qb.chsh_value(_STATE, _SX, _SZ, None, _SZ), "B1"),
     "exhaustive_qubit_max state": (lambda: qb.exhaustive_qubit_max(None, 1, 4), "state"),
     "maximize_bell state": (lambda: qb.maximize_bell(None, 1), "state"),
     "maximize_bell opts": (lambda: qb.maximize_bell(_STATE, 1, {"restarts": 2}), "opts"),

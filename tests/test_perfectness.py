@@ -408,6 +408,34 @@ class TestPureSymmetricStates:
         assert membership.for_sign(1).certified and membership.for_sign(-1).certified
 
 
+def _symmetric_state_of_rank(d, rank, rng):
+    """Random swap-symmetric state of the given rank: Gaussian columns projected onto the
+    symmetric subspace first, and onto the antisymmetric one once that is full."""
+    swap = np.eye(d * d).reshape(d, d, d, d).transpose(1, 0, 2, 3).reshape(d * d, d * d)
+    n_sym = min(rank, d * (d + 1) // 2)
+    z = rng.standard_normal((d * d, rank)) + 1j * rng.standard_normal((d * d, rank))
+    z[:, :n_sym] += swap @ z[:, :n_sym]
+    z[:, n_sym:] -= swap @ z[:, n_sym:]
+    rho = z @ z.conj().T
+    return TwoQuditState.from_matrix(rho / np.trace(rho).real)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_spectrum_matches_the_realigned_state(d, rng):
+    # M[(j,k),(b,a)] = rho[(j,a),(k,b)] compressed to vec(I)^perp has T's spectrum / 2.
+    # This oracle uses no generators, so it also checks U and _apply_u.
+    complement = np.linalg.svd(np.eye(d).reshape(1, d * d))[2][1:].T
+    for rank in sorted({1, 2, d, d * d}):
+        state = _symmetric_state_of_rank(d, rank, rng)
+        assert state.symmetric and np.linalg.matrix_rank(state.rho, tol=1e-10) == rank
+        marginal = np.trace(state.rho.reshape(d, d, d, d), axis1=1, axis2=3)
+        assert np.linalg.norm(marginal - np.eye(d) / d) > 1e-3
+        m = state.rho.reshape(d, d, d, d).transpose(0, 2, 3, 1).reshape(d * d, d * d)
+        oracle = np.sort(2.0 * np.linalg.eigvalsh(complement.T @ m @ complement))
+        spectral = correlation_spectrum(correlation_matrix(state))
+        assert np.max(np.abs(spectral.eigenvalues - oracle)) <= 1e-12
+
+
 def test_search_options_flow_through():
     membership = certify_state(ghz(6), restarts=4, seed=9)
     assert membership.in_class
