@@ -67,6 +67,7 @@ COMMANDS = [
     "lhv --models 3 --sign + --seed -1",
     "certify --dim four",
     "maximize --state ghz --dim 2",
+    "spectrum --state ghz --dim 3",
 ]
 
 

@@ -294,8 +294,8 @@ def maximize_bell(
 # --------------------------------------------------------------------------
 
 
-# b-points by b~-points per tile of exhaustive_qubit_max's Gram evaluation
-_ORACLE_TILE = (400, 128)
+# (b, b~) pairs per Gram product of exhaustive_qubit_max
+_ORACLE_PAIRS = 51_200
 
 
 def _sphere_grid(steps: int) -> np.ndarray:
@@ -322,11 +322,11 @@ def exhaustive_qubit_max(state: TwoQuditState, sign: int, grid_steps: int) -> fl
     and the eigenspace.
 
     Every (b, b~) pair of the two grids is still scanned, with no pruning,
-    in tiles of 400 b-points by 128 b~-points.  One small matrix product per
-    tile gives every pair's Gram form
+    in slices of ``max(1, 51200 // n_b)`` b~-points against all n_b b-points.
+    One small matrix product per slice gives every pair's Gram form
     ``||T(b - b~)||^2 = ||Tb||^2 + ||Tb~||^2 - 2 <T^2 b, b~>`` (clamped at 0
     before the square root) and ``sign <b, T b~>``; the maximum is kept
-    across tiles.
+    across slices.
     """
     sign = check_sign(sign)
     if check_type("state", state, TwoQuditState).dim != 2:
@@ -337,35 +337,33 @@ def exhaustive_qubit_max(state: TwoQuditState, sign: int, grid_steps: int) -> fl
     tcorr = membership.tcorr
     tmat = (tcorr.matrix + tcorr.matrix.T) / 2.0  # the matrix whose eigenvectors these are
     k = subspace.shape[1]
+    grid = _sphere_grid(grid_steps)
     if k == 1:
         b_points = np.stack([subspace[:, 0], -subspace[:, 0]])
     elif k == 2:
         alphas = np.arange(2 * grid_steps) * (np.pi / grid_steps)
         b_points = np.cos(alphas)[:, None] * subspace[:, 0] + np.sin(alphas)[:, None] * subspace[:, 1]
     else:
-        b_points = _sphere_grid(grid_steps) @ subspace.T
+        b_points = grid @ subspace.T
 
-    btil = _sphere_grid(grid_steps)
     # T is symmetric, so row i of `t_b` is T b_i and row j of `t_btil` is T b~_j
-    t_b, t_btil = b_points @ tmat, btil @ tmat
+    t_b, t_btil = b_points @ tmat, grid @ tmat
     n_b = len(b_points)
     # against the column [b~, ||Tb~||^2, 1], the row [-2 T^2 b, 1, ||Tb||^2] of `dist`
     # gives ||T(b - b~)||^2 and the row [sign Tb, 0, 0] of `corr` gives sign <b, T b~>
     dist = np.column_stack([-2.0 * (t_b @ tmat), np.ones(n_b), np.sum(t_b * t_b, axis=1)])
     corr = np.column_stack([sign * t_b, np.zeros((n_b, 2))])
-    columns = np.vstack([btil.T, np.sum(t_btil * t_btil, axis=1), np.ones(len(btil))])
-    b_tile, btil_tile = _ORACLE_TILE
+    rows = np.vstack([dist, corr])
+    columns = np.vstack([grid.T, np.sum(t_btil * t_btil, axis=1), np.ones(len(grid))])
+    width = max(1, _ORACLE_PAIRS // n_b)
     best = -np.inf
-    for i in range(0, n_b, b_tile):
-        rows = np.vstack([dist[i : i + b_tile], corr[i : i + b_tile]])
-        n = len(rows) // 2
-        for j in range(0, columns.shape[1], btil_tile):
-            tile = rows @ columns[:, j : j + btil_tile]
-            value = tile[:n]
-            np.maximum(value, 0.0, out=value)
-            np.sqrt(value, out=value)
-            value += tile[n:]
-            best = max(best, float(value.max()))
+    for j in range(0, columns.shape[1], width):
+        tile = rows @ columns[:, j : j + width]
+        value = tile[:n_b]
+        np.maximum(value, 0.0, out=value)
+        np.sqrt(value, out=value)
+        value += tile[n_b:]
+        best = max(best, float(value.max()))
     return best
 
 

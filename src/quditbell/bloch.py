@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    DimensionError, ValidationError, check_dim, check_int, check_sign, check_tol, check_type,
+    DimensionError, ValidationError, check_dim, check_hermitian, check_int, check_numbers,
+    check_sign, check_tol, check_type,
 )
 from .gellmann import generator_entries
 from .serialize import complex_matrix_to_pairs, freeze, real_vector_to_list
@@ -41,6 +42,11 @@ _TRACELESS_TOL = 1e-10
 
 def operator_norm(matrix: np.ndarray) -> float:
     """Largest absolute eigenvalue of a hermitian matrix."""
+    return _operator_norm(check_hermitian(matrix, "matrix", "M", _HERMITICITY_TOL))
+
+
+def _operator_norm(matrix: np.ndarray) -> float:
+    """:func:`operator_norm` of a matrix that is already gated or hermitian by construction."""
     return float(np.max(np.abs(np.linalg.eigvalsh(matrix))))
 
 
@@ -91,7 +97,7 @@ class QuditObservable:
 
     @property
     def operator_norm(self) -> float:
-        return operator_norm(self.matrix)
+        return _operator_norm(self.matrix)
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
@@ -116,26 +122,13 @@ def _checked_coords(coords, d: int, stack: bool = False) -> np.ndarray:
 
 
 def _real_array(r) -> np.ndarray:
-    """``r`` as a float array; complex, string or ragged input raises :class:`ValidationError`."""
-    try:
-        arr = np.asarray(r)
-        if arr.dtype.kind != "c":
-            return arr.astype(float, copy=False)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"Bloch vector must be an array of real numbers: {exc}") from None
-    raise ValidationError(f"Bloch vector must be an array of real numbers, got {arr.dtype} entries")
+    """``r`` as a float array; complex, string, bool or ragged ``r`` fails its numbers check."""
+    arr = check_numbers(r, "Bloch vector must be an array of real numbers", "iuf")
+    return arr.astype(float, copy=False)
 
 
 def _validate_traceless_hermitian(matrix: np.ndarray, stack: bool = False) -> np.ndarray:
-    # Every gate is "not (ok)" and reduces over the whole stack, so one NaN fails it.
-    matrix = np.asarray(matrix, dtype=complex)
-    if matrix.ndim != 2 + stack or matrix.shape[-1] != matrix.shape[-2]:
-        raise ValidationError(f"observable must be a square matrix, got shape {matrix.shape}")
-    if not np.all(np.isfinite(matrix)):
-        raise ValidationError("observable entries must be finite")
-    herm_residual = float(np.max(np.abs(matrix - matrix.conj().swapaxes(-1, -2)), initial=0.0))
-    if not herm_residual <= _HERMITICITY_TOL:
-        raise ValidationError(f"observable is not hermitian: max |X - X^dag| = {herm_residual:.3e}")
+    matrix = check_hermitian(matrix, "observable", "X", _HERMITICITY_TOL, stack)
     trace_residual = float(np.max(np.abs(np.trace(matrix, axis1=-2, axis2=-1)), initial=0.0))
     if not trace_residual <= _TRACELESS_TOL:
         raise ValidationError(f"observable is not traceless: |tr X| = {trace_residual:.3e}")
@@ -166,7 +159,7 @@ def _generator_sum(coords: np.ndarray, d: int) -> np.ndarray:
 
 def _shell_residual(coords: np.ndarray, d: int) -> float:
     """``| ||r . L||_op - sqrt(2/d) |``: how far ``r`` is from the shell's norm condition."""
-    return abs(operator_norm(_generator_sum(coords, d)) - np.sqrt(2.0 / d))
+    return abs(_operator_norm(_generator_sum(coords, d)) - np.sqrt(2.0 / d))
 
 
 def _bloch_coords(matrix: np.ndarray, stack: bool = False) -> np.ndarray:
@@ -220,7 +213,7 @@ def in_bloch_region(r: BlochVector | np.ndarray, tol: float = SET_TOL) -> bool:
     """True iff the operator norm of ``r . L`` is at most sqrt(2/d) + tol."""
     check_tol(tol)
     vec = _as_bloch(r)
-    return operator_norm(_generator_sum(vec.coords, vec.dim)) <= np.sqrt(2.0 / vec.dim) + tol
+    return _operator_norm(_generator_sum(vec.coords, vec.dim)) <= np.sqrt(2.0 / vec.dim) + tol
 
 
 def in_pm1_shell(r: BlochVector | np.ndarray, tol: float = SET_TOL) -> bool:

@@ -100,23 +100,16 @@ def cmd_spectrum(args) -> int:
         "spectral_norm": spectral.spectral_norm,
     }
     if args.state == "ghz":
-        plus = spectral.cluster_at(2.0 / d, 1e-11)
-        minus = spectral.cluster_at(-2.0 / d, 1e-11)
-        expected_plus_mult = d * (d - 1) // 2 + (d - 1)
-        expected_minus_mult = d * (d - 1) // 2
-        matches = (
-            len(spectral.clusters) == 2
-            and plus is not None
-            and minus is not None
-            and plus.multiplicity == expected_plus_mult
-            and minus.multiplicity == expected_minus_mult
-        )
+        minus, plus = (-2.0 / d, d * (d - 1) // 2), (2.0 / d, d * (d - 1) // 2 + d - 1)
+        found = [(c.value, c.multiplicity) for c in spectral.clusters]  # ascending values
         report["ghz_expected"] = {
-            "plus_eigenvalue": 2.0 / d,
-            "plus_multiplicity": expected_plus_mult,
-            "minus_eigenvalue": -2.0 / d,
-            "minus_multiplicity": expected_minus_mult,
-            "matches": matches,
+            "plus_eigenvalue": plus[0],
+            "plus_multiplicity": plus[1],
+            "minus_eigenvalue": minus[0],
+            "minus_multiplicity": minus[1],
+            "matches": len(found) == 2 and all(
+                abs(v - w) <= 1e-11 and m == n for (v, m), (w, n) in zip(found, (minus, plus))
+            ),
         }
     _emit_report(args, report)
     return EXIT_OK

@@ -1,12 +1,14 @@
 """Exception types shared across the package, and the one gate per input rule.
 
-Each gate returns the checked value as a plain Python number, which reports
-can store and ``json.dumps`` can write.
+Each scalar gate returns a plain Python number, which reports can store and
+``json.dumps`` can write.  Each array gate returns the checked array:
+:func:`check_numbers` for any array, :func:`check_hermitian` for rho or an observable.
 """
 
 import numpy as np
 
 DIMENSION_CAP = 64  # largest d for dense two-qudit arrays: rho and T need O(d^4) memory
+_MIRROR_ROWS = 64  # rows per chunk of mirror_residual
 
 
 class QuditBellError(Exception):
@@ -93,3 +95,41 @@ def check_dim(d, even: bool = False, cap: bool = False) -> int:
             f"dimension {d} exceeds cap {DIMENSION_CAP}; two-qudit arrays need O(d^4) memory"
         )
     return int(d)
+
+
+def check_numbers(value, rule: str, kinds: str = "iufc") -> np.ndarray:
+    """``value`` as an array whose dtype kind is in ``kinds``; ragged nesting, strings,
+    bools and objects fail with ``rule``, e.g. "state must be a matrix of numbers"."""
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:  # ragged nesting
+        raise ValidationError(f"{rule}: {exc}") from None
+    if arr.dtype.kind not in kinds:
+        raise ValidationError(f"{rule}, got {arr.dtype} entries")
+    return arr
+
+
+def mirror_residual(m: np.ndarray) -> float:
+    """``max |M - M^dag|`` of a square matrix, or of a stack (..., n, n), one chunk of rows
+    at a time: the dense formula's entries, 0 for an empty stack.  A NaN or inf entry gives
+    NaN or inf (inf - inf on the diagonal, with numpy's invalid-value warning)."""
+    res, k = 0.0, _MIRROR_ROWS
+    for i in range(0, m.shape[-1], k):  # np.maximum, unlike max(), keeps a NaN
+        res = np.maximum(res, np.max(
+            np.abs(m[..., i : i + k, :] - m[..., i : i + k].conj().swapaxes(-1, -2)), initial=0.0
+        ))
+    return float(res)
+
+
+def check_hermitian(m, what: str, symbol: str, tol: float, stack: bool = False) -> np.ndarray:
+    """``m`` as a complex, non-empty, finite square matrix, or a (R, n, n) ``stack`` of them,
+    with ``max |M - M^dag| <= tol``; ``what`` and ``symbol`` name it in the messages."""
+    m = check_numbers(m, f"{what} must be a matrix of numbers").astype(complex, copy=False)
+    if m.ndim != 2 + stack or m.shape[-1] != m.shape[-2] or not m.shape[-1]:
+        raise ValidationError(f"{what} must be a non-empty square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValidationError(f"{what} entries must be finite")
+    res = mirror_residual(m)
+    if not res <= tol:
+        raise ValidationError(f"{what} is not hermitian: max |{symbol} - {symbol}^dag| = {res:.3e}")
+    return m

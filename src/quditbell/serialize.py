@@ -16,7 +16,7 @@ import json
 
 import numpy as np
 
-from .errors import ValidationError, check_int
+from .errors import ValidationError, check_int, check_numbers
 
 _C16 = np.dtype("<c16")
 
@@ -42,14 +42,8 @@ def complex_matrix_to_pairs(matrix: np.ndarray) -> list[list[float]]:
 def pairs_to_complex_matrix(pairs, shape: tuple[int, int]) -> np.ndarray:
     """Rebuild a complex matrix from row-major ``[[re, im], ...]`` pairs of numbers."""
     n_expect = shape[0] * shape[1]
-    try:
-        arr = np.asarray(pairs)
-    except ValueError:  # ragged nesting
-        raise ValidationError(
-            f"matrix payload must be {n_expect} [re, im] pairs, got a ragged list"
-        ) from None
-    if arr.dtype.kind not in "iuf":
-        raise ValidationError(f"matrix payload entries must be numbers, got {arr.dtype} entries")
+    rule = f"matrix payload entries must be numbers, in {n_expect} [re, im] pairs"
+    arr = check_numbers(pairs, rule, "iuf")
     if arr.shape != (n_expect, 2):
         raise ValidationError(
             f"matrix payload must be {n_expect} [re, im] pairs, got shape {arr.shape}"

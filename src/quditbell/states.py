@@ -56,7 +56,9 @@ from functools import cached_property
 import numpy as np
 
 from .bloch import BlochVector, QuditObservable
-from .errors import DimensionError, ValidationError, check_dim, check_type
+from .errors import (
+    DimensionError, ValidationError, check_dim, check_hermitian, check_type, mirror_residual,
+)
 from .gellmann import _apply_u, antisymmetric_rows
 from .serialize import (
     base64_to_complex_matrix,
@@ -71,7 +73,6 @@ _TRACE_TOL = 1e-12
 _HERM_TOL = 1e-12
 _PSD_FLOOR = -1e-10
 _SWAP_TOL = 1e-12
-_MIRROR_ROWS = 64  # rows per chunk of the hermiticity check of rho and the symmetry check of T
 # json.dumps({"dim": d, "rho": text}) for an int d and base64 text is head % d, text, tail
 _FILE_HEAD, _FILE_TAIL = '{"dim": %d, "rho": "', '"}'
 
@@ -94,31 +95,18 @@ class TwoQuditState:
     def from_matrix(cls, rho: np.ndarray) -> "TwoQuditState":
         """Validate ``rho`` as a density matrix on C^d (x) C^d and cache its swap symmetry.
 
-        ``rho`` must be a finite square matrix of numbers of size d^2 (d >= 2), hermitian and of
-        unit trace.  It is positive semidefinite when ``rho - floor * I = L L^dag`` has a
-        Cholesky factor, with ``floor = -1e-10``; when the factorisation fails, ``eigvalsh``
+        ``rho`` must pass :func:`~quditbell.errors.check_hermitian` (to 1e-12) and have size d^2
+        (d >= 2) and unit trace.  It is positive semidefinite when ``rho - floor * I = L L^dag``
+        has a Cholesky factor, with ``floor = -1e-10``; when the factorisation fails, ``eigvalsh``
         decides, and a minimum eigenvalue below the floor (or NaN) is rejected with that
         eigenvalue in the message.  Any failed gate raises :class:`ValidationError`.
         """
-        try:
-            rho = np.asarray(rho)
-        except ValueError as exc:  # ragged nesting
-            raise ValidationError(f"state must be a matrix of numbers: {exc}") from None
-        if rho.dtype.kind not in "iufc":  # strings, bools and objects are not numbers
-            raise ValidationError(f"state must be a matrix of numbers, got {rho.dtype} entries")
-        rho = rho.astype(complex, copy=False)
-        if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-            raise ValidationError(f"state must be a square matrix, got shape {rho.shape}")
+        rho = check_hermitian(rho, "state", "rho", _HERM_TOL)
         d = int(round(np.sqrt(rho.shape[0])))
         if d * d != rho.shape[0] or d < 2:
             raise ValidationError(
                 f"state dimension {rho.shape[0]} is not d^2 for an integer d >= 2"
             )
-        if not np.all(np.isfinite(rho)):
-            raise ValidationError("state entries must be finite")
-        herm = _mirror_residual(rho)
-        if herm > _HERM_TOL:
-            raise ValidationError(f"state is not hermitian: max |rho - rho^dag| = {herm:.3e}")
         trace_res = abs(complex(np.trace(rho)) - 1.0)
         if trace_res > _TRACE_TOL:
             raise ValidationError(f"state trace differs from 1: residual {trace_res:.3e}")
@@ -182,16 +170,6 @@ class TwoQuditState:
             fh.write((_FILE_HEAD % self.dim).encode("ascii"))
             fh.write(complex_matrix_to_base64_bytes(self.rho))
             fh.write(_FILE_TAIL.encode("ascii"))
-
-
-def _mirror_residual(m: np.ndarray) -> float:
-    """``max |M - M^dag|`` of a square matrix, one chunk of rows at a time: the dense
-    formula's entries.  A NaN or inf entry gives NaN or inf (inf - inf on the diagonal)."""
-    with np.errstate(invalid="ignore"):
-        return float(np.max([  # np.max, unlike max(), keeps a NaN
-            np.max(np.abs(m[i : i + _MIRROR_ROWS] - m[:, i : i + _MIRROR_ROWS].conj().T))
-            for i in range(0, len(m), _MIRROR_ROWS)
-        ]))
 
 
 def _swap_residual(rho: np.ndarray, d: int) -> float:
@@ -388,7 +366,8 @@ def correlation_matrix(state: TwoQuditState) -> CorrelationMatrix:
     resid = float(np.max(resids))  # np.max, unlike max(), keeps a NaN
     if not resid <= 1e-12:
         raise ValidationError(f"correlation matrix has imaginary residual {resid:.3e}")
-    asym = _mirror_residual(t)  # NaN or inf for a NaN or inf anywhere in T
+    with np.errstate(invalid="ignore"):
+        asym = mirror_residual(t)  # NaN or inf for a NaN or inf anywhere in T
     if not np.isfinite(asym):
         raise ValidationError(f"correlation matrix is not finite: max |T - T^T| = {asym:.3e}")
     t.setflags(write=False)
@@ -405,6 +384,8 @@ def product_expectation(state: TwoQuditState, a: QuditObservable, b: QuditObserv
             f"observable dims ({a.dim}, {b.dim}) do not match state dim {state.dim}"
         )
     value = complex(np.einsum("jkab,aj,bk->", state.as_4index(), a.matrix, b.matrix))
+    if not np.isfinite(value):  # a state built without from_matrix can hold a NaN
+        raise ValidationError(f"expectation is not finite: {value}")
     if abs(value.imag) > 1e-12 * max(1.0, abs(value)):
         raise ValidationError(f"expectation has imaginary residual {value.imag:.3e}")
     return float(value.real)

@@ -206,9 +206,51 @@ def test_type_gate_names_the_argument(name):
     ],
 )
 @pytest.mark.parametrize(
-    "bad", ["abc", [[0.0, 1.0], [1.0]], [{}, 1.0, 0.0], np.array([0.5 + 1j, 0.0, 0.0])]
+    "bad",
+    [
+        "abc",
+        [[0.0, 1.0], [1.0]],
+        [{}, 1.0, 0.0],
+        np.array([0.5 + 1j, 0.0, 0.0]),
+        ["0", "0", "1"],
+        [False, False, True],
+    ],
 )
 @pytest.mark.filterwarnings("error")  # a complex vector must not be cast with a ComplexWarning
 def test_non_numeric_bloch_vector_is_named(call, bad):
     with pytest.raises(ValidationError, match="Bloch vector must be an array of real numbers"):
         call(bad)
+
+
+@pytest.mark.parametrize("call", [qb.to_bloch, qb.QuditObservable.from_matrix, qb.operator_norm])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "abc",
+        [["a", "b"], ["c", "d"]],
+        [[1, 0], [0]],
+        {"a": 1},
+        None,
+        np.array([[False, True], [True, False]]),
+    ],
+    ids=["string", "strings", "ragged", "dict", "None", "bool-sx"],
+)
+def test_non_numeric_matrix_is_named(call, bad):
+    with pytest.raises(ValidationError, match="must be a matrix of numbers"):
+        call(bad)
+
+
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        # eigvalsh reads one triangle, so a non-hermitian matrix must fail before it
+        ([[1, 2], [3, 4]], r"^matrix is not hermitian: max \|M - M\^dag\| = 1\.000e\+00$"),
+        ([[np.nan, 0], [0, 1]], "^matrix entries must be finite$"),
+        (np.ones(3), r"^matrix must be a non-empty square matrix, got shape \(3,\)$"),
+        (np.zeros((2, 2, 2)), r"^matrix must be a non-empty square matrix, got shape \(2, 2, 2\)$"),
+        (np.zeros((0, 0)), r"^matrix must be a non-empty square matrix, got shape \(0, 0\)$"),
+    ],
+)
+def test_operator_norm_gates_its_matrix(bad, match):
+    with pytest.raises(ValidationError, match=match):
+        qb.operator_norm(bad)

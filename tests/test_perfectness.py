@@ -101,16 +101,6 @@ class TestCheckBellCondition:
         with pytest.raises(ValidationError, match="operator norm"):
             check_bell_condition(ghz(2), nan)
 
-    def test_nan_joint_probability_is_a_violation(self):
-        # bypasses from_matrix: a NaN in rho makes every joint probability NaN
-        rho = ghz(2).rho.copy()
-        rho[0, 0] = np.nan
-        state = TwoQuditState(dim=2, rho=rho, symmetric=True)
-        cert = check_bell_condition(state, QuditObservable.from_matrix(SZ))
-        assert cert.spectral_violations
-        assert all(np.isnan(v.probability) for v in cert.spectral_violations)
-        assert not cert.accepted
-
     def test_json_payload(self):
         cert = check_bell_condition(ghz(2), QuditObservable.from_matrix(SZ))
         payload = json.loads(json.dumps(cert.to_dict()))

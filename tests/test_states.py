@@ -11,8 +11,10 @@ from quditbell import (
     QuditObservable,
     TwoQuditState,
     ValidationError,
+    bell_expression,
     bloch_expectation,
     build_basis,
+    check_bell_condition,
     correlation_matrix,
     from_bloch,
     ghz,
@@ -21,7 +23,7 @@ from quditbell import (
     product_expectation,
 )
 
-from quditbell import gellmann, states
+from quditbell import errors, gellmann, states
 from quditbell.bloch import haar_unitary
 from quditbell.serialize import complex_matrix_to_base64, complex_matrix_to_pairs, freeze
 from quditbell.states import cluster_eigenvalues
@@ -187,6 +189,24 @@ class TestSparseTransform:
         rho[entry] += bad
         with pytest.raises(ValidationError, match=match):
             correlation_matrix(TwoQuditState(dim=d, rho=rho, symmetric=False))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda state, obs: product_expectation(state, obs, obs),
+            lambda state, obs: bell_expression(state, obs, obs, obs, 1),
+            check_bell_condition,
+        ],
+        ids=["product_expectation", "bell_expression", "check_bell_condition"],
+    )
+    def test_non_finite_expectation_rejected(self, call, bad):
+        # bypasses from_matrix: a NaN or inf in rho must not yield an expectation
+        rho = ghz(2).rho.copy()
+        rho[0, 0] = bad
+        state = TwoQuditState(dim=2, rho=rho, symmetric=True)
+        with pytest.raises(ValidationError, match="expectation is not finite"):
+            call(state, QuditObservable.from_matrix(SZ))
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_bitwise_equal_to_mask_reference(self, d, rng):
@@ -641,11 +661,17 @@ def test_chunked_residuals_equal_dense_formulas(d, rng):
     swap_symmetric = (hermitian + r4.transpose(1, 0, 3, 2).reshape(n, n)) / 2
     for rho in (m, hermitian, hermitian + 1e-13 * m, swap_symmetric, swap_symmetric + 1e-13 * m):
         herm, swap = _dense_residuals(rho, d)
-        assert states._mirror_residual(rho) == herm
+        assert errors.mirror_residual(rho) == herm
         assert states._swap_residual(rho, d) == swap
     if d == 12:  # the symmetry check of a real, asymmetric correlation matrix
         t = rng.standard_normal((n - 1, n - 1))
-        assert states._mirror_residual(t) == float(np.max(np.abs(t - t.T))) > 0
+        assert errors.mirror_residual(t) == float(np.max(np.abs(t - t.T))) > 0
+    for count in (0, 1, 3):  # stacks (R, n, n) of observables, the empty one included
+        m = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+        hermitian = m + m.conj().swapaxes(-1, -2)
+        for stack in (m, hermitian, hermitian + 1e-13 * m):
+            dense = np.max(np.abs(stack - stack.conj().swapaxes(-1, -2)), initial=0.0)
+            assert errors.mirror_residual(stack) == float(dense)
 
 
 def test_non_hermitian_message_carries_the_dense_residual(rng):
