@@ -68,6 +68,7 @@ COMMANDS = [
     "certify --dim four",
     "maximize --state ghz --dim 2",
     "spectrum --state ghz --dim 3",
+    "maximize --state file:rot4_b64.json --sign - --restarts 16 --seed 5 --trace-out trace.csv",
 ]
 
 

@@ -13,9 +13,10 @@ The optimizer holds B at a certified perfect observable and alternates exact
 block updates of B~ and A.  With the other two fixed, each branch of the
 absolute value is linear in the free vector, and a linear functional
 ``<c, x>`` over the +-1 shell is maximized by the sign rounding of ``c``
-(:func:`quditbell.bloch.pm1_round`, Ky Fan / von Neumann).  So B~ is the
-better of ``round(T(+-b - a))`` and ``round(T(+-b + a))`` and A is
-``round(T(b - b~))``; no step size is involved and the value never falls.
+(:func:`quditbell.bloch.pm1_round`, Ky Fan / von Neumann; the loop calls its
+ungated core ``bloch._round``).  So B~ is the better of ``round(T(+-b - a))``
+and ``round(T(+-b + a))`` and A is ``round(T(b - b~))``; no step size is
+involved and the value never falls.
 Restart i starts from a draw seeded by ``(seed, i)``.  All restarts run in
 lockstep, stacked into arrays that go through one batched rounding per
 update; a restart leaves the batch at its fixed point.  Reports are
@@ -35,7 +36,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bloch import SET_TOL, BlochVector, QuditObservable, from_bloch, pm1_round
+from .bloch import SET_TOL, BlochVector, QuditObservable, _round, from_bloch
 from .errors import DimensionError, check_int, check_range, check_sign, check_tol, check_type
 from .perfectness import _certified, certify_state, find_perfect_observables
 from .states import (
@@ -192,8 +193,8 @@ def _run_restarts(
         return d / 2.0 * (first + sign * np.einsum("ij,ij->i", b[rows], tbtil))
 
     # Rounding a Gaussian vector gives a Haar-random point of the +-1 orbit.
-    btil = pm1_round(gauss, d)
-    a = pm1_round(tb - btil @ tmat.T, d)
+    btil = _round(gauss, d)
+    a = _round(tb - btil @ tmat.T, d)
     active = np.arange(len(b))
     value = value_of(active, a, btil)
     traces = [[(0, v)] for v in value.tolist()]
@@ -206,13 +207,13 @@ def _run_restarts(
         # is linear in b~ with gradient T(sign * b - sigma * a).  Both branches
         # share one rounding, and sigma = +1 is tried first.
         base = sign * b[active]
-        candidates = pm1_round(np.concatenate([base - a_act, base + a_act]) @ tmat, d)
+        candidates = _round(np.concatenate([base - a_act, base + a_act]) @ tmat, d)
         for btil2 in np.split(candidates, 2):
             v2 = value_of(active, a_act, btil2)
             up = v2 > value[active]
             btil[active[up]] = btil2[up]
             value[active[up]] = v2[up]
-        a2 = pm1_round(tb[active] - btil[active] @ tmat.T, d)
+        a2 = _round(tb[active] - btil[active] @ tmat.T, d)
         v2 = value_of(active, a2, btil[active])
         up = v2 > value[active]
         a[active[up]] = a2[up]
@@ -294,8 +295,9 @@ def maximize_bell(
 # --------------------------------------------------------------------------
 
 
-# (b, b~) pairs per Gram product of exhaustive_qubit_max
+# (b, b~) pairs per Gram product of exhaustive_qubit_max, and b-points per block
 _ORACLE_PAIRS = 51_200
+_ORACLE_ROWS = 400
 
 
 def _sphere_grid(steps: int) -> np.ndarray:
@@ -322,7 +324,8 @@ def exhaustive_qubit_max(state: TwoQuditState, sign: int, grid_steps: int) -> fl
     and the eigenspace.
 
     Every (b, b~) pair of the two grids is still scanned, with no pruning,
-    in slices of ``max(1, 51200 // n_b)`` b~-points against all n_b b-points.
+    in blocks of at most 400 b-points, each against slices of
+    ``max(1, 51200 // rows_in_block)`` b~-points.
     One small matrix product per slice gives every pair's Gram form
     ``||T(b - b~)||^2 = ||Tb||^2 + ||Tb~||^2 - 2 <T^2 b, b~>`` (clamped at 0
     before the square root) and ``sign <b, T b~>``; the maximum is kept
@@ -353,17 +356,19 @@ def exhaustive_qubit_max(state: TwoQuditState, sign: int, grid_steps: int) -> fl
     # gives ||T(b - b~)||^2 and the row [sign Tb, 0, 0] of `corr` gives sign <b, T b~>
     dist = np.column_stack([-2.0 * (t_b @ tmat), np.ones(n_b), np.sum(t_b * t_b, axis=1)])
     corr = np.column_stack([sign * t_b, np.zeros((n_b, 2))])
-    rows = np.vstack([dist, corr])
     columns = np.vstack([grid.T, np.sum(t_btil * t_btil, axis=1), np.ones(len(grid))])
-    width = max(1, _ORACLE_PAIRS // n_b)
     best = -np.inf
-    for j in range(0, columns.shape[1], width):
-        tile = rows @ columns[:, j : j + width]
-        value = tile[:n_b]
-        np.maximum(value, 0.0, out=value)
-        np.sqrt(value, out=value)
-        value += tile[n_b:]
-        best = max(best, float(value.max()))
+    for i in range(0, n_b, _ORACLE_ROWS):
+        rows = np.vstack([dist[i : i + _ORACLE_ROWS], corr[i : i + _ORACLE_ROWS]])
+        block = len(rows) // 2
+        width = max(1, _ORACLE_PAIRS // block)
+        for j in range(0, columns.shape[1], width):
+            tile = rows @ columns[:, j : j + width]
+            value = tile[:block]
+            np.maximum(value, 0.0, out=value)
+            np.sqrt(value, out=value)
+            value += tile[block:]
+            best = max(best, float(value.max()))
     return best
 
 

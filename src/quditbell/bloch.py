@@ -110,11 +110,11 @@ class QuditObservable:
         }
 
 
-def _checked_coords(coords, d: int, stack: bool = False) -> np.ndarray:
-    """Finite float coordinates of shape (d^2 - 1,), or (R, d^2 - 1) for a ``stack``."""
+def _checked_coords(coords, d: int) -> np.ndarray:
+    """Finite float coordinates of shape (d^2 - 1,)."""
     coords = _real_array(coords)
     n = d * d - 1
-    if coords.ndim != 1 + stack or coords.shape[-1] != n:
+    if coords.shape != (n,):
         raise ValidationError(f"Bloch vector for d={d} needs length {n}, got shape {coords.shape}")
     if not np.all(np.isfinite(coords)):
         raise ValidationError("Bloch vector coordinates must be finite")
@@ -127,9 +127,9 @@ def _real_array(r) -> np.ndarray:
     return arr.astype(float, copy=False)
 
 
-def _validate_traceless_hermitian(matrix: np.ndarray, stack: bool = False) -> np.ndarray:
-    matrix = check_hermitian(matrix, "observable", "X", _HERMITICITY_TOL, stack)
-    trace_residual = float(np.max(np.abs(np.trace(matrix, axis1=-2, axis2=-1)), initial=0.0))
+def _validate_traceless_hermitian(matrix: np.ndarray) -> np.ndarray:
+    matrix = check_hermitian(matrix, "observable", "X", _HERMITICITY_TOL)
+    trace_residual = float(abs(np.trace(matrix)))
     if not trace_residual <= _TRACELESS_TOL:
         raise ValidationError(f"observable is not traceless: |tr X| = {trace_residual:.3e}")
     return matrix
@@ -162,15 +162,19 @@ def _shell_residual(coords: np.ndarray, d: int) -> float:
     return abs(_operator_norm(_generator_sum(coords, d)) - np.sqrt(2.0 / d))
 
 
-def _bloch_coords(matrix: np.ndarray, stack: bool = False) -> np.ndarray:
-    """Gated real coordinates ``tr[X L_j]/sqrt(2d)`` of X, or of each X in a (R, d, d) ``stack``."""
-    matrix = _validate_traceless_hermitian(matrix, stack)
+def _generator_traces(matrix: np.ndarray) -> np.ndarray:
+    """``tr[X L_j]/sqrt(2d)`` for ``matrix`` (..., d, d), complex and not validated."""
     d = matrix.shape[-1]
     rows, cols, values = generator_entries(d)
     # tr[X L_n] = sum_j L_n.flat[j] X^T.flat[j], over the stored entries of row n
     flat = matrix.swapaxes(-1, -2).reshape(matrix.shape[:-2] + (d * d,))
-    coords = _bincount_complex(rows, flat[..., cols] * values, d * d - 1) / np.sqrt(2.0 * d)
-    imag = float(np.max(np.abs(coords.imag), initial=0.0))
+    return _bincount_complex(rows, flat[..., cols] * values, d * d - 1) / np.sqrt(2.0 * d)
+
+
+def _bloch_coords(matrix: np.ndarray) -> np.ndarray:
+    """Gated real coordinates ``tr[X L_j]/sqrt(2d)`` of a traceless hermitian X."""
+    coords = _generator_traces(_validate_traceless_hermitian(matrix))
+    imag = float(np.max(np.abs(coords.imag)))
     if not imag <= 1e-10:
         raise ValidationError(f"Bloch coordinates are not real: residual {imag:.3e}")
     return coords.real
@@ -232,32 +236,28 @@ def in_pm1_shell(r: BlochVector | np.ndarray, tol: float = SET_TOL) -> bool:
     return _shell_residual(vec.coords, vec.dim) <= tol
 
 
-def pm1_round(r: BlochVector | np.ndarray, dim: int | None = None) -> BlochVector | np.ndarray:
+def pm1_round(r: BlochVector | np.ndarray, dim: int | None = None) -> BlochVector:
     """Point of the +-1 shell maximizing ``<r, x>``: the sign rounding of ``r . L``.
 
     By von Neumann's trace inequality (Ky Fan, PNAS 35, 652 (1949)), over the
     unitary orbit of a balanced +-1 diagonal ``tr[X Y]`` is largest when Y
     shares the eigenvectors of X and puts +1 on the top half of its spectrum,
     -1 on the bottom half.  A tie at the split leaves the maximum unchanged,
-    and ``r = 0`` still rounds to a valid shell point.
-
-    A stack of vectors, an (R, d^2 - 1) array, is rounded row by row through
-    one batched eigendecomposition and returned as an (R, d^2 - 1) array;
-    each row equals the rounding of that row alone.
+    and ``r = 0`` still rounds to a valid shell point.  ``r`` is one Bloch
+    vector of even d; the rounding itself is :func:`_round`.
     """
-    if not isinstance(r, BlochVector):
-        r = _real_array(r)
-    stack = np.ndim(r) == 2
-    if stack:
-        d = check_dim(_implied_dim(r.shape[1]) if dim is None else dim, even=True)
-        coords = _checked_coords(r, d, stack=True)
-    else:
-        vec = _as_bloch(r, dim)
-        d, coords = check_dim(vec.dim, even=True), vec.coords
+    vec = _as_bloch(r, dim)
+    d = check_dim(vec.dim, even=True)
+    return BlochVector(dim=d, coords=_round(vec.coords, d))
+
+
+def _round(coords: np.ndarray, d: int) -> np.ndarray:
+    """:func:`pm1_round` of ``coords`` (..., d^2 - 1) at even d, ungated: one batched
+    ``eigh``, and each row equals the rounding of that row alone.  The result is the
+    real part of the traces, a strided view."""
     _, v = np.linalg.eigh(np.sqrt(d / 2.0) * _generator_sum(coords, d))
     signs = np.concatenate([-np.ones(d // 2), np.ones(d // 2)])
-    rounded = _bloch_coords((v * signs) @ v.conj().swapaxes(-1, -2), stack)
-    return rounded if stack else BlochVector(dim=d, coords=rounded)
+    return _generator_traces((v * signs) @ v.conj().swapaxes(-1, -2)).real
 
 
 def _listed(name: str, values) -> list:

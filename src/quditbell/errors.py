@@ -110,22 +110,20 @@ def check_numbers(value, rule: str, kinds: str = "iufc") -> np.ndarray:
 
 
 def mirror_residual(m: np.ndarray) -> float:
-    """``max |M - M^dag|`` of a square matrix, or of a stack (..., n, n), one chunk of rows
-    at a time: the dense formula's entries, 0 for an empty stack.  A NaN or inf entry gives
-    NaN or inf (inf - inf on the diagonal, with numpy's invalid-value warning)."""
+    """``max |M - M^dag|`` of a square matrix, one chunk of rows at a time: the dense
+    formula's entries.  A NaN or inf entry gives NaN or inf (inf - inf on the diagonal,
+    with numpy's invalid-value warning)."""
     res, k = 0.0, _MIRROR_ROWS
-    for i in range(0, m.shape[-1], k):  # np.maximum, unlike max(), keeps a NaN
-        res = np.maximum(res, np.max(
-            np.abs(m[..., i : i + k, :] - m[..., i : i + k].conj().swapaxes(-1, -2)), initial=0.0
-        ))
+    for i in range(0, len(m), k):  # np.maximum, unlike max(), keeps a NaN
+        res = np.maximum(res, np.max(np.abs(m[i : i + k] - m[:, i : i + k].conj().T)))
     return float(res)
 
 
-def check_hermitian(m, what: str, symbol: str, tol: float, stack: bool = False) -> np.ndarray:
-    """``m`` as a complex, non-empty, finite square matrix, or a (R, n, n) ``stack`` of them,
-    with ``max |M - M^dag| <= tol``; ``what`` and ``symbol`` name it in the messages."""
+def check_hermitian(m, what: str, symbol: str, tol: float) -> np.ndarray:
+    """``m`` as a complex, non-empty, finite square matrix with ``max |M - M^dag| <= tol``;
+    ``what`` and ``symbol`` name it in the messages."""
     m = check_numbers(m, f"{what} must be a matrix of numbers").astype(complex, copy=False)
-    if m.ndim != 2 + stack or m.shape[-1] != m.shape[-2] or not m.shape[-1]:
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not len(m):
         raise ValidationError(f"{what} must be a non-empty square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValidationError(f"{what} entries must be finite")

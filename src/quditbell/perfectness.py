@@ -30,12 +30,12 @@ from .bloch import (
     BlochVector,
     QuditObservable,
     SET_TOL,
+    _round,
     _shell_residual,
     from_bloch,
     make_diag_pm1,
     make_offdiag_imag_pm1,
     make_offdiag_real_pm1,
-    pm1_round,
 )
 from .errors import (
     CertificationError, DimensionError, ValidationError, check_dim, check_int, check_range,
@@ -296,9 +296,9 @@ def _witnesses(cluster: EigenCluster, d: int, sign: int, tol: float, restarts: i
         for _ in range(_PROJECTION_ITERS):
             if res <= tol:
                 break
-            # ``.coords`` is the BlochVector's contiguous copy; the strided ``.real`` view
-            # it is made from changes BLAS's summation order, and the witnesses' last bits.
-            c_new = eigvecs.T @ pm1_round(eigvecs @ c, d).coords
+            # A contiguous copy of the rounding: its strided ``.real`` view changes
+            # BLAS's summation order, and the witnesses' last bits.
+            c_new = eigvecs.T @ np.ascontiguousarray(_round(eigvecs @ c, d))
             nrm = np.linalg.norm(c_new)
             if nrm < 1e-12:
                 break
@@ -334,8 +334,9 @@ def certify_state(
     d = check_dim(check_type("state", state, TwoQuditState).dim, even=True)
     if not state.symmetric:
         raise ValidationError("state is not swap-symmetric; certification requires symmetry")
-    tcorr = correlation_matrix(state)
-    del state  # a caller that keeps no reference frees rho before the eigendecomposition
+    held = [state]
+    del state  # correlation_matrix gets the only reference, so it can free rho mid-build
+    tcorr = correlation_matrix(held.pop())
     spectral = correlation_spectrum(tcorr)
     norm = spectral.spectral_norm
     target = 2.0 / d

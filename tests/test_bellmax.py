@@ -29,7 +29,8 @@ from quditbell import (
     scalar_bound,
     write_trace_csv,
 )
-from quditbell.bellmax import OUTCOME_GRID, WITNESS_COUNT, _lhv_values, _sphere_grid
+from quditbell import bloch
+from quditbell.bellmax import OUTCOME_GRID, WITNESS_COUNT, _lhv_values, _run_restarts, _sphere_grid
 from quditbell.bloch import haar_unitary
 from quditbell.cli import main as cli_main
 
@@ -432,6 +433,23 @@ class TestLockstepReference:
         values = [r.value for r in report.per_restart]
         assert_allclose(values, reference, rtol=0, atol=1e-14)
         assert abs(report.bloch_value - max(reference)) <= 2e-15
+
+    def test_restart_loop_passes_no_gate(self, monkeypatch):
+        membership = certify_state(ghz(4))
+        witnesses = find_perfect_observables(membership, 1, WITNESS_COUNT)
+        b = np.stack([witnesses[i % len(witnesses)].bloch.coords for i in range(8)])
+        gauss = np.random.default_rng(0).standard_normal((8, 15))
+        args = (4, membership.tcorr.matrix, b, gauss, 1, 50)
+        expected = _run_restarts(*args)[2]
+
+        def gate(*_):
+            raise AssertionError("a gate ran inside the restart loop")
+
+        monkeypatch.setattr(bloch, "check_hermitian", gate)
+        monkeypatch.setattr(bloch, "_checked_coords", gate)
+        values = _run_restarts(*args)[2]
+        assert values.tobytes() == expected.tobytes()
+        assert max(values) == pytest.approx(1.5, abs=1e-12)
 
 
 def _planar_chsh_grid_max(state, steps=60):

@@ -82,7 +82,8 @@ class TestSpectrum:
         sys.version_info < (3, 11),
         reason="CPython 3.10 keeps call arguments on the caller's stack until the call returns",
     )
-    def test_state_is_freed_before_the_transform(self, monkeypatch, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["spectrum", "certify"])
+    def test_state_is_freed_before_the_transform(self, command, monkeypatch, tmp_path, capsys):
         source = write_state(tmp_path / "rot4.json", rotated_ghz(4, np.random.default_rng(2)).rho)
         loaded, alive = [], []
         load, apply_u = cli._load_state, states._apply_u
@@ -98,7 +99,7 @@ class TestSpectrum:
 
         monkeypatch.setattr(cli, "_load_state", tracked_load)
         monkeypatch.setattr(states, "_apply_u", tracked_apply_u)
-        code, _, err = run_cli(["spectrum", "--state", source], capsys)
+        code, _, err = run_cli([command, "--state", source], capsys)
         assert code == 0, err
         assert alive == [False, False]  # both halves of the transform run without rho
 

@@ -68,7 +68,6 @@ DIM_CALLS = {
     "BlochVector": lambda d: qb.BlochVector(dim=d, coords=np.zeros(15)),
     "from_bloch": lambda d: qb.from_bloch(np.zeros(15), d),
     "pm1_round": lambda d: qb.pm1_round(np.ones(15), d),
-    "pm1_round stack": lambda d: qb.pm1_round(np.ones((2, 15)), d),
     "make_diag_pm1": lambda d: qb.make_diag_pm1(d, [1, 1, -1, -1]),
     "make_offdiag_real_pm1": lambda d: qb.make_offdiag_real_pm1(d, [0, 1]),
     "make_offdiag_imag_pm1": lambda d: qb.make_offdiag_imag_pm1(d, [0, 1]),

@@ -666,12 +666,6 @@ def test_chunked_residuals_equal_dense_formulas(d, rng):
     if d == 12:  # the symmetry check of a real, asymmetric correlation matrix
         t = rng.standard_normal((n - 1, n - 1))
         assert errors.mirror_residual(t) == float(np.max(np.abs(t - t.T))) > 0
-    for count in (0, 1, 3):  # stacks (R, n, n) of observables, the empty one included
-        m = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
-        hermitian = m + m.conj().swapaxes(-1, -2)
-        for stack in (m, hermitian, hermitian + 1e-13 * m):
-            dense = np.max(np.abs(stack - stack.conj().swapaxes(-1, -2)), initial=0.0)
-            assert errors.mirror_residual(stack) == float(dense)
 
 
 def test_non_hermitian_message_carries_the_dense_residual(rng):
