@@ -69,6 +69,8 @@ COMMANDS = [
     "maximize --state ghz --dim 2",
     "spectrum --state ghz --dim 3",
     "maximize --state file:rot4_b64.json --sign - --restarts 16 --seed 5 --trace-out trace.csv",
+    "maximize --state file:rot4_pairs.json --sign + --restarts 3 --seed 9",
+    "certify --state file:rot4_b64.json --restarts 0 --seed 4",
 ]
 
 

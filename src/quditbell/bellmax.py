@@ -47,7 +47,8 @@ from .states import (
     product_expectation,
 )
 
-# Perfect observables B that maximize_bell finds; restart i holds B at witness i mod 8.
+# Most perfect observables B that maximize_bell finds; restart i holds B at witness
+# i mod 8, so with fewer restarts than this only the first ``restarts`` are asked for.
 WITNESS_COUNT = 8
 
 
@@ -251,7 +252,7 @@ def maximize_bell(
     # certify_state gates the state, its even d and its swap symmetry before any work
     membership = certify_state(state, tol=max(opts.tol, 1e-12), seed=opts.seed)
     d = membership.dim
-    witnesses = find_perfect_observables(membership, sign, WITNESS_COUNT)
+    witnesses = find_perfect_observables(membership, sign, min(WITNESS_COUNT, opts.restarts))
     tmat = membership.tcorr.matrix
     indices = range(opts.restarts)
     b = np.stack([witnesses[i % len(witnesses)].bloch.coords for i in indices])

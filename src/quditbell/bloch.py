@@ -280,8 +280,8 @@ def make_diag_pm1(d: int, signs) -> QuditObservable:
     return QuditObservable.from_matrix(matrix)
 
 
-def _offdiag_pm1(d: int, gammas, lower: complex, upper: complex) -> QuditObservable:
-    """``sum (-1)^g_m (lower |m+1><m| + upper |m><m+1|)`` over the level pairs."""
+def _offdiag_pm1(d: int, gammas, lower: complex, upper: complex) -> np.ndarray:
+    """The matrix ``sum (-1)^g_m (lower |m+1><m| + upper |m><m+1|)`` over the level pairs."""
     d = check_dim(d, even=True)
     gammas = [check_int("gamma", g, 0) for g in _listed("gammas", gammas)]
     if len(gammas) != d // 2:
@@ -292,7 +292,7 @@ def _offdiag_pm1(d: int, gammas, lower: complex, upper: complex) -> QuditObserva
         s = (-1.0) ** g
         matrix[m + 1, m] = lower * s
         matrix[m, m + 1] = upper * s
-    return QuditObservable.from_matrix(matrix)
+    return matrix
 
 
 def make_offdiag_real_pm1(d: int, gammas) -> QuditObservable:
@@ -302,7 +302,7 @@ def make_offdiag_real_pm1(d: int, gammas) -> QuditObservable:
     contributes a real sx-type block with sign ``(-1)^g``.  Each gamma is a
     non-negative integer.
     """
-    return _offdiag_pm1(d, gammas, 1, 1)
+    return QuditObservable.from_matrix(_offdiag_pm1(d, gammas, 1, 1))
 
 
 def make_offdiag_imag_pm1(d: int, gammas) -> QuditObservable:
@@ -312,7 +312,7 @@ def make_offdiag_imag_pm1(d: int, gammas) -> QuditObservable:
     g = 0 block equals minus the antisymmetric generator of the pair, so
     ``make_offdiag_imag_pm1(2, [1])`` is sy itself.
     """
-    return _offdiag_pm1(d, gammas, -1j, 1j)
+    return QuditObservable.from_matrix(_offdiag_pm1(d, gammas, -1j, 1j))
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

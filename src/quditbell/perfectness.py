@@ -30,12 +30,11 @@ from .bloch import (
     BlochVector,
     QuditObservable,
     SET_TOL,
+    _generator_traces,
+    _offdiag_pm1,
     _round,
     _shell_residual,
     from_bloch,
-    make_diag_pm1,
-    make_offdiag_imag_pm1,
-    make_offdiag_real_pm1,
 )
 from .errors import (
     CertificationError, DimensionError, ValidationError, check_dim, check_int, check_range,
@@ -46,6 +45,7 @@ from .states import (
     EigenCluster,
     SpectralData,
     TwoQuditState,
+    _expectation,
     cluster_eigenvalues,
     correlation_matrix,
     product_expectation,
@@ -175,13 +175,12 @@ def check_bell_condition(
     clusters = cluster_eigenvalues(eigenvalues, vectors)
     groups = [(c.value, c.vectors @ c.vectors.conj().T) for c in clusters]
 
-    r4 = state.as_4index()
     violations = []
     for lam_i, proj_i in groups:
         for lam_k, proj_k in groups:
             if abs(lam_i * lam_k - sign) <= tol:
                 continue
-            prob = complex(np.einsum("jkab,aj,bk->", r4, proj_i, proj_k)).real
+            prob = _expectation(state, proj_i, proj_k).real
             if not prob <= tol:  # a NaN probability is a violation
                 violations.append(
                     SpectralViolation(eigenvalue_i=lam_i, eigenvalue_k=lam_k, probability=prob)
@@ -240,19 +239,21 @@ def _canonical_starts(cluster: EigenCluster, d: int, sign: int):
     Diagonal and real off-diagonal constructions pair with perfect
     correlations, the imaginary off-diagonal family with anticorrelations.
     Of the first ``_CANONICAL_STARTS`` of the family, those orthogonal to
-    ``cluster`` are skipped.
+    ``cluster`` are skipped.  Each matrix is balanced and hermitian by
+    construction, so it is mapped by the ungated core, one at a time.
     """
     gammas = itertools.product((0, 1), repeat=d // 2)
     if sign > 0:
         halves = itertools.combinations(range(d), d // 2)
         family = itertools.chain(
-            (make_diag_pm1(d, [1 if m in top else -1 for m in range(d)]) for top in halves),
-            (make_offdiag_real_pm1(d, g) for g in gammas),
+            (np.diag([1.0 if m in top else -1.0 for m in range(d)]) for top in halves),
+            (_offdiag_pm1(d, g, 1, 1) for g in gammas),
         )
     else:
-        family = (make_offdiag_imag_pm1(d, g) for g in gammas)
-    for obs in itertools.islice(family, _CANONICAL_STARTS):
-        c = cluster.vectors.T @ obs.bloch.coords
+        family = (_offdiag_pm1(d, g, -1j, 1j) for g in gammas)
+    for matrix in itertools.islice(family, _CANONICAL_STARTS):
+        # a contiguous copy: BLAS sums the strided ``.real`` view in another order
+        c = cluster.vectors.T @ np.ascontiguousarray(_generator_traces(matrix).real)
         if np.linalg.norm(c) > 1e-9:
             yield c
 

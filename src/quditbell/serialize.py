@@ -12,7 +12,9 @@ Complex matrices have two JSON encodings, both row-major and both exact:
 from __future__ import annotations
 
 import base64
+import binascii
 import json
+import sys
 
 import numpy as np
 
@@ -25,6 +27,9 @@ def load_payload(payload: str | bytes) -> tuple:
     """``(dim, data["rho"])`` of a state file, the one JSON input, with ``dim`` an integer >= 2;
     invalid JSON, a non-object, a missing key or a bad ``dim`` raise :class:`ValidationError`."""
     try:
+        # json.loads's own decoding; rebinding payload drops this frame's bytes before parsing
+        if isinstance(payload, bytes):
+            payload = payload.decode(json.detect_encoding(payload), "surrogatepass")
         data = json.loads(payload)
     except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8/16/32
         raise ValidationError(f"state file is not valid JSON: {exc}") from None
@@ -69,7 +74,10 @@ def complex_matrix_to_base64(matrix: np.ndarray) -> str:
 def base64_to_complex_matrix(text: str, shape: tuple[int, int]) -> np.ndarray:
     """Rebuild a complex matrix from :func:`complex_matrix_to_base64` output (read-only)."""
     try:
-        raw = base64.b64decode(text, validate=True)
+        if sys.version_info >= (3, 11):  # b64decode's own call, without its ASCII copy of text
+            raw = binascii.a2b_base64(text, strict_mode=True)
+        else:
+            raw = base64.b64decode(text, validate=True)
     except ValueError as exc:  # binascii.Error, or non-ASCII text
         raise ValidationError(f"matrix payload is not valid base64: {exc}") from None
     n_expect = shape[0] * shape[1] * _C16.itemsize

@@ -147,7 +147,7 @@ class TwoQuditState:
 
     @classmethod
     def from_file(cls, path) -> "TwoQuditState":
-        """:meth:`from_json` of the file's bytes, which are freed once parsed."""
+        """:meth:`from_json` of the file's bytes, which are freed once decoded to text."""
         with open(path, "rb") as fh:
             return cls._load(fh.read)
 
@@ -383,12 +383,17 @@ def product_expectation(state: TwoQuditState, a: QuditObservable, b: QuditObserv
         raise DimensionError(
             f"observable dims ({a.dim}, {b.dim}) do not match state dim {state.dim}"
         )
-    value = complex(np.einsum("jkab,aj,bk->", state.as_4index(), a.matrix, b.matrix))
+    value = _expectation(state, a.matrix, b.matrix)
     if not np.isfinite(value):  # a state built without from_matrix can hold a NaN
         raise ValidationError(f"expectation is not finite: {value}")
     if abs(value.imag) > 1e-12 * max(1.0, abs(value)):
         raise ValidationError(f"expectation has imaginary residual {value.imag:.3e}")
     return float(value.real)
+
+
+def _expectation(state: TwoQuditState, x: np.ndarray, y: np.ndarray) -> complex:
+    """``tr[rho (X (x) Y)]`` of d x d matrices, ungated: the one copy of the tensor convention."""
+    return complex(np.einsum("jkab,aj,bk->", state.as_4index(), x, y))
 
 
 def bloch_expectation(tcorr: CorrelationMatrix, a: BlochVector, b: BlochVector) -> float:

@@ -29,7 +29,7 @@ from quditbell import (
     scalar_bound,
     write_trace_csv,
 )
-from quditbell import bloch
+from quditbell import bloch, perfectness
 from quditbell.bellmax import OUTCOME_GRID, WITNESS_COUNT, _lhv_values, _run_restarts, _sphere_grid
 from quditbell.bloch import haar_unitary
 from quditbell.cli import main as cli_main
@@ -450,6 +450,33 @@ class TestLockstepReference:
         values = _run_restarts(*args)[2]
         assert values.tobytes() == expected.tobytes()
         assert max(values) == pytest.approx(1.5, abs=1e-12)
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_witness_search_passes_no_gate(self, monkeypatch, rotated, sign):
+        state = rotated_ghz(4, np.random.default_rng(3)) if rotated else ghz(4)
+        membership = certify_state(state)
+        cluster = membership.for_sign(sign).cluster
+
+        def search():
+            return [
+                (None if coords is None else coords.tobytes(), res, used)
+                for coords, res, used in perfectness._witnesses(
+                    cluster, 4, sign, membership.tol, 4, membership.seed
+                )
+            ]
+
+        expected = search()
+        # canonical starts (used == 0) and random ones both yield witnesses
+        assert {used for coords, _, used in expected if coords is not None} >= {0, 1}
+
+        def gate(*_):
+            raise AssertionError("a gate ran inside the witness search")
+
+        monkeypatch.setattr(bloch, "check_hermitian", gate)
+        monkeypatch.setattr(bloch, "_checked_coords", gate)
+        monkeypatch.setattr(bloch.QuditObservable, "from_matrix", gate)
+        assert search() == expected
 
 
 def _planar_chsh_grid_max(state, steps=60):

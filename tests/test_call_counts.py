@@ -48,6 +48,19 @@ def test_maximize_bell_builds_t_once(calls, sign):
     assert calls == {"correlation_matrix": 1, "certify_state": 1}
 
 
+@pytest.mark.parametrize("restarts", [2, 8, 64])
+def test_maximize_bell_asks_only_for_the_witnesses_its_restarts_read(monkeypatch, restarts):
+    counts = []
+
+    def recorded(membership, sign, count, _real=bellmax.find_perfect_observables):
+        counts.append(count)
+        return _real(membership, sign, count)
+
+    monkeypatch.setattr(bellmax, "find_perfect_observables", recorded)
+    bellmax.maximize_bell(ghz(4), 1, MaximizeOptions(restarts=restarts))
+    assert counts == [min(8, restarts)]
+
+
 @pytest.fixture
 def decompositions(calls, monkeypatch):
     """``calls``, also counting the spectral split of T and every ``np.linalg.eigh``."""

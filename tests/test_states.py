@@ -1,5 +1,6 @@
 import base64
 import json
+import sys
 import tracemalloc
 
 import numpy as np
@@ -328,8 +329,14 @@ class TestMemory:
     @pytest.mark.parametrize(
         "call, bound",
         # the json.dumps writer, the loader that kept the file bytes and the base64 text, and
-        # the dense hermiticity and swap checks peaked at 4.01, 6.17, 4.83 and 2.50
-        [("to_file", 2.5), ("from_file", 4.5), ("from_json", 4.0), ("from_matrix", 2.25)],
+        # the dense hermiticity and swap checks peaked at 4.01, 6.17, 4.83 and 2.50; before
+        # CPython 3.11 base64 decoding copies the text to ASCII bytes first
+        [
+            ("to_file", 2.5),
+            ("from_file", 3.1 if sys.version_info >= (3, 11) else 4.5),
+            ("from_json", 3.1 if sys.version_info >= (3, 11) else 4.0),
+            ("from_matrix", 2.25),
+        ],
     )
     def test_state_file_peak(self, call, bound, tmp_path, rng):
         state = rotated_ghz(16, rng)
@@ -507,6 +514,7 @@ class TestValidation:
             ('{"dim": 2, "rho": {"re": 1}}', "entries must be numbers"),
             ('{"dim": 2, "rho": "AAAA$AAA"}', "not valid base64"),
             ('{"dim": 2, "rho": "AAA"}', "not valid base64"),
+            ('{"dim": 2, "rho": "AAA\u00e9"}', "not valid base64"),
             ('{"dim": 2, "rho": "AAAA"}', "256 bytes of complex128, got 3"),
         ],
     )
