@@ -31,6 +31,9 @@ batch with one weighted sum per correlator.
 
 from __future__ import annotations
 
+import functools
+import os
+import threading
 import time
 from dataclasses import asdict, dataclass
 
@@ -301,14 +304,82 @@ _ORACLE_PAIRS = 51_200
 _ORACLE_ROWS = 400
 
 
+# Cached, because every call's b~-grid, and the b-grid of a 3-dimensional
+# eigenspace, is this grid: calls with one grid_steps (both signs, say) compute
+# its 2 steps (steps + 1) points of trig once.  One entry, because callers repeat
+# one grid_steps.  Read-only, because every caller gets the same array.
+@functools.lru_cache(maxsize=1)
 def _sphere_grid(steps: int) -> np.ndarray:
     thetas = np.linspace(0.0, np.pi, steps + 1)
     phis = np.arange(2 * steps) * (np.pi / steps)
     theta, phi = np.meshgrid(thetas, phis, indexing="ij")
     pts = np.stack(
         [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=-1
-    )
-    return pts.reshape(-1, 3)
+    ).reshape(-1, 3)
+    pts.setflags(write=False)
+    return pts
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _tile_max(rows: np.ndarray, columns: np.ndarray) -> float:
+    """Largest ``||T(b - b~)|| + sign <b, T b~>`` of one tile.
+
+    ``rows`` stacks a block's ``dist`` rows over its ``corr`` rows, and
+    ``columns`` is a slice of the b~ columns.
+    """
+    block = len(rows) // 2
+    tile = rows @ columns
+    value = tile[:block]
+    np.maximum(value, 0.0, out=value)
+    np.sqrt(value, out=value)
+    value += tile[block:]
+    return float(value.max())
+
+
+def _tiles_max(tiles: list[tuple[np.ndarray, np.ndarray]]) -> float:
+    """``max`` of :func:`_tile_max` over ``tiles``, on every CPU this process may use.
+
+    The tiles are split into contiguous shares, at most one per CPU and one
+    per tile.  The caller scans the first share and a helper thread each of
+    the others; numpy releases the GIL in the products and ufuncs.  ``max``
+    is exact and order-free, so the value is the serial scan's for any number
+    of shares.  Every helper is joined before this returns or raises; the
+    exception of the first failing share is raised in the caller.
+    """
+    workers = min(_cpu_count(), len(tiles))
+    shares = [tiles[w * len(tiles) // workers : (w + 1) * len(tiles) // workers] for w in range(workers)]
+    results: list = [None] * workers  # a share's maximum, or the exception it raised
+
+    def scan(w: int) -> None:
+        best = -np.inf
+        try:
+            for rows, columns in shares[w]:
+                best = max(best, _tile_max(rows, columns))
+        except Exception as exc:  # raised again in the caller
+            results[w] = exc
+        else:
+            results[w] = best
+
+    helpers = []
+    try:
+        for w in range(1, workers):
+            helper = threading.Thread(target=scan, args=(w,))
+            helper.start()
+            helpers.append(helper)
+        scan(0)
+    finally:
+        for helper in helpers:
+            helper.join()
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    return max(results)
 
 
 def exhaustive_qubit_max(state: TwoQuditState, sign: int, grid_steps: int) -> float:
@@ -325,17 +396,19 @@ def exhaustive_qubit_max(state: TwoQuditState, sign: int, grid_steps: int) -> fl
     and the eigenspace.
 
     Every (b, b~) pair of the two grids is still scanned, with no pruning,
-    in blocks of at most 400 b-points, each against slices of
+    in tiles: blocks of at most 400 b-points, each against slices of
     ``max(1, 51200 // rows_in_block)`` b~-points.
-    One small matrix product per slice gives every pair's Gram form
+    One small matrix product per tile gives every pair's Gram form
     ``||T(b - b~)||^2 = ||Tb||^2 + ||Tb~||^2 - 2 <T^2 b, b~>`` (clamped at 0
     before the square root) and ``sign <b, T b~>``; the maximum is kept
-    across slices.
+    across tiles.  The tiles are split across the CPUs this process may run
+    on, one thread each; the maximum is exact, so the value does not depend
+    on how many there are.
     """
     sign = check_sign(sign)
     if check_type("state", state, TwoQuditState).dim != 2:
         raise DimensionError(f"the exhaustive oracle is defined for d = 2 only, got {state.dim}")
-    check_int("grid_steps", grid_steps, 2)
+    grid_steps = check_int("grid_steps", grid_steps, 2)
     membership = certify_state(state)
     subspace = _certified(membership, sign).cluster.vectors
     tcorr = membership.tcorr
@@ -358,19 +431,12 @@ def exhaustive_qubit_max(state: TwoQuditState, sign: int, grid_steps: int) -> fl
     dist = np.column_stack([-2.0 * (t_b @ tmat), np.ones(n_b), np.sum(t_b * t_b, axis=1)])
     corr = np.column_stack([sign * t_b, np.zeros((n_b, 2))])
     columns = np.vstack([grid.T, np.sum(t_btil * t_btil, axis=1), np.ones(len(grid))])
-    best = -np.inf
+    tiles = []
     for i in range(0, n_b, _ORACLE_ROWS):
         rows = np.vstack([dist[i : i + _ORACLE_ROWS], corr[i : i + _ORACLE_ROWS]])
-        block = len(rows) // 2
-        width = max(1, _ORACLE_PAIRS // block)
-        for j in range(0, columns.shape[1], width):
-            tile = rows @ columns[:, j : j + width]
-            value = tile[:block]
-            np.maximum(value, 0.0, out=value)
-            np.sqrt(value, out=value)
-            value += tile[block:]
-            best = max(best, float(value.max()))
-    return best
+        width = max(1, _ORACLE_PAIRS // (len(rows) // 2))
+        tiles += [(rows, columns[:, j : j + width]) for j in range(0, columns.shape[1], width)]
+    return _tiles_max(tiles)
 
 
 def chsh_value(

@@ -1,4 +1,5 @@
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from quditbell import (
     scalar_bound,
     write_trace_csv,
 )
-from quditbell import bloch, perfectness
+from quditbell import bellmax, bloch, perfectness
 from quditbell.bellmax import OUTCOME_GRID, WITNESS_COUNT, _lhv_values, _run_restarts, _sphere_grid
 from quditbell.bloch import haar_unitary
 from quditbell.cli import main as cli_main
@@ -244,6 +245,70 @@ class TestOracleClosedForm:
             exact = _closed_form_qubit_max(state, sign)
             assert exhaustive_qubit_max(state, sign, 40) <= exact + 1e-12
             assert exact - exhaustive_qubit_max(state, sign, 200) <= 1e-8
+
+
+def _oracle_inputs():
+    """(state, sign) pairs covering eigenspaces of dimension 1, 2 and 3."""
+    rng = np.random.default_rng(43)
+    cases = [(ghz(2), 1), (ghz(2), -1)]
+    cases += [(rotated_ghz(2, rng), sign) for sign in (1, -1, 1)]
+    cases.append((_rotated_bell_mixture("phi+", "psi-", 0.7, rng), -1))
+    return cases + [(singlet(), -1)]
+
+
+class TestOracleWorkers:
+    # 7, 33 and 60 steps give 112, 2244 and 7320 sphere points: no tile divides them
+    @pytest.mark.parametrize("grid_steps", [7, 33, 60])
+    def test_worker_count_does_not_change_the_value(self, monkeypatch, grid_steps):
+        values = {}
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(bellmax, "_cpu_count", lambda: workers)
+            values[workers] = [exhaustive_qubit_max(s, sign, grid_steps).hex() for s, sign in _oracle_inputs()]
+        assert values[2] == values[1] and values[3] == values[1]
+
+    # GHZ_2 at sign +1: 120 b-points against 7320 b~ in 18 tiles at 60 steps, and
+    # 8 against 40 in one tile at 4 steps, the benchmark's warm-up call
+    @pytest.mark.parametrize(
+        "grid_steps, workers, tiles, threads",
+        [(60, 1, 18, 1), (60, 2, 18, 2), (60, 3, 18, 3), (60, 50, 18, 18), (4, 4, 1, 1)],
+    )
+    def test_one_thread_per_share(self, monkeypatch, grid_steps, workers, tiles, threads):
+        seen = []
+        tile_max = bellmax._tile_max
+
+        def recorded(rows, columns):
+            seen.append(threading.current_thread())
+            return tile_max(rows, columns)
+
+        monkeypatch.setattr(bellmax, "_tile_max", recorded)
+        monkeypatch.setattr(bellmax, "_cpu_count", lambda: workers)
+        exhaustive_qubit_max(ghz(2), 1, grid_steps)
+        assert len(seen) == tiles and len(set(seen)) == threads
+        assert threading.current_thread() in seen  # the caller scans a share itself
+
+    @pytest.mark.parametrize("failing", ["helpers", "caller", "all"])
+    def test_failure_in_a_share_reaches_the_caller(self, monkeypatch, failing):
+        caller = threading.get_ident()
+        tile_max = bellmax._tile_max
+
+        def broken(rows, columns):
+            in_caller = threading.get_ident() == caller
+            if failing == "all" or (failing == "caller") == in_caller:
+                raise MemoryError("injected")
+            return tile_max(rows, columns)
+
+        monkeypatch.setattr(bellmax, "_tile_max", broken)
+        monkeypatch.setattr(bellmax, "_cpu_count", lambda: 3)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="injected"):
+            exhaustive_qubit_max(ghz(2), 1, 60)
+        assert threading.active_count() == before
+
+    def test_sphere_grid_is_cached_and_read_only(self):
+        grid = _sphere_grid(9)
+        assert _sphere_grid(9) is grid and not grid.flags.writeable
+        with pytest.raises(ValueError):
+            grid[0, 0] = 0.0
 
 
 class TestMaximize:
