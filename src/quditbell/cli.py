@@ -10,8 +10,12 @@ machine-readable reports:
 
 Exit codes: 0 success, 1 input error (a usage error included), 2 certification
 failure, 3 bound violation.  Reports are the library's ``to_dict()`` dicts, and
-this module is the one place that encodes them.  Output JSON is deterministic
-for a fixed config and seed; ``--timing`` adds a separate field here, so default
+this module is the one place that encodes them: the text is byte for byte
+``json.dumps(payload, sort_keys=True, indent=2)``, written by :func:`_dumps`,
+which lays out each list of floats (the ``[re, im]`` pairs of an observable and
+its Bloch vector, nearly all of a report) by joining the floats' ``repr``, not
+by the pure-Python encoder's steps per number.  Output JSON is deterministic for
+a fixed config and seed; ``--timing`` adds a separate field here, so default
 reports are byte-identical.
 """
 
@@ -20,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -45,6 +50,8 @@ SIGNS = {"+": 1, "-": -1}  # --sign choices
 BOUND_LIMIT = 1.5
 BOUND_TOL = 1e-6
 
+_INDENT = "  "  # json.dumps(..., indent=2)
+
 
 def _load_state(source: str, dim: int | None) -> TwoQuditState:
     if source == "ghz":
@@ -57,6 +64,79 @@ def _load_state(source: str, dim: int | None) -> TwoQuditState:
             raise ValidationError(f"--dim {dim} does not match state file dim {state.dim}")
         return state
     raise ValidationError(f"state source must be 'ghz' or 'file:PATH', got {source!r}")
+
+
+def _dumps(value) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, joined once from :func:`_write`'s pieces."""
+    pieces = []
+    _write(value, 0, pieces.append)
+    return "".join(pieces)
+
+
+def _write(value, level: int, out) -> None:
+    """Pass the text of ``value``, ``level`` indents deep, to ``out`` in pieces.
+
+    Dicts, lists and tuples are laid out here, a list of finite floats or of such lists in
+    one piece (:func:`_float_lists`); any other value is ``json.dumps(value)``, whose tokens
+    are the indented encoder's.
+    """
+    inner = "\n" + _INDENT * (level + 1)
+    if isinstance(value, dict):
+        if not value:
+            return out("{}")
+        for i, (key, item) in enumerate(sorted(value.items())):
+            out(f"{',' if i else '{'}{inner}{_key(key)}: ")
+            _write(item, level + 1, out)
+        return out(f"\n{_INDENT * level}}}")
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return out("[]")
+        text = _float_lists(value, level)
+        if text is not None:
+            return out(text)
+        for i, item in enumerate(value):
+            out(f"{',' if i else '['}{inner}")
+            _write(item, level + 1, out)
+        return out(f"\n{_INDENT * level}]")
+    return out(json.dumps(value))
+
+
+def _key(key) -> str:
+    """A dict key as ``json.dumps`` writes it: a string, or the JSON token of a number,
+    bool or None as a string."""
+    if not isinstance(key, str):
+        if not (isinstance(key, (int, float)) or key is None):
+            kind = type(key).__name__
+            raise TypeError(f"keys must be str, int, float, bool or None, not {kind}")
+        key = json.dumps(key)
+    return json.dumps(key)
+
+
+def _float_lists(value, level: int) -> str | None:
+    """The indented text of a list of finite floats, or of a list of non-empty such lists;
+    None for any other value.
+
+    ``float.__repr__`` is the JSON token of a finite float, and it holds no ``n``, so an
+    ``n`` in the text marks an ``inf`` or a ``nan``.  A list of lists is laid out one row
+    at a time, and the rows are joined once.
+    """
+    if type(value) is not list:
+        return None
+    kinds = set(map(type, value))
+    nested = kinds == {list} and all(value)
+    if (set(map(type, chain.from_iterable(value))) if nested else kinds) != {float}:
+        return None
+    outer, middle, inner = ("\n" + _INDENT * (level + k) for k in range(3))
+    if nested:
+        parts = ["["]
+        for i, row in enumerate(value):
+            row_text = f",{inner}".join(map(repr, row))
+            parts += (f"{',' if i else ''}{middle}[{inner}", row_text, f"{middle}]")
+        parts.append(f"{outer}]")
+        text = "".join(parts)
+    else:
+        text = f"[{middle}{f',{middle}'.join(map(repr, value))}{outer}]"
+    return None if "n" in text else text
 
 
 def _emit_report(args, report: dict) -> None:
@@ -75,7 +155,7 @@ def _emit_report(args, report: dict) -> None:
     }
     config = {key: value for key, value in config.items() if value is not None}
     payload = {"schema": SCHEMA_VERSION, "config": config, "report": report}
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = _dumps(payload) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -93,7 +173,7 @@ def cmd_spectrum(args) -> int:
     d = tcorr.dim
     report = {
         "dim": d,
-        "eigenvalues": [float(x) for x in spectral.eigenvalues],
+        "eigenvalues": spectral.eigenvalues.tolist(),
         "clusters": [
             {"value": c.value, "multiplicity": c.multiplicity} for c in spectral.clusters
         ],

@@ -39,9 +39,9 @@ def load_payload(payload: str | bytes) -> tuple:
 
 
 def complex_matrix_to_pairs(matrix: np.ndarray) -> list[list[float]]:
-    """Flatten a complex matrix to row-major ``[[re, im], ...]``."""
+    """Flatten a complex matrix to row-major ``[[re, im], ...]`` of Python floats."""
     flat = np.asarray(matrix, dtype=complex).reshape(-1)
-    return [[float(z.real), float(z.imag)] for z in flat]
+    return np.stack((flat.real, flat.imag), axis=1).tolist()
 
 
 def pairs_to_complex_matrix(pairs, shape: tuple[int, int]) -> np.ndarray:
@@ -71,8 +71,9 @@ def complex_matrix_to_base64(matrix: np.ndarray) -> str:
     return complex_matrix_to_base64_bytes(matrix).decode("ascii")
 
 
-def base64_to_complex_matrix(text: str, shape: tuple[int, int]) -> np.ndarray:
-    """Rebuild a complex matrix from :func:`complex_matrix_to_base64` output (read-only)."""
+def base64_to_complex_matrix(text: str | memoryview, shape: tuple[int, int]) -> np.ndarray:
+    """Rebuild a complex matrix from :func:`complex_matrix_to_base64` output, as text or
+    as ASCII bytes (read-only)."""
     try:
         if sys.version_info >= (3, 11):  # b64decode's own call, without its ASCII copy of text
             raw = binascii.a2b_base64(text, strict_mode=True)
@@ -89,7 +90,7 @@ def base64_to_complex_matrix(text: str, shape: tuple[int, int]) -> np.ndarray:
 
 
 def real_vector_to_list(vec: np.ndarray) -> list[float]:
-    return [float(x) for x in np.asarray(vec, dtype=float).reshape(-1)]
+    return np.asarray(vec, dtype=float).reshape(-1).tolist()
 
 
 def freeze(arr: np.ndarray) -> np.ndarray:

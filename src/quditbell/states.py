@@ -43,9 +43,15 @@ and skip it.
 State files are ``{"dim": d, "rho": "<base64>"}`` (:meth:`TwoQuditState.to_json`)
 and cost one base64 pass each way.  Writing holds, besides rho, only the base64
 bytes (4/3 of rho's size; the encoder reserves twice rho's size while it runs),
-which go to the file between a fixed header and ``"}``.  Reading holds the file's
-bytes only while they are parsed and the base64 text only until it is decoded, so
-the gates of :meth:`~TwoQuditState.from_matrix` see the decoded matrix alone.
+which go to the file between a fixed header and ``"}``.  Reading bytes in exactly
+that layout skips the JSON scanner: strict base64 admits no ``"`` or ``\\``, so the
+bytes between header and tail are the JSON string itself, and they are decoded in
+place through a ``memoryview``.  Any other payload (``[re, im]`` pairs, other
+whitespace or key order, text rather than bytes) and any failure of that read is
+parsed as JSON, with the JSON reader's error texts; its bytes are freed once
+decoded to text, and the base64 text once decoded.  Either way the file's bytes
+are freed before the gates of :meth:`~TwoQuditState.from_matrix` run, which see
+the decoded matrix alone.
 """
 
 from __future__ import annotations
@@ -57,7 +63,8 @@ import numpy as np
 
 from .bloch import BlochVector, QuditObservable
 from .errors import (
-    DimensionError, ValidationError, check_dim, check_hermitian, check_type, mirror_residual,
+    DimensionError, ValidationError, check_dim, check_hermitian, check_int, check_type,
+    mirror_residual,
 )
 from .gellmann import _apply_u, antisymmetric_rows
 from .serialize import (
@@ -75,6 +82,8 @@ _PSD_FLOOR = -1e-10
 _SWAP_TOL = 1e-12
 # json.dumps({"dim": d, "rho": text}) for an int d and base64 text is head % d, text, tail
 _FILE_HEAD, _FILE_TAIL = '{"dim": %d, "rho": "', '"}'
+_DIM_KEY, _RHO_KEY = (part.encode("ascii") for part in _FILE_HEAD.split("%d"))
+_TAIL = _FILE_TAIL.encode("ascii")
 
 # Relative gap used to group nearly equal eigenvalues into multiplets.
 CLUSTER_RTOL = 1e-8
@@ -147,17 +156,20 @@ class TwoQuditState:
 
     @classmethod
     def from_file(cls, path) -> "TwoQuditState":
-        """:meth:`from_json` of the file's bytes, which are freed once decoded to text."""
+        """:meth:`from_json` of the file's bytes, which are freed before the gates run."""
         with open(path, "rb") as fh:
             return cls._load(fh.read)
 
     @classmethod
     def _load(cls, read) -> "TwoQuditState":
-        # read() goes to the parser unnamed, so nothing here keeps a file's bytes
-        d, rho = load_payload(read())
-        decode = base64_to_complex_matrix if isinstance(rho, str) else pairs_to_complex_matrix
-        matrix = decode(rho, (d * d, d * d))
-        del rho  # the base64 text or the pair lists: the gates need only the matrix
+        box = [read()]  # popped into load_payload, whose decode to text then frees the bytes
+        matrix = _layout_matrix(box[0])
+        if matrix is None:
+            d, rho = load_payload(box.pop())
+            decode = base64_to_complex_matrix if isinstance(rho, str) else pairs_to_complex_matrix
+            matrix = decode(rho, (d * d, d * d))
+            del rho  # the base64 text or the pair lists: the gates need only the matrix
+        del box  # the file's bytes, if the layout read took them
         return cls.from_matrix(matrix)
 
     def to_file(self, path) -> None:
@@ -169,7 +181,28 @@ class TwoQuditState:
         with open(path, "wb") as fh:
             fh.write((_FILE_HEAD % self.dim).encode("ascii"))
             fh.write(complex_matrix_to_base64_bytes(self.rho))
-            fh.write(_FILE_TAIL.encode("ascii"))
+            fh.write(_TAIL)
+
+
+def _layout_matrix(payload) -> np.ndarray | None:
+    """rho of bytes laid out exactly as :meth:`TwoQuditState.to_file` writes them, or None.
+
+    Strict base64 admits no ``"`` or ``\\``, so bytes that are ``_FILE_HEAD % d``, base64 and
+    ``_FILE_TAIL`` are that JSON object, and its text is decoded in place, not scanned as JSON
+    first.  Any other payload, and any failure here, is left to :func:`load_payload`, whose
+    error texts are the reader's.
+    """
+    if not (type(payload) is bytes and payload.startswith(_DIM_KEY) and payload.endswith(_TAIL)):
+        return None
+    try:
+        d = check_int("dim", int(payload[len(_DIM_KEY) : payload.index(_RHO_KEY)]), 2)
+        head = (_FILE_HEAD % d).encode("ascii")
+        if not payload.startswith(head):  # the int was written as 04, +4, 4_0 or " 4"
+            return None
+        with memoryview(payload)[len(head) : -len(_TAIL)] as text:
+            return base64_to_complex_matrix(text, (d * d, d * d))
+    except ValueError:  # a ValidationError, or no int before the "rho" key
+        return None
 
 
 def _swap_residual(rho: np.ndarray, d: int) -> float:

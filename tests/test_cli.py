@@ -1,9 +1,16 @@
+import importlib.util
 import json
+import math
+import pathlib
+import re
+import shlex
 import sys
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quditbell import TwoQuditState, cli, ghz, maximally_mixed, perfectness, states
 from quditbell.cli import main
@@ -443,3 +450,104 @@ def test_malformed_state_file_is_input_error(payload, tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("input error:")
+
+
+def _load_cli_digests():
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "cli_digests.py"
+    spec = importlib.util.spec_from_file_location("cli_digests", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+CLI_DIGESTS = _load_cli_digests()
+
+
+def _indented(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+# leaves the encoders write differently if at all: specials, numpy floats, escapes
+FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16])
+LEAVES = (
+    FLOATS
+    | st.integers()
+    | st.booleans()
+    | st.none()
+    | st.floats().map(np.float64)
+    | st.text()
+    | st.sampled_from(['"', "\\", 'a "quoted" \\ path', "é中\U0001f600", "\x00\n"])
+)
+# the writer's float-list layout, with empty, ragged and non-finite rows
+FLOAT_LISTS = st.lists(FLOATS, max_size=4) | st.lists(st.lists(FLOATS, max_size=3), max_size=4)
+TREES = st.recursive(
+    LEAVES | FLOAT_LISTS,
+    lambda children: st.lists(children, max_size=4)
+    | st.tuples(children, children)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=40,
+)
+
+
+class TestReportWriter:
+    """``cli._dumps`` is ``json.dumps(value, sort_keys=True, indent=2)``, byte for byte."""
+
+    @pytest.fixture(scope="class")
+    def state_dir(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("states")
+        CLI_DIGESTS.write_states(directory)
+        return directory
+
+    @pytest.mark.parametrize("command", CLI_DIGESTS.COMMANDS)
+    def test_every_digest_report(self, command, state_dir, monkeypatch, capsys):
+        monkeypatch.chdir(state_dir)
+        reports, write = [], cli._dumps
+
+        def checked(value):
+            reports.append((write(value), _indented(value)))
+            return reports[-1][0]
+
+        monkeypatch.setattr(cli, "_dumps", checked)
+        code = main(shlex.split(command))
+        capsys.readouterr()
+        # a JSON report is written by every command that exits 0 or 2, csv output aside
+        assert len(reports) == (code in (0, 2) and "--format csv" not in command)
+        for written, reference in reports:
+            assert written == reference
+
+    @settings(max_examples=300, deadline=None)
+    @given(TREES)
+    def test_random_trees(self, tree):
+        assert cli._dumps(tree) == _indented(tree)
+
+    @pytest.mark.parametrize(
+        "tree",
+        [
+            [[1.0, 2.0], [3.0, 4.0]],
+            [[0.5], [-0.0, 5e-324, 1e16]],  # ragged rows of floats
+            [[1.0, 2.0], []],
+            [[1.0, math.nan], [math.inf, 2.0]],
+            [[1.0, 2.0], (3.0, 4.0)],
+            [[1.0, 2.0], [3, 4.0]],
+            [1.0, np.float64(2.0), True],
+            [[1.0], 2.0],
+            {"b": [1.0, -math.inf], "a": {"x": [[0.1, 0.2]], "y": [[[0.1]]]}, "": []},
+            {1: 0.5, 2: "x"},
+            {1.5: None, -0.0: [1.0]},
+            {True: 1, False: 2},
+            {None: "null"},
+            "top-level é",
+            math.nan,
+        ],
+    )
+    def test_layouts(self, tree):
+        assert cli._dumps(tree) == _indented(tree)
+
+    @pytest.mark.parametrize(
+        "tree", [{(1, 2): 0}, [np.float32(1.0)], {"a": [object()]}, {1: 0, "a": 1}]
+    )
+    def test_errors_are_json_dumps_errors(self, tree):
+        with pytest.raises(TypeError) as reference:
+            _indented(tree)
+        with pytest.raises(TypeError, match=f"^{re.escape(str(reference.value))}$"):
+            cli._dumps(tree)

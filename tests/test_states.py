@@ -1,5 +1,6 @@
 import base64
 import json
+import re
 import sys
 import tracemalloc
 
@@ -692,3 +693,77 @@ def test_base64_payload_runs_every_gate():
     for match, rho in cases.items():
         with pytest.raises(ValidationError, match=match):
             TwoQuditState.from_json(json.dumps({"dim": 2, "rho": complex_matrix_to_base64(rho)}))
+
+
+ESCAPED_A = "\\u0041"  # the JSON escape of "A", which strict base64 rejects
+
+
+class TestLayoutReader:
+    """State files in ``to_file``'s layout are decoded in place; every other file is read as
+    JSON, with the JSON reader's error texts."""
+
+    @staticmethod
+    def _spy(monkeypatch) -> list:
+        calls, real = [], states.load_payload
+        monkeypatch.setattr(states, "load_payload", lambda text: calls.append(1) or real(text))
+        return calls
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_layout_and_json_paths_agree_bitwise(self, d, tmp_path, monkeypatch, rng):
+        state = rotated_ghz(d, rng)
+        path = tmp_path / "state.json"
+        state.to_file(path)
+        calls = self._spy(monkeypatch)
+        layout = TwoQuditState.from_file(path)
+        assert calls == []
+        parsed = TwoQuditState.from_json(path.read_text())  # text is read as JSON
+        assert calls == [1]
+        assert layout.rho.tobytes() == parsed.rho.tobytes() == state.rho.tobytes()
+        assert layout.dim == parsed.dim == d and layout.symmetric and parsed.symmetric
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (
+                lambda b64: f'{{"dim": 4, "rho": "{b64[:-8]}"}}',
+                "^matrix payload must be 4096 bytes of complex128, got 4092$",
+            ),
+            (lambda b64: f'{{"dim": 4, "rho": "{b64[:-1]}"}}', "not valid base64"),
+            (lambda b64: f'{{"dim": 4, "rho": "{b64.replace("A", ESCAPED_A, 1)}"}}', None),
+            (lambda b64: f'{{"dim": 4, "rho": "{b64}"}}\n', None),
+            (lambda b64: f'{{"dim": 04, "rho": "{b64}"}}', "^state file is not valid JSON: "),
+            (lambda b64: f'{{"dim": 1, "rho": "{b64}"}}', "^dim must be at least 2, got 1$"),
+            (lambda b64: '{"dim": 0, "rho": ""}', "^dim must be at least 2, got 0$"),
+            (lambda b64: f'{{"dim": 4.0, "rho": "{b64}"}}', "^dim must be an integer, got 4.0$"),
+            (lambda b64: f'{{"rho": "{b64}", "dim": 4}}', None),
+            (lambda b64: f'{{"dim": 4, "rho": "{b64}", "note": "x"}}', None),
+            (lambda b64: f'{{"dim": 4, "note": "x", "rho": "{b64}"}}', None),
+            (lambda b64: f'{{"dim": 4, "rho": "{b64}"}}'.encode("utf-16"), None),
+        ],
+        ids=[
+            "truncated", "bad-padding", "json-escape", "trailing-newline", "dim-04", "dim-1",
+            "dim-0-empty", "dim-4.0", "swapped-keys", "extra-key-last", "extra-key-between",
+            "utf-16",
+        ],
+    )
+    def test_other_files_take_the_json_path(self, edit, match, tmp_path, monkeypatch, rng):
+        state = rotated_ghz(4, rng)
+        payload = edit(complex_matrix_to_base64(state.rho))
+        path = tmp_path / "state.json"
+        path.write_bytes(payload if isinstance(payload, bytes) else payload.encode())
+
+        def outcome():
+            try:
+                return TwoQuditState.from_file(path).rho.tobytes()
+            except ValidationError as exc:
+                return str(exc)
+
+        calls = self._spy(monkeypatch)
+        read = outcome()
+        assert calls == [1]  # the JSON reader decided
+        monkeypatch.setattr(states, "_layout_matrix", lambda payload: None)
+        assert read == outcome()  # the JSON reader alone: the same matrix or the same text
+        if match is None:
+            assert read == state.rho.tobytes()
+        else:
+            assert re.search(match, read)
