@@ -26,14 +26,12 @@ from .bloch import (
     bloch_ball_radius,
     from_bloch,
     haar_unitary,
-    in_bloch_region,
     in_pm1_shell,
     make_diag_pm1,
     make_offdiag_imag_pm1,
     make_offdiag_real_pm1,
     operator_norm,
     pm1_round,
-    random_pm1_observable,
     to_bloch,
 )
 from .errors import (
@@ -43,7 +41,7 @@ from .errors import (
     QuditBellError,
     ValidationError,
 )
-from .gellmann import build_basis, flat_index, index_label
+from .gellmann import build_basis
 from .perfectness import (
     ClassMembership,
     PerfectnessCertificate,
@@ -96,13 +94,10 @@ __all__ = [
     "correlation_spectrum",
     "exhaustive_qubit_max",
     "find_perfect_observables",
-    "flat_index",
     "from_bloch",
     "ghz",
     "haar_unitary",
-    "in_bloch_region",
     "in_pm1_shell",
-    "index_label",
     "lhv_monte_carlo",
     "make_diag_pm1",
     "make_offdiag_imag_pm1",
@@ -112,7 +107,6 @@ __all__ = [
     "operator_norm",
     "pm1_round",
     "product_expectation",
-    "random_pm1_observable",
     "scalar_bound",
     "to_bloch",
     "write_trace_csv",

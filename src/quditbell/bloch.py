@@ -6,13 +6,12 @@ by the real vector ``r`` of length d^2 - 1 with
     X = sqrt(d/2) * sum_j r_j L_j,      r_j = tr[X L_j] / sqrt(2 d),
 
 where ``L_j`` are the generators from :mod:`quditbell.gellmann`.  Under this
-scaling ``tr[X^2] = d ||r||^2``.  Two membership tests matter here:
-
-* ``in_bloch_region``: the image of observables with eigenvalues in [-1, 1],
-  i.e. the operator norm of ``r . L`` is at most sqrt(2/d);
-* ``in_pm1_shell``: the image of traceless observables with eigenvalues
-  exactly +-1 (nonempty only for even d), i.e. operator norm equal to
-  sqrt(2/d) together with ``||r|| = 1``.
+scaling ``tr[X^2] = d ||r||^2``.  The paper's +-1 class has one membership
+test, :func:`in_pm1_shell`: the image of traceless observables with
+eigenvalues exactly +-1 (nonempty only for even d), i.e. operator norm of
+``r . L`` equal to sqrt(2/d) together with ``||r|| = 1``.  The wider range
+rule, eigenvalues in [-1, 1], is gated on the observable itself by
+:func:`quditbell.errors.check_range`.
 
 Both directions work in O(d^2) from the entries of the sparse generator
 matrix U (:func:`quditbell.gellmann.generator_entries`), the one
@@ -55,6 +54,8 @@ def bloch_ball_radius(d: int) -> float:
 
     Equal to 1 for even d and sqrt((d-1)/d) for odd d: with eigenvalues in
     [-1, 1] and zero trace, ``tr[X^2]`` cannot exceed d (even) or d - 1 (odd).
+    At even d this is what lets a Bell-value bound relax A and B~ to the unit
+    ball, where ``E(A, B) = (d/2) <a, T b>`` is bounded by T's spectrum.
     """
     d = check_dim(d)
     return 1.0 if d % 2 == 0 else float(np.sqrt((d - 1) / d))
@@ -143,10 +144,10 @@ def _bincount_complex(index: np.ndarray, weights: np.ndarray, size: int) -> np.n
     """
     lead = weights.shape[:-1]
     count = weights.size // index.size
-    flat_index = (index + size * np.arange(count)[:, None]).reshape(-1)
+    bins = (index + size * np.arange(count)[:, None]).reshape(-1)
     out = np.empty(count * size, dtype=complex)
-    out.real = np.bincount(flat_index, weights.real.reshape(-1), count * size)
-    out.imag = np.bincount(flat_index, weights.imag.reshape(-1), count * size)
+    out.real = np.bincount(bins, weights.real.reshape(-1), count * size)
+    out.imag = np.bincount(bins, weights.imag.reshape(-1), count * size)
     return out.reshape(lead + (size,))
 
 
@@ -213,27 +214,22 @@ def _implied_dim(length: int) -> int:
     return max(2, int(round(np.sqrt(length + 1))))
 
 
-def in_bloch_region(r: BlochVector | np.ndarray, tol: float = SET_TOL) -> bool:
-    """True iff the operator norm of ``r . L`` is at most sqrt(2/d) + tol."""
-    check_tol(tol)
-    vec = _as_bloch(r)
-    return _operator_norm(_generator_sum(vec.coords, vec.dim)) <= np.sqrt(2.0 / vec.dim) + tol
-
-
 def in_pm1_shell(r: BlochVector | np.ndarray, tol: float = SET_TOL) -> bool:
     """True iff ``r`` is the image of a traceless observable with spectrum {+1, -1}.
 
-    Requires even d (the set is empty otherwise, so odd d always returns
-    False): unit Euclidean norm together with operator norm of ``r . L``
-    equal to sqrt(2/d), both within ``tol``.
+    This is the paper's class of +-1 observables, in which the certificate's
+    witnesses and :func:`pm1_round`'s points lie.  Requires even d (the set
+    is empty otherwise, so odd d always returns False): unit Euclidean norm
+    together with operator norm of ``r . L`` equal to sqrt(2/d), both within
+    ``tol``.
     """
-    check_tol(tol)
+    tol = check_tol(tol)
     vec = _as_bloch(r)
     if vec.dim % 2 != 0:
         return False
     if abs(vec.norm - 1.0) > tol:
         return False
-    return _shell_residual(vec.coords, vec.dim) <= tol
+    return bool(_shell_residual(vec.coords, vec.dim) <= tol)
 
 
 def pm1_round(r: BlochVector | np.ndarray, dim: int | None = None) -> BlochVector:
@@ -324,18 +320,3 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     phases = np.diagonal(r).copy()
     phases /= np.abs(phases)
     return q * phases
-
-
-def random_pm1_observable(d: int, seed: int) -> QuditObservable:
-    """Random element of the +-1-spectrum family, ``U D U^dag`` with balanced D.
-
-    Deterministic in ``seed``; the spectrum constraint holds exactly by
-    construction.
-    """
-    d = check_dim(d, even=True)
-    rng = np.random.default_rng(check_int("seed", seed, 0))
-    u = haar_unitary(d, rng)
-    diag = np.concatenate([np.ones(d // 2), -np.ones(d // 2)])
-    matrix = (u * diag) @ u.conj().T
-    matrix = (matrix + matrix.conj().T) / 2.0
-    return QuditObservable.from_matrix(matrix)

@@ -29,13 +29,8 @@ import functools
 
 import numpy as np
 
-from .errors import check_dim, check_int
+from .errors import check_dim
 from .serialize import freeze
-
-KIND_SYMMETRIC = "symmetric"
-KIND_ANTISYMMETRIC = "antisymmetric"
-KIND_DIAGONAL = "diagonal"
-KINDS = (KIND_SYMMETRIC, KIND_ANTISYMMETRIC, KIND_DIAGONAL)
 
 
 def antisymmetric_rows(d: int) -> slice:
@@ -104,64 +99,15 @@ def _apply_u(d: int, x: np.ndarray) -> np.ndarray:
 def build_basis(d: int) -> np.ndarray:
     """The generators as a dense read-only array of shape ``(d^2-1, d, d)``.
 
-    ``build_basis(d)[n]`` is ``L_n`` in the grouped ordering.  A dense
-    expansion of :func:`generator_entries` for callers that want the
-    matrices; it costs O(d^4) memory (about 268 MB at d = 64) and no library
-    computation uses it.  Cached; ``d`` must pass ``check_dim(d, cap=True)``.
+    ``build_basis(d)[n]`` is ``L_n`` in the grouped ordering of
+    :func:`generator_entries`: the paper's generalized Gell-Mann matrices as
+    matrices, for callers that want them and for the benchmark's tracer
+    (``perfbench/tracing.py``), which patches this name.  It costs O(d^4)
+    memory (about 268 MB at d = 64) and no library computation uses it.
+    Cached; ``d`` must pass ``check_dim(d, cap=True)``.
     """
     rows, cols, values = generator_entries(d)
     gens = np.zeros((d * d - 1, d * d), dtype=complex)
     gens[rows, cols] = values
     gens.setflags(write=False)
     return gens.reshape(-1, d, d)
-
-
-def flat_index(d: int, kind: str, m: int, k: int | None = None) -> int:
-    """Position of a generator in the grouped ordering (0-based).
-
-    ``kind`` is one of ``symmetric``/``antisymmetric`` (pass 1-based
-    ``1 <= m < k <= d``) or ``diagonal`` (pass ``m`` as the label
-    ``1 <= l <= d-1`` and leave ``k`` unset).  Non-integer indices raise
-    :class:`~quditbell.errors.ValidationError`, out-of-range ones :class:`IndexError`.
-    """
-    d = check_dim(d)
-    m = check_int("m", m)
-    k = None if k is None else check_int("k", k)
-    n_off = d * (d - 1) // 2
-    if kind in (KIND_SYMMETRIC, KIND_ANTISYMMETRIC):
-        if k is None:
-            raise IndexError(f"{kind} generators need both indices m < k")
-        if not (1 <= m < k <= d):
-            raise IndexError(f"indices (m={m}, k={k}) out of range 1 <= m < k <= {d}")
-        pos = (m - 1) * d - m * (m - 1) // 2 + (k - m - 1)
-        return pos if kind == KIND_SYMMETRIC else n_off + pos
-    if kind == KIND_DIAGONAL:
-        if k is not None:
-            raise IndexError("diagonal generators take a single label l")
-        if not (1 <= m <= d - 1):
-            raise IndexError(f"diagonal label l={m} out of range 1 <= l <= {d - 1}")
-        return 2 * n_off + (m - 1)
-    raise IndexError(f"unknown generator kind {kind!r}; expected one of {KINDS}")
-
-
-def index_label(d: int, index: int) -> tuple:
-    """Inverse of :func:`flat_index`.
-
-    Returns ``(kind, m, k)`` for off-diagonal generators and ``(kind, l)``
-    for diagonal ones.
-    """
-    d = check_dim(d)
-    index = check_int("index", index)
-    n_off = d * (d - 1) // 2
-    n = d * d - 1
-    if not (0 <= index < n):
-        raise IndexError(f"flat index {index} out of range 0 <= i < {n}")
-    if index >= 2 * n_off:
-        return (KIND_DIAGONAL, index - 2 * n_off + 1)
-    kind = KIND_SYMMETRIC if index < n_off else KIND_ANTISYMMETRIC
-    pos = index % n_off
-    m = 1
-    while pos >= d - m:
-        pos -= d - m
-        m += 1
-    return (kind, m, m + 1 + pos)

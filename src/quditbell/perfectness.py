@@ -163,7 +163,7 @@ def check_bell_condition(
     from that sign.  Acceptance additionally requires operator norm 1.  An
     observable of another dimension fails :func:`product_expectation`'s gate.
     """
-    check_tol(tol)
+    tol = check_tol(tol)
     check_type("state", state, TwoQuditState)
     check_type("observable", observable, QuditObservable)
     eigenvalues, vectors = np.linalg.eigh(observable.matrix)
@@ -217,7 +217,7 @@ def bell_condition_spectral_form(
     vanishing is equivalent to ``<b, T b> = +- 2/d``.
     """
     sign = check_sign(sign)
-    check_tol(tol)
+    tol = check_tol(tol)
     check_type("tcorr", tcorr, CorrelationMatrix)
     check_type("b", b, BlochVector)
     if b.dim != tcorr.dim:
@@ -329,7 +329,7 @@ def certify_state(
     ``seed``; ``restarts=0`` tries the canonical starts only.  Each sign
     reports the first witness found.
     """
-    check_tol(tol)
+    tol = check_tol(tol)
     check_int("restarts", restarts, 0)
     check_int("seed", seed, 0)
     d = check_dim(check_type("state", state, TwoQuditState).dim, even=True)

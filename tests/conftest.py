@@ -17,6 +17,15 @@ def random_traceless_hermitian(d, rng):
     return h / np.max(np.abs(np.linalg.eigvalsh(h)))
 
 
+def random_pm1_matrix(d, rng):
+    """Haar-random balanced +-1 observable ``U D U^dag`` at even d, drawn without the
+    library's rounding, so that it can check ``pm1_round`` independently."""
+    u = haar_unitary(d, rng)
+    signs = np.concatenate([np.ones(d // 2), -np.ones(d // 2)])
+    matrix = (u * signs) @ u.conj().T
+    return (matrix + matrix.conj().T) / 2.0
+
+
 def random_state(d, rng, symmetric=False):
     """Random full-rank two-qudit density matrix, optionally swap-symmetric."""
     w = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))

@@ -11,18 +11,17 @@ from quditbell import (
     bloch_ball_radius,
     build_basis,
     from_bloch,
-    in_bloch_region,
     in_pm1_shell,
     make_diag_pm1,
     make_offdiag_imag_pm1,
     make_offdiag_real_pm1,
     pm1_round,
-    random_pm1_observable,
     to_bloch,
 )
 from quditbell import bloch
+from quditbell.errors import check_range
 
-from conftest import SX, SY, SZ, random_traceless_hermitian
+from conftest import SX, SY, SZ, random_pm1_matrix, random_traceless_hermitian
 
 
 class TestCorrespondence:
@@ -101,16 +100,26 @@ class TestCorrespondence:
             QuditObservable.from_matrix(matrix)
 
 
+def _check_in_range(r, d=None):
+    """The [-1, 1] range rule on the observable of ``r``, through its one gate."""
+    return check_range(from_bloch(r, d).operator_norm, "X", bloch.SET_TOL)
+
+
+_OUT_OF_RANGE = r"^X has eigenvalues outside \[-1, 1\]"
+
+
 class TestMembership:
     def test_qubit_region(self):
-        assert in_bloch_region([0, 0, 1.0])
-        assert not in_bloch_region([0, 0, 1.01])
+        assert _check_in_range([0, 0, 1.0]) == pytest.approx(1.0, abs=1e-15)
+        with pytest.raises(ValidationError, match=_OUT_OF_RANGE):
+            _check_in_range([0, 0, 1.01])
 
     def test_qutrit_diagonal_direction_excluded(self):
-        # the first diagonal generator has eigenvalues {1, -1, 0}
+        # the first diagonal generator has eigenvalues {1, -1, 0}, so X = sqrt(3/2) L_6
         r = np.zeros(8)
         r[6] = 1.0
-        assert not in_bloch_region(r)
+        with pytest.raises(ValidationError, match=_OUT_OF_RANGE):
+            _check_in_range(r)
 
     def test_odd_dim_ball(self, rng):
         assert bloch_ball_radius(3) == pytest.approx(np.sqrt(2.0 / 3.0))
@@ -120,10 +129,10 @@ class TestMembership:
         for _ in range(20):
             x = random_traceless_hermitian(3, rng)
             r = to_bloch(x)
-            assert in_bloch_region(r, tol=1e-9)
+            _check_in_range(r)
             assert r.norm <= bloch_ball_radius(3) + 1e-10
             scaled = r.coords * rng.uniform(0.0, 1.0)
-            assert in_bloch_region(scaled, tol=1e-9)
+            _check_in_range(scaled, 3)
 
     def test_pm1_shell_qubit_any_unit_vector(self, rng):
         for _ in range(20):
@@ -146,7 +155,7 @@ class TestMembership:
     @pytest.mark.parametrize("length", [1, 5, 7, 10])
     def test_length_not_d2_minus_1_rejected(self, length):
         r = np.ones(length) / np.sqrt(length)
-        for check in (in_bloch_region, in_pm1_shell, from_bloch):
+        for check in (in_pm1_shell, from_bloch):
             with pytest.raises(ValidationError, match="length"):
                 check(r)
 
@@ -164,8 +173,10 @@ class TestPm1Round:
             expected = (w[d // 2 :].sum() - w[: d // 2].sum()) / np.sqrt(2.0 * d)
             value = float(c @ x.coords)
             assert value == pytest.approx(expected, abs=1e-12)
-            for seed in range(200):
-                y = random_pm1_observable(d, seed=seed).bloch.coords
+            # Haar-random +-1 points, drawn and mapped without the library's rounding
+            for _ in range(200):
+                x_rand = random_pm1_matrix(d, rng)
+                y = np.einsum("ij,kji->k", x_rand, generators).real / np.sqrt(2.0 * d)
                 assert float(c @ y) <= value + 1e-12
 
     @pytest.mark.parametrize("d", [2, 4, 6])
@@ -252,29 +263,10 @@ class TestConstructors:
             gammas = rng.integers(0, 4, size=d // 2)
             observables.append(make_offdiag_real_pm1(d, gammas))
             observables.append(make_offdiag_imag_pm1(d, gammas))
-        observables.append(random_pm1_observable(d, seed=11))
+        observables.append(QuditObservable.from_matrix(random_pm1_matrix(d, rng)))
         for obs in observables:
             assert np.max(np.abs(np.abs(obs.eigenvalues()) - 1.0)) <= 1e-10
             assert in_pm1_shell(obs.bloch, tol=1e-10)
-
-
-class TestRandomObservable:
-    def test_deterministic(self):
-        a = random_pm1_observable(4, seed=7)
-        b = random_pm1_observable(4, seed=7)
-        assert_allclose(a.matrix, b.matrix)
-        c = random_pm1_observable(4, seed=8)
-        assert np.max(np.abs(a.matrix - c.matrix)) > 1e-3
-
-    def test_spectrum_and_shell(self):
-        obs = random_pm1_observable(4, seed=7)
-        assert_allclose(np.sort(obs.eigenvalues()), [-1, -1, 1, 1], atol=1e-12)
-        assert abs(np.trace(obs.matrix)) <= 1e-12
-        assert in_pm1_shell(obs.bloch, tol=1e-10)
-
-    def test_odd_dim_rejected(self):
-        with pytest.raises(DimensionError):
-            random_pm1_observable(3, seed=0)
 
 
 def test_observable_json_roundtrip():

@@ -56,14 +56,33 @@ def test_numpy_integer_sign_gives_the_int_result(name, sign):
         assert result == SIGN_CALLS[name](sign)
 
 
+# name -> call with the tolerance as the only argument left open, returning a report
+TOL_REPORTS = {
+    "certify_state": lambda tol: qb.certify_state(_STATE, tol=tol),
+    "check_bell_condition": lambda tol: qb.check_bell_condition(_STATE, _SZ, tol=tol),
+}
+
+
+@pytest.mark.parametrize("name", TOL_REPORTS)
+@pytest.mark.parametrize("tol", [np.int64(0), np.float32(1e-6), np.float64(1e-9)], ids=repr)
+def test_numpy_tolerance_gives_the_float_report(name, tol):
+    # the report stores the gated float, so json.dumps reads no numpy scalar
+    text = json.dumps(TOL_REPORTS[name](tol).to_dict())
+    assert text == json.dumps(TOL_REPORTS[name](float(tol)).to_dict())
+
+
+def test_numpy_tolerance_gives_a_plain_bool():
+    tol = np.float32(1e-6)
+    assert type(qb.bell_condition_spectral_form(_TCORR, _SZ.bloch, 1, tol=tol)) is bool
+    assert type(qb.in_pm1_shell(_SZ.bloch, tol=tol)) is bool
+
+
 # name -> call with the dimension as the only argument left open
 DIM_CALLS = {
     "ghz": qb.ghz,
     "maximally_mixed": qb.maximally_mixed,
     "build_basis": qb.build_basis,
     "generator_entries": generator_entries,
-    "flat_index": lambda d: qb.flat_index(d, "diagonal", 1),
-    "index_label": lambda d: qb.index_label(d, 0),
     "bloch_ball_radius": qb.bloch_ball_radius,
     "BlochVector": lambda d: qb.BlochVector(dim=d, coords=np.zeros(15)),
     "from_bloch": lambda d: qb.from_bloch(np.zeros(15), d),
@@ -71,7 +90,6 @@ DIM_CALLS = {
     "make_diag_pm1": lambda d: qb.make_diag_pm1(d, [1, 1, -1, -1]),
     "make_offdiag_real_pm1": lambda d: qb.make_offdiag_real_pm1(d, [0, 1]),
     "make_offdiag_imag_pm1": lambda d: qb.make_offdiag_imag_pm1(d, [0, 1]),
-    "random_pm1_observable": lambda d: qb.random_pm1_observable(d, 0),
     "haar_unitary": lambda d: qb.haar_unitary(d, np.random.default_rng(0)),
 }
 
@@ -88,7 +106,7 @@ def test_dimension_gate_rejects_non_integer_or_small_d(name, bad):
 def test_gated_dimensions_are_stored_as_int():
     assert type(qb.ghz(np.int64(2)).dim) is int
     assert type(qb.BlochVector(dim=np.int64(2), coords=np.zeros(3)).dim) is int
-    assert type(qb.flat_index(np.int64(4), "diagonal", 1)) is int
+    assert type(qb.make_diag_pm1(np.int64(2), [1, -1]).dim) is int
 
 
 @pytest.mark.parametrize("build", [qb.ghz, qb.maximally_mixed])
@@ -101,15 +119,6 @@ def test_over_cap_state_fails_before_allocating(build):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-
-
-@pytest.mark.parametrize(
-    "seed, match",
-    [(-1, "seed must be at least 0"), (1.5, "seed must be an integer"), (True, "seed must be an integer")],
-)
-def test_random_pm1_observable_gates_its_seed(seed, match):
-    with pytest.raises(ValidationError, match=match):
-        qb.random_pm1_observable(2, seed)
 
 
 @pytest.mark.parametrize("slot", range(3))
@@ -198,7 +207,6 @@ def test_type_gate_names_the_argument(name):
     "call",
     [
         qb.in_pm1_shell,
-        qb.in_bloch_region,
         qb.from_bloch,
         qb.pm1_round,
         lambda r: qb.BlochVector(dim=2, coords=r),

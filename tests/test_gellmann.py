@@ -5,14 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import quditbell
-from quditbell import (
-    DimensionCapError, DimensionError, ValidationError, build_basis, flat_index, index_label
-)
+from quditbell import DimensionCapError, DimensionError, build_basis
 from quditbell.gellmann import _apply_u, antisymmetric_rows, generator_entries
 
 from conftest import SX, SY, SZ
@@ -155,80 +151,41 @@ def test_library_imports_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def _grouped_generators(d):
+    """``(label, L)`` in the grouped ordering, built here from its statement alone:
+    symmetric ``(m, k)`` pairs in lexicographic order, then the antisymmetric pairs,
+    then diagonal ``l = 1 .. d-1``."""
+    pairs = [(m, k) for m in range(1, d + 1) for k in range(m + 1, d + 1)]
+    labelled = []
+    for kind, lower, upper in (("symmetric", 1, 1), ("antisymmetric", 1j, -1j)):
+        for m, k in pairs:
+            g = np.zeros((d, d), dtype=complex)
+            g[k - 1, m - 1], g[m - 1, k - 1] = lower, upper
+            labelled.append(((kind, m, k), g))
+    for l in range(1, d):
+        diag = np.concatenate([np.ones(l), [-l], np.zeros(d - l - 1)])
+        labelled.append((("diagonal", l), np.diag(diag * np.sqrt(2.0 / (l * (l + 1))))))
+    return labelled
+
+
 class TestIndexing:
     def test_spec_positions(self):
-        assert flat_index(2, "symmetric", 1, 2) == 0
-        assert flat_index(2, "diagonal", 1) == 2
-        assert flat_index(4, "antisymmetric", 1, 2) == 6
+        # (symmetric, 1, 2) first and diagonal l = 1 at 2 for d = 2; (antisymmetric, 1, 2) at 6 for d = 4
+        assert np.array_equal(build_basis(2)[0], SX)
+        assert np.array_equal(build_basis(2)[2], SZ)
+        as12 = np.zeros((4, 4), dtype=complex)
+        as12[:2, :2] = SY
+        assert np.array_equal(build_basis(4)[6], as12)
 
-    @pytest.mark.parametrize("d", range(2, 8))
+    @pytest.mark.parametrize("d", range(2, 9))
     def test_bijection_with_labels(self, d):
-        seen = set()
-        for idx in range(d * d - 1):
-            label = index_label(d, idx)
-            assert flat_index(d, *label) == idx
-            seen.add(label)
-        assert len(seen) == d * d - 1
+        labelled = _grouped_generators(d)
+        labels = [label for label, _ in labelled]
+        assert len(set(labels)) == len(labels) == d * d - 1
+        assert np.array_equal(np.stack([g for _, g in labelled]), build_basis(d))
 
     def test_index_matches_matrix(self):
-        basis = build_basis(4)
-        idx = flat_index(4, "symmetric", 2, 4)
+        # (2, 4) follows (1, 2), (1, 3), (1, 4) and (2, 3) in the symmetric block
         expected = np.zeros((4, 4), dtype=complex)
         expected[1, 3] = expected[3, 1] = 1
-        assert_allclose(basis[idx], expected)
-
-    def test_bad_indices(self):
-        with pytest.raises(IndexError):
-            flat_index(3, "symmetric", 2, 2)
-        with pytest.raises(IndexError):
-            flat_index(3, "symmetric", 0, 1)
-        with pytest.raises(IndexError):
-            flat_index(3, "diagonal", 3)
-        with pytest.raises(IndexError):
-            flat_index(3, "diagonal", 1, 2)
-        with pytest.raises(IndexError):
-            flat_index(3, "symmetric", 1)
-        with pytest.raises(IndexError):
-            flat_index(3, "weird", 1, 2)
-        with pytest.raises(IndexError):
-            index_label(3, 8)
-
-    @pytest.mark.parametrize(
-        "call, name",
-        [
-            (lambda: index_label(4, 2.0), "index"),
-            (lambda: index_label(4, True), "index"),
-            (lambda: index_label(4, "1"), "index"),
-            (lambda: flat_index(4, "symmetric", 1.0, 2), "m"),
-            (lambda: flat_index(4, "symmetric", 1, 2.0), "k"),
-            (lambda: flat_index(4, "antisymmetric", True, 2), "m"),
-            (lambda: flat_index(4, "diagonal", np.float64(1)), "m"),
-            (lambda: flat_index(4, "diagonal", 1, False), "k"),
-        ],
-    )
-    def test_non_integer_indices_are_named(self, call, name):
-        with pytest.raises(ValidationError, match=f"^{name} must be an integer"):
-            call()
-
-    def test_numpy_integer_indices_give_python_ints(self):
-        assert type(flat_index(4, "diagonal", np.int64(1))) is int
-        assert flat_index(4, "diagonal", np.int64(1)) == 12
-        assert type(flat_index(4, "symmetric", np.int32(1), np.int64(2))) is int
-        label = index_label(4, np.int64(13))
-        assert label == ("diagonal", 2) and all(type(x) is int for x in label[1:])
-        label = index_label(np.int64(4), np.int64(7))
-        assert label == ("antisymmetric", 1, 3) and all(type(x) is int for x in label[1:])
-
-    @given(st.integers(min_value=2, max_value=12), st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_flat_index_range(self, d, data):
-        kind = data.draw(st.sampled_from(["symmetric", "antisymmetric", "diagonal"]))
-        if kind == "diagonal":
-            l = data.draw(st.integers(min_value=1, max_value=d - 1))
-            idx = flat_index(d, kind, l)
-        else:
-            m = data.draw(st.integers(min_value=1, max_value=d - 1))
-            k = data.draw(st.integers(min_value=m + 1, max_value=d))
-            idx = flat_index(d, kind, m, k)
-        assert 0 <= idx < d * d - 1
-
+        assert np.array_equal(build_basis(4)[4], expected)

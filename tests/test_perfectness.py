@@ -19,7 +19,6 @@ from quditbell import (
     find_perfect_observables,
     from_bloch,
     ghz,
-    in_bloch_region,
     in_pm1_shell,
     make_diag_pm1,
     make_offdiag_imag_pm1,
@@ -476,7 +475,6 @@ _TOL_GATES = {
         correlation_matrix(ghz(2)), to_bloch(SZ), 1, tol=tol
     ),
     "in_pm1_shell": lambda tol: in_pm1_shell(to_bloch(SZ), tol=tol),
-    "in_bloch_region": lambda tol: in_bloch_region(to_bloch(SZ), tol=tol),
 }
 
 

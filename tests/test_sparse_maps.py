@@ -40,7 +40,7 @@ def test_no_library_path_builds_the_dense_basis(monkeypatch, capsys):
     obs = qb.make_offdiag_real_pm1(d, [0, 1])
     assert np.array_equal(qb.to_bloch(obs.matrix).coords, obs.bloch.coords)
     assert np.max(np.abs(qb.from_bloch(obs.bloch).matrix - obs.matrix)) <= 1e-15
-    assert qb.in_bloch_region(obs.bloch) and qb.in_pm1_shell(obs.bloch)
+    assert qb.in_pm1_shell(obs.bloch)
     assert qb.in_pm1_shell(qb.pm1_round(np.arange(d * d - 1.0), d))
 
     state = qb.ghz(d)
