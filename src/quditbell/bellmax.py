@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import functools
 import os
-import threading
 import time
 from dataclasses import asdict, dataclass
 
@@ -50,8 +49,7 @@ from .states import (
     product_expectation,
 )
 
-# Most perfect observables B that maximize_bell finds; restart i holds B at witness
-# i mod 8, so with fewer restarts than this only the first ``restarts`` are asked for.
+# Most perfect observables B that maximize_bell asks for (``restarts`` if that is fewer)
 WITNESS_COUNT = 8
 
 
@@ -59,9 +57,9 @@ WITNESS_COUNT = 8
 class MaximizeOptions:
     """Optimizer knobs.
 
-    Restart ``i`` fixes B to witness ``i mod 8`` (found with perfectness
-    tolerance ``tol``) and stops at the first iteration of block updates
-    that no longer raises the value, or after ``max_iters`` iterations.
+    Restart ``i`` holds B at witness ``i mod n`` of the ``n <= 8`` found with
+    perfectness tolerance ``tol``; it stops at the first iteration of block
+    updates that no longer raises the value, or after ``max_iters`` iterations.
     """
 
     restarts: int = 64
@@ -342,44 +340,24 @@ def _tile_max(rows: np.ndarray, columns: np.ndarray) -> float:
     return float(value.max())
 
 
+def _share_max(share: list[tuple[np.ndarray, np.ndarray]]) -> float:
+    """``max`` of :func:`_tile_max` over one contiguous share of the tiles."""
+    return max(_tile_max(rows, columns) for rows, columns in share)
+
+
 def _tiles_max(tiles: list[tuple[np.ndarray, np.ndarray]]) -> float:
     """``max`` of :func:`_tile_max` over ``tiles``, on every CPU this process may use.
 
-    The tiles are split into contiguous shares, at most one per CPU and one
-    per tile.  The caller scans the first share and a helper thread each of
-    the others; numpy releases the GIL in the products and ufuncs.  ``max``
-    is exact and order-free, so the value is the serial scan's for any number
-    of shares.  Every helper is joined before this returns or raises; the
-    exception of the first failing share is raised in the caller.
+    A thread pool scans contiguous shares, at most one per CPU and one per tile
+    (numpy releases the GIL), with the serial scan's value: ``max`` is exact.
+    The first failing share's exception is raised after every thread is joined.
     """
+    # Imported here: concurrent.futures pulls in logging, and no CLI command runs the oracle.
+    from concurrent.futures import ThreadPoolExecutor
     workers = min(_cpu_count(), len(tiles))
     shares = [tiles[w * len(tiles) // workers : (w + 1) * len(tiles) // workers] for w in range(workers)]
-    results: list = [None] * workers  # a share's maximum, or the exception it raised
-
-    def scan(w: int) -> None:
-        best = -np.inf
-        try:
-            for rows, columns in shares[w]:
-                best = max(best, _tile_max(rows, columns))
-        except Exception as exc:  # raised again in the caller
-            results[w] = exc
-        else:
-            results[w] = best
-
-    helpers = []
-    try:
-        for w in range(1, workers):
-            helper = threading.Thread(target=scan, args=(w,))
-            helper.start()
-            helpers.append(helper)
-        scan(0)
-    finally:
-        for helper in helpers:
-            helper.join()
-    for result in results:
-        if isinstance(result, Exception):
-            raise result
-    return max(results)
+    with ThreadPoolExecutor(workers) as pool:
+        return max(pool.map(_share_max, shares))
 
 
 def exhaustive_qubit_max(state: TwoQuditState, sign: int, grid_steps: int) -> float:
@@ -401,9 +379,8 @@ def exhaustive_qubit_max(state: TwoQuditState, sign: int, grid_steps: int) -> fl
     One small matrix product per tile gives every pair's Gram form
     ``||T(b - b~)||^2 = ||Tb||^2 + ||Tb~||^2 - 2 <T^2 b, b~>`` (clamped at 0
     before the square root) and ``sign <b, T b~>``; the maximum is kept
-    across tiles.  The tiles are split across the CPUs this process may run
-    on, one thread each; the maximum is exact, so the value does not depend
-    on how many there are.
+    across tiles.  A thread pool scans the tiles on every CPU this process may
+    use; the maximum is exact, so the value does not depend on the CPU count.
     """
     sign = check_sign(sign)
     if check_type("state", state, TwoQuditState).dim != 2:

@@ -277,11 +277,7 @@ def make_diag_pm1(d: int, signs) -> QuditObservable:
 
 
 def _offdiag_pm1(d: int, gammas, lower: complex, upper: complex) -> np.ndarray:
-    """The matrix ``sum (-1)^g_m (lower |m+1><m| + upper |m><m+1|)`` over the level pairs."""
-    d = check_dim(d, even=True)
-    gammas = [check_int("gamma", g, 0) for g in _listed("gammas", gammas)]
-    if len(gammas) != d // 2:
-        raise ValidationError(f"need {d // 2} gamma exponents (one per level pair), got {len(gammas)}")
+    """The matrix ``sum (-1)^g_m (lower |m+1><m| + upper |m><m+1|)`` over the level pairs, ungated."""
     matrix = np.zeros((d, d), dtype=complex)
     for i, g in enumerate(gammas):
         m = 2 * i
@@ -291,6 +287,15 @@ def _offdiag_pm1(d: int, gammas, lower: complex, upper: complex) -> np.ndarray:
     return matrix
 
 
+def _offdiag_observable(d: int, gammas, lower: complex, upper: complex) -> QuditObservable:
+    """:func:`_offdiag_pm1` for an even ``d`` and one non-negative integer gamma per level pair."""
+    d = check_dim(d, even=True)
+    gammas = [check_int("gamma", g, 0) for g in _listed("gammas", gammas)]
+    if len(gammas) != d // 2:
+        raise ValidationError(f"need {d // 2} gamma exponents (one per level pair), got {len(gammas)}")
+    return QuditObservable.from_matrix(_offdiag_pm1(d, gammas, lower, upper))
+
+
 def make_offdiag_real_pm1(d: int, gammas) -> QuditObservable:
     """Observable ``sum (-1)^g_m (|m+1><m| + |m><m+1|)`` over level pairs.
 
@@ -298,7 +303,7 @@ def make_offdiag_real_pm1(d: int, gammas) -> QuditObservable:
     contributes a real sx-type block with sign ``(-1)^g``.  Each gamma is a
     non-negative integer.
     """
-    return QuditObservable.from_matrix(_offdiag_pm1(d, gammas, 1, 1))
+    return _offdiag_observable(d, gammas, 1, 1)
 
 
 def make_offdiag_imag_pm1(d: int, gammas) -> QuditObservable:
@@ -308,7 +313,7 @@ def make_offdiag_imag_pm1(d: int, gammas) -> QuditObservable:
     g = 0 block equals minus the antisymmetric generator of the pair, so
     ``make_offdiag_imag_pm1(2, [1])`` is sy itself.
     """
-    return QuditObservable.from_matrix(_offdiag_pm1(d, gammas, -1j, 1j))
+    return _offdiag_observable(d, gammas, -1j, 1j)
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -266,34 +266,48 @@ class TestOracleWorkers:
             values[workers] = [exhaustive_qubit_max(s, sign, grid_steps).hex() for s, sign in _oracle_inputs()]
         assert values[2] == values[1] and values[3] == values[1]
 
+    @pytest.fixture
+    def given(self, monkeypatch):
+        """``(id(rows), id(columns))`` of each tile the oracle passes to ``_tiles_max``, in order."""
+        given = []
+        tiles_max = bellmax._tiles_max
+
+        def recorded(tiles):
+            given.extend((id(rows), id(columns)) for rows, columns in tiles)
+            return tiles_max(tiles)
+
+        monkeypatch.setattr(bellmax, "_tiles_max", recorded)
+        return given
+
     # GHZ_2 at sign +1: 120 b-points against 7320 b~ in 18 tiles at 60 steps, and
     # 8 against 40 in one tile at 4 steps, the benchmark's warm-up call
     @pytest.mark.parametrize(
-        "grid_steps, workers, tiles, threads",
-        [(60, 1, 18, 1), (60, 2, 18, 2), (60, 3, 18, 3), (60, 50, 18, 18), (4, 4, 1, 1)],
+        "grid_steps, workers, tiles",
+        [(60, 1, 18), (60, 2, 18), (60, 3, 18), (60, 50, 18), (4, 4, 1)],
     )
-    def test_one_thread_per_share(self, monkeypatch, grid_steps, workers, tiles, threads):
-        seen = []
+    def test_every_tile_is_scanned_once(self, monkeypatch, given, grid_steps, workers, tiles):
+        scanned, threads = [], set()
         tile_max = bellmax._tile_max
 
         def recorded(rows, columns):
-            seen.append(threading.current_thread())
+            scanned.append((id(rows), id(columns)))
+            threads.add(threading.current_thread())
             return tile_max(rows, columns)
 
         monkeypatch.setattr(bellmax, "_tile_max", recorded)
         monkeypatch.setattr(bellmax, "_cpu_count", lambda: workers)
         exhaustive_qubit_max(ghz(2), 1, grid_steps)
-        assert len(seen) == tiles and len(set(seen)) == threads
-        assert threading.current_thread() in seen  # the caller scans a share itself
+        assert len(set(given)) == len(given) == tiles
+        assert sorted(scanned) == sorted(given)
+        assert 1 <= len(threads) <= min(workers, tiles)
 
-    @pytest.mark.parametrize("failing", ["helpers", "caller", "all"])
-    def test_failure_in_a_share_reaches_the_caller(self, monkeypatch, failing):
-        caller = threading.get_ident()
+    @pytest.mark.parametrize("failing", ["first", "last", "all"])
+    def test_failure_in_a_share_reaches_the_caller(self, monkeypatch, given, failing):
         tile_max = bellmax._tile_max
 
         def broken(rows, columns):
-            in_caller = threading.get_ident() == caller
-            if failing == "all" or (failing == "caller") == in_caller:
+            index = given.index((id(rows), id(columns)))
+            if failing == "all" or index == {"first": 0, "last": len(given) - 1}[failing]:
                 raise MemoryError("injected")
             return tile_max(rows, columns)
 
@@ -302,6 +316,7 @@ class TestOracleWorkers:
         before = threading.active_count()
         with pytest.raises(MemoryError, match="injected"):
             exhaustive_qubit_max(ghz(2), 1, 60)
+        assert len(given) == 18
         assert threading.active_count() == before
 
     def test_sphere_grid_is_cached_and_read_only(self):
@@ -542,6 +557,16 @@ class TestLockstepReference:
         monkeypatch.setattr(bloch, "_checked_coords", gate)
         monkeypatch.setattr(bloch.QuditObservable, "from_matrix", gate)
         assert search() == expected
+
+    @pytest.mark.parametrize("d", [4, 6])
+    def test_certification_runs_no_constructor_gate(self, monkeypatch, d):
+        def gate(*_):
+            raise AssertionError("a constructor gate ran inside the witness search")
+
+        monkeypatch.setattr(bloch, "check_int", gate)
+        monkeypatch.setattr(bloch, "_listed", gate)
+        membership = certify_state(ghz(d))
+        assert membership.for_sign(1).certified and membership.for_sign(-1).certified
 
 
 def _planar_chsh_grid_max(state, steps=60):

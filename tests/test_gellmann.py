@@ -139,16 +139,26 @@ def test_apply_u_is_bitwise_the_stored_order_sum(d, rng):
     assert np.array_equal(got.view(np.uint64), _reference_apply_u(d, x).view(np.uint64))
 
 
+def _cold_run(code):
+    """What ``code`` prints in a fresh interpreter that imports this checkout."""
+    paths = [str(Path(quditbell.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
 def test_library_imports_no_scipy():
     code = (
         "import sys, quditbell, quditbell.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    paths = [str(Path(quditbell.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert _cold_run(code) == "[]"
+
+
+def test_cli_import_loads_no_thread_pool():
+    # the grid oracle imports concurrent.futures (and logging with it) on first use
+    assert _cold_run("import quditbell.cli, sys; print('concurrent.futures' in sys.modules)") == "False"
 
 
 def _grouped_generators(d):
