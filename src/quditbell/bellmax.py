@@ -306,6 +306,9 @@ _ORACLE_ROWS = 400
 # eigenspace, is this grid: calls with one grid_steps (both signs, say) compute
 # its 2 steps (steps + 1) points of trig once.  One entry, because callers repeat
 # one grid_steps.  Read-only, because every caller gets the same array.
+# Theta-major: point (j, i) has its antipode at (steps - j, (i + steps) mod 2 steps),
+# in the second half when (j, i) is in the first, so the oracle scans the first
+# half as b against all of it as b~.
 @functools.lru_cache(maxsize=1)
 def _sphere_grid(steps: int) -> np.ndarray:
     thetas = np.linspace(0.0, np.pi, steps + 1)
@@ -373,8 +376,12 @@ def exhaustive_qubit_max(state: TwoQuditState, sign: int, grid_steps: int) -> fl
     :func:`~quditbell.perfectness.certify_state`, whose membership supplies T
     and the eigenspace.
 
-    Every (b, b~) pair of the two grids is still scanned, with no pruning,
-    in tiles: blocks of at most 400 b-points, each against slices of
+    The value is invariant under ``(b, b~) -> (-b, -b~)``, and each grid
+    holds the antipode of every point of its first half in its second half.
+    So the first half of the b-grid is scanned against every b~: the maximum
+    is the full grid's up to the rounding of the grid points.  No pair is
+    skipped on a bound; there is no pruning.  The pairs are scanned in tiles:
+    blocks of at most 400 b-points, each against slices of
     ``max(1, 51200 // rows_in_block)`` b~-points.
     One small matrix product per tile gives every pair's Gram form
     ``||T(b - b~)||^2 = ||Tb||^2 + ||Tb~||^2 - 2 <T^2 b, b~>`` (clamped at 0
@@ -399,6 +406,7 @@ def exhaustive_qubit_max(state: TwoQuditState, sign: int, grid_steps: int) -> fl
         b_points = np.cos(alphas)[:, None] * subspace[:, 0] + np.sin(alphas)[:, None] * subspace[:, 1]
     else:
         b_points = grid @ subspace.T
+    b_points = b_points[: len(b_points) // 2]  # the antipodes of these are the rest
 
     # T is symmetric, so row i of `t_b` is T b_i and row j of `t_btil` is T b~_j
     t_b, t_btil = b_points @ tmat, grid @ tmat

@@ -227,7 +227,7 @@ def in_pm1_shell(r: BlochVector | np.ndarray, tol: float = SET_TOL) -> bool:
     vec = _as_bloch(r)
     if vec.dim % 2 != 0:
         return False
-    if abs(vec.norm - 1.0) > tol:
+    if not abs(vec.norm - 1.0) <= tol:
         return False
     return bool(_shell_residual(vec.coords, vec.dim) <= tol)
 

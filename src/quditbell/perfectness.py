@@ -222,7 +222,7 @@ def bell_condition_spectral_form(
     check_type("b", b, BlochVector)
     if b.dim != tcorr.dim:
         raise DimensionError(f"Bloch dim {b.dim} does not match correlation dim {tcorr.dim}")
-    if abs(b.norm - 1.0) > tol:
+    if not abs(b.norm - 1.0) <= tol:
         raise ValidationError(f"b must be a unit vector: |norm - 1| = {abs(b.norm - 1.0):.3e}")
     spectral = correlation_spectrum(tcorr)
     target = sign * 2.0 / tcorr.dim

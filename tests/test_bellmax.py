@@ -279,11 +279,12 @@ class TestOracleWorkers:
         monkeypatch.setattr(bellmax, "_tiles_max", recorded)
         return given
 
-    # GHZ_2 at sign +1: 120 b-points against 7320 b~ in 18 tiles at 60 steps, and
-    # 8 against 40 in one tile at 4 steps, the benchmark's warm-up call
+    # GHZ_2 at sign +1 scans half its circle of 2 steps b-points: 60 against 7320 b~
+    # at 60 steps, in ceil(7320 / (51200 // 60)) = ceil(7320 / 853) = 9 tiles, and
+    # 4 against 40 in one tile at 4 steps, the benchmark's warm-up call
     @pytest.mark.parametrize(
         "grid_steps, workers, tiles",
-        [(60, 1, 18), (60, 2, 18), (60, 3, 18), (60, 50, 18), (4, 4, 1)],
+        [(60, 1, 9), (60, 2, 9), (60, 3, 9), (60, 50, 9), (4, 4, 1)],
     )
     def test_every_tile_is_scanned_once(self, monkeypatch, given, grid_steps, workers, tiles):
         scanned, threads = [], set()
@@ -316,8 +317,28 @@ class TestOracleWorkers:
         before = threading.active_count()
         with pytest.raises(MemoryError, match="injected"):
             exhaustive_qubit_max(ghz(2), 1, 60)
-        assert len(given) == 18
+        assert len(given) == 9
         assert threading.active_count() == before
+
+    # b-grids of 2, 2 steps and (steps + 1) 2 steps points for eigenspaces of dimension
+    # 1, 2 and 3; 60 steps puts an equator ring in the sphere grid, 7 does not
+    @pytest.mark.parametrize("grid_steps", [7, 60])
+    @pytest.mark.parametrize(
+        "state, sign, b_grid",
+        [(ghz(2), -1, lambda n: 2), (ghz(2), 1, lambda n: 2 * n), (singlet(), -1, lambda n: (n + 1) * 2 * n)],
+        ids=["k1", "k2", "k3"],
+    )
+    def test_scan_covers_half_the_pairs(self, monkeypatch, state, sign, b_grid, grid_steps):
+        pairs = []
+        tiles_max = bellmax._tiles_max
+
+        def recorded(tiles):
+            pairs.extend(len(rows) // 2 * columns.shape[1] for rows, columns in tiles)
+            return tiles_max(tiles)
+
+        monkeypatch.setattr(bellmax, "_tiles_max", recorded)
+        exhaustive_qubit_max(state, sign, grid_steps)
+        assert sum(pairs) == b_grid(grid_steps) // 2 * (grid_steps + 1) * 2 * grid_steps
 
     def test_sphere_grid_is_cached_and_read_only(self):
         grid = _sphere_grid(9)

@@ -147,6 +147,11 @@ class TestMembership:
         assert abs(r.norm - 1.0) <= 1e-12
         assert not in_pm1_shell(r)
 
+    def test_pm1_shell_non_unit_is_false(self):
+        r = to_bloch(np.diag([1, 1, -1, -1]).astype(complex))
+        for scale in (0.5, 2.0):
+            assert not in_pm1_shell(scale * r.coords)
+
     def test_pm1_shell_odd_dim_is_empty(self, rng):
         r = rng.standard_normal(8)
         r /= np.linalg.norm(r)
