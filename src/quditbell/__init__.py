@@ -11,7 +11,6 @@ from .bellmax import (
     LhvCheckReport,
     MaximizeOptions,
     bell_expression,
-    bell_expression_bloch,
     chsh_optimal_settings,
     chsh_value,
     exhaustive_qubit_max,
@@ -30,7 +29,6 @@ from .bloch import (
     make_diag_pm1,
     make_offdiag_imag_pm1,
     make_offdiag_real_pm1,
-    operator_norm,
     pm1_round,
     to_bloch,
 )
@@ -82,7 +80,6 @@ __all__ = [
     "ValidationError",
     "bell_condition_spectral_form",
     "bell_expression",
-    "bell_expression_bloch",
     "bloch_ball_radius",
     "bloch_expectation",
     "build_basis",
@@ -104,7 +101,6 @@ __all__ = [
     "make_offdiag_real_pm1",
     "maximally_mixed",
     "maximize_bell",
-    "operator_norm",
     "pm1_round",
     "product_expectation",
     "scalar_bound",

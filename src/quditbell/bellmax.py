@@ -41,13 +41,7 @@ import numpy as np
 from .bloch import SET_TOL, BlochVector, QuditObservable, _round, from_bloch
 from .errors import DimensionError, check_int, check_range, check_sign, check_tol, check_type
 from .perfectness import _certified, certify_state, find_perfect_observables
-from .states import (
-    CorrelationMatrix,
-    TwoQuditState,
-    bloch_expectation,
-    correlation_matrix,
-    product_expectation,
-)
+from .states import TwoQuditState, correlation_matrix, product_expectation
 
 # Most perfect observables B that maximize_bell asks for (``restarts`` if that is fewer)
 WITNESS_COUNT = 8
@@ -145,24 +139,6 @@ def bell_expression(
     e_ab = product_expectation(state, a, b)
     e_abt = product_expectation(state, a, btilde)
     e_bbt = product_expectation(state, b, btilde)
-    return abs(e_ab - e_abt) + sign * e_bbt
-
-
-def bell_expression_bloch(
-    tcorr: CorrelationMatrix,
-    a: BlochVector,
-    b: BlochVector,
-    btilde: BlochVector,
-    sign: int,
-) -> float:
-    """Correlation-matrix evaluation ``|E(a, b) - E(a, b~)| +- E(b, b~)``, each ``E`` a
-    :func:`~quditbell.states.bloch_expectation` ``(d/2) <x, T y>``, which gates ``tcorr``."""
-    sign = check_sign(sign)
-    for vec, name in ((a, "a"), (b, "b"), (btilde, "btilde")):
-        check_type(name, vec, BlochVector)
-    e_ab = bloch_expectation(tcorr, a, b)
-    e_abt = bloch_expectation(tcorr, a, btilde)
-    e_bbt = bloch_expectation(tcorr, b, btilde)
     return abs(e_ab - e_abt) + sign * e_bbt
 
 

@@ -39,13 +39,8 @@ _HERMITICITY_TOL = 1e-10
 _TRACELESS_TOL = 1e-10
 
 
-def operator_norm(matrix: np.ndarray) -> float:
-    """Largest absolute eigenvalue of a hermitian matrix."""
-    return _operator_norm(check_hermitian(matrix, "matrix", "M", _HERMITICITY_TOL))
-
-
 def _operator_norm(matrix: np.ndarray) -> float:
-    """:func:`operator_norm` of a matrix that is already gated or hermitian by construction."""
+    """Largest absolute eigenvalue of a matrix that is gated or hermitian by construction."""
     return float(np.max(np.abs(np.linalg.eigvalsh(matrix))))
 
 
@@ -55,7 +50,9 @@ def bloch_ball_radius(d: int) -> float:
     Equal to 1 for even d and sqrt((d-1)/d) for odd d: with eigenvalues in
     [-1, 1] and zero trace, ``tr[X^2]`` cannot exceed d (even) or d - 1 (odd).
     At even d this is what lets a Bell-value bound relax A and B~ to the unit
-    ball, where ``E(A, B) = (d/2) <a, T b>`` is bounded by T's spectrum.
+    ball, where ``E(A, B) = (d/2) <a, T b>`` is bounded by T's spectrum.  The
+    +-1 observables of arXiv:1905.11317 (eigenvalues +-1 at even d) lie on
+    its boundary, the unit sphere.
     """
     d = check_dim(d)
     return 1.0 if d % 2 == 0 else float(np.sqrt((d - 1) / d))
@@ -99,9 +96,6 @@ class QuditObservable:
     @property
     def operator_norm(self) -> float:
         return _operator_norm(self.matrix)
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
 
     def to_dict(self) -> dict:
         return {
@@ -217,11 +211,11 @@ def _implied_dim(length: int) -> int:
 def in_pm1_shell(r: BlochVector | np.ndarray, tol: float = SET_TOL) -> bool:
     """True iff ``r`` is the image of a traceless observable with spectrum {+1, -1}.
 
-    This is the paper's class of +-1 observables, in which the certificate's
-    witnesses and :func:`pm1_round`'s points lie.  Requires even d (the set
-    is empty otherwise, so odd d always returns False): unit Euclidean norm
-    together with operator norm of ``r . L`` equal to sqrt(2/d), both within
-    ``tol``.
+    This is the class of +-1 observables of arXiv:1905.11317 (traceless, with
+    eigenvalues +-1 at even d), in which the certificate's witnesses and
+    :func:`pm1_round`'s points lie.  Requires even d (the set is empty
+    otherwise, so odd d always returns False): unit Euclidean norm together
+    with operator norm of ``r . L`` equal to sqrt(2/d), both within ``tol``.
     """
     tol = check_tol(tol)
     vec = _as_bloch(r)
@@ -240,7 +234,8 @@ def pm1_round(r: BlochVector | np.ndarray, dim: int | None = None) -> BlochVecto
     shares the eigenvectors of X and puts +1 on the top half of its spectrum,
     -1 on the bottom half.  A tie at the split leaves the maximum unchanged,
     and ``r = 0`` still rounds to a valid shell point.  ``r`` is one Bloch
-    vector of even d; the rounding itself is :func:`_round`.
+    vector of even d; the rounding itself is :func:`_round`.  The result is in
+    the +-1 observable class of arXiv:1905.11317, the nearest point to ``r``.
     """
     vec = _as_bloch(r, dim)
     d = check_dim(vec.dim, even=True)
@@ -265,7 +260,8 @@ def _listed(name: str, values) -> list:
 
 
 def make_diag_pm1(d: int, signs) -> QuditObservable:
-    """Diagonal observable ``sum_m signs_m |m><m|`` with balanced +-1 signs."""
+    """Diagonal observable ``sum_m signs_m |m><m|`` with balanced +-1 signs: the diagonal
+    +-1 construction of arXiv:1905.11317."""
     d = check_dim(d, even=True)
     signs = [check_sign(s) for s in _listed("signs", signs)]
     if len(signs) != d:
@@ -301,7 +297,8 @@ def make_offdiag_real_pm1(d: int, gammas) -> QuditObservable:
 
     The sum runs over the pairs (1,2), (3,4), ..., (d-1, d); each pair
     contributes a real sx-type block with sign ``(-1)^g``.  Each gamma is a
-    non-negative integer.
+    non-negative integer.  This is the real off-diagonal +-1 construction of
+    arXiv:1905.11317.
     """
     return _offdiag_observable(d, gammas, 1, 1)
 
@@ -311,7 +308,8 @@ def make_offdiag_imag_pm1(d: int, gammas) -> QuditObservable:
 
     Each pair contributes an sy-type block; with this sign convention the
     g = 0 block equals minus the antisymmetric generator of the pair, so
-    ``make_offdiag_imag_pm1(2, [1])`` is sy itself.
+    ``make_offdiag_imag_pm1(2, [1])`` is sy itself.  This is the imaginary
+    off-diagonal +-1 construction of arXiv:1905.11317.
     """
     return _offdiag_observable(d, gammas, -1j, 1j)
 

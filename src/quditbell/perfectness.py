@@ -158,6 +158,9 @@ def check_bell_condition(
 ) -> PerfectnessCertificate:
     """Certify ``tr[rho (B (x) B)] = +-1`` and the supporting spectral facts.
 
+    This is the Bell condition of arXiv:1905.11317: B shows perfect correlations
+    (+1) or anticorrelations (-1) on rho.
+
     Picks the sign with the smaller residual, then records every joint
     probability on eigenprojection pairs whose eigenvalue product differs
     from that sign.  Acceptance additionally requires operator norm 1.  An
@@ -214,7 +217,8 @@ def bell_condition_spectral_form(
     """Evaluate ``sum_m (lambda_m -+ 2/d) beta_m^2 = 0`` for unit ``b``.
 
     ``beta`` are the coefficients of ``b`` in the eigenbasis of T; the sum
-    vanishing is equivalent to ``<b, T b> = +- 2/d``.
+    vanishing is equivalent to ``<b, T b> = +- 2/d``.  This is the spectral form
+    of the Bell condition ``tr[rho (B (x) B)] = +-1`` in arXiv:1905.11317.
     """
     sign = check_sign(sign)
     tol = check_tol(tol)
@@ -301,7 +305,7 @@ def _witnesses(cluster: EigenCluster, d: int, sign: int, tol: float, restarts: i
             # BLAS's summation order, and the witnesses' last bits.
             c_new = eigvecs.T @ np.ascontiguousarray(_round(eigvecs @ c, d))
             nrm = np.linalg.norm(c_new)
-            if nrm < 1e-12:
+            if not nrm >= 1e-12:  # a NaN rounding ends the start too
                 break
             c_new /= nrm
             res_new = _shell_residual(eigvecs @ c_new, d)

@@ -5,7 +5,7 @@ Complex matrices have two JSON encodings, both row-major and both exact:
 * a flat list of ``[re, im]`` pairs, written for observables in reports and
   accepted for states (hand-written and older state files);
 * a base64 string of the little-endian complex128 bytes, which
-  :meth:`~quditbell.states.TwoQuditState.to_json` writes so that large
+  :meth:`~quditbell.states.TwoQuditState.to_file` writes so that large
   states load without parsing one decimal float per entry.
 """
 
@@ -23,13 +23,12 @@ from .errors import ValidationError, check_int, check_numbers
 _C16 = np.dtype("<c16")
 
 
-def load_payload(payload: str | bytes) -> tuple:
+def load_payload(payload: bytes) -> tuple:
     """``(dim, data["rho"])`` of a state file, the one JSON input, with ``dim`` an integer >= 2;
     invalid JSON, a non-object, a missing key or a bad ``dim`` raise :class:`ValidationError`."""
     try:
         # json.loads's own decoding; rebinding payload drops this frame's bytes before parsing
-        if isinstance(payload, bytes):
-            payload = payload.decode(json.detect_encoding(payload), "surrogatepass")
+        payload = payload.decode(json.detect_encoding(payload), "surrogatepass")
         data = json.loads(payload)
     except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8/16/32
         raise ValidationError(f"state file is not valid JSON: {exc}") from None
@@ -66,13 +65,8 @@ def complex_matrix_to_base64_bytes(matrix: np.ndarray) -> bytes:
     return base64.b64encode(np.ascontiguousarray(matrix, dtype=_C16))
 
 
-def complex_matrix_to_base64(matrix: np.ndarray) -> str:
-    """Base64 of the row-major little-endian complex128 bytes of ``matrix``."""
-    return complex_matrix_to_base64_bytes(matrix).decode("ascii")
-
-
 def base64_to_complex_matrix(text: str | memoryview, shape: tuple[int, int]) -> np.ndarray:
-    """Rebuild a complex matrix from :func:`complex_matrix_to_base64` output, as text or
+    """Rebuild a complex matrix from :func:`complex_matrix_to_base64_bytes` output, as text or
     as ASCII bytes (read-only)."""
     try:
         if sys.version_info >= (3, 11):  # b64decode's own call, without its ASCII copy of text

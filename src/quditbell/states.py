@@ -40,18 +40,17 @@ hold at most two rho-sized buffers (the shifted copy and its Cholesky factor).
 :func:`ghz` and :func:`maximally_mixed` are valid and symmetric by construction
 and skip it.
 
-State files are ``{"dim": d, "rho": "<base64>"}`` (:meth:`TwoQuditState.to_json`)
+State files are ``{"dim": d, "rho": "<base64>"}`` (:meth:`TwoQuditState.to_file`)
 and cost one base64 pass each way.  Writing holds, besides rho, only the base64
 bytes (4/3 of rho's size; the encoder reserves twice rho's size while it runs),
 which go to the file between a fixed header and ``"}``.  Reading bytes in exactly
 that layout skips the JSON scanner: strict base64 admits no ``"`` or ``\\``, so the
 bytes between header and tail are the JSON string itself, and they are decoded in
 place through a ``memoryview``.  Any other payload (``[re, im]`` pairs, other
-whitespace or key order, text rather than bytes) and any failure of that read is
-parsed as JSON, with the JSON reader's error texts; its bytes are freed once
-decoded to text, and the base64 text once decoded.  Either way the file's bytes
-are freed before the gates of :meth:`~TwoQuditState.from_matrix` run, which see
-the decoded matrix alone.
+whitespace or key order) and any failure of that read is parsed as JSON, with the
+JSON reader's error texts; its bytes are freed once decoded to text, and the base64
+text once decoded.  Either way the file's bytes are freed before the gates of
+:meth:`~TwoQuditState.from_matrix` run, which see the decoded matrix alone.
 """
 
 from __future__ import annotations
@@ -69,7 +68,6 @@ from .errors import (
 from .gellmann import _apply_u, antisymmetric_rows
 from .serialize import (
     base64_to_complex_matrix,
-    complex_matrix_to_base64,
     complex_matrix_to_base64_bytes,
     freeze,
     load_payload,
@@ -81,9 +79,8 @@ _HERM_TOL = 1e-12
 _PSD_FLOOR = -1e-10
 _SWAP_TOL = 1e-12
 # json.dumps({"dim": d, "rho": text}) for an int d and base64 text is head % d, text, tail
-_FILE_HEAD, _FILE_TAIL = '{"dim": %d, "rho": "', '"}'
+_FILE_HEAD, _TAIL = '{"dim": %d, "rho": "', b'"}'
 _DIM_KEY, _RHO_KEY = (part.encode("ascii") for part in _FILE_HEAD.split("%d"))
-_TAIL = _FILE_TAIL.encode("ascii")
 
 # Relative gap used to group nearly equal eigenvalues into multiplets.
 CLUSTER_RTOL = 1e-8
@@ -136,33 +133,15 @@ class TwoQuditState:
         d = self.dim
         return self.rho.reshape(d, d, d, d)
 
-    def to_json(self) -> str:
-        """``{"dim": d, "rho": "<base64 of rho's row-major little-endian complex128>"}``.
-
-        The text is ``json.dumps`` of that object, formatted directly: base64 needs no
-        escaping.  Alive besides rho: the base64 text and the result, 8/3 of rho's size.
-        """
-        return f"{_FILE_HEAD % self.dim}{complex_matrix_to_base64(self.rho)}{_FILE_TAIL}"
-
-    @classmethod
-    def from_json(cls, payload: str | bytes) -> "TwoQuditState":
-        """Read :meth:`to_json` output, or ``"rho"`` as row-major ``[[re, im], ...]`` pairs.
-
-        Either payload goes through every :meth:`from_matrix` gate.  The base64 text is
-        freed once decoded, so the gates hold the payload, the decoded matrix and their
-        own buffers.
-        """
-        return cls._load(lambda: payload)
-
     @classmethod
     def from_file(cls, path) -> "TwoQuditState":
-        """:meth:`from_json` of the file's bytes, which are freed before the gates run."""
-        with open(path, "rb") as fh:
-            return cls._load(fh.read)
+        """Read :meth:`to_file`'s output, or ``"rho"`` as row-major ``[[re, im], ...]`` pairs.
 
-    @classmethod
-    def _load(cls, read) -> "TwoQuditState":
-        box = [read()]  # popped into load_payload, whose decode to text then frees the bytes
+        Either payload goes through every :meth:`from_matrix` gate.  The file's bytes and
+        the base64 text are freed once decoded, so the gates see the decoded matrix alone.
+        """
+        with open(path, "rb") as fh:
+            box = [fh.read()]  # popped into load_payload, whose decode to text frees the bytes
         matrix = _layout_matrix(box[0])
         if matrix is None:
             d, rho = load_payload(box.pop())
@@ -173,10 +152,11 @@ class TwoQuditState:
         return cls.from_matrix(matrix)
 
     def to_file(self, path) -> None:
-        """Write :meth:`to_json`'s text as ASCII bytes, from one base64 pass over rho.
+        """Write ``{"dim": d, "rho": "<base64 of rho's row-major little-endian complex128>"}``.
 
-        Alive besides rho: only the base64 bytes, 4/3 of rho's size, for which the
-        encoder reserves twice rho's size while it runs.
+        The bytes are ``json.dumps`` of that object, formatted directly: base64 needs no
+        escaping.  Alive besides rho: only the base64 bytes, 4/3 of rho's size, for which
+        the encoder reserves twice rho's size while it runs.
         """
         with open(path, "wb") as fh:
             fh.write((_FILE_HEAD % self.dim).encode("ascii"))
@@ -188,11 +168,11 @@ def _layout_matrix(payload) -> np.ndarray | None:
     """rho of bytes laid out exactly as :meth:`TwoQuditState.to_file` writes them, or None.
 
     Strict base64 admits no ``"`` or ``\\``, so bytes that are ``_FILE_HEAD % d``, base64 and
-    ``_FILE_TAIL`` are that JSON object, and its text is decoded in place, not scanned as JSON
+    ``_TAIL`` are that JSON object, and its text is decoded in place, not scanned as JSON
     first.  Any other payload, and any failure here, is left to :func:`load_payload`, whose
     error texts are the reader's.
     """
-    if not (type(payload) is bytes and payload.startswith(_DIM_KEY) and payload.endswith(_TAIL)):
+    if not (payload.startswith(_DIM_KEY) and payload.endswith(_TAIL)):
         return None
     try:
         d = check_int("dim", int(payload[len(_DIM_KEY) : payload.index(_RHO_KEY)]), 2)

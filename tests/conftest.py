@@ -44,6 +44,12 @@ def rotated_ghz(d, rng):
     return TwoQuditState.from_matrix(uu @ ghz(d).rho @ uu.conj().T)
 
 
+def read_state_file(path, payload):
+    """``TwoQuditState.from_file`` of ``payload`` (text, written as UTF-8, or bytes) at ``path``."""
+    path.write_bytes(payload.encode() if isinstance(payload, str) else payload)
+    return TwoQuditState.from_file(path)
+
+
 def singlet():
     """Two-qubit singlet; correlation matrix -I, anticorrelations only."""
     psi = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)

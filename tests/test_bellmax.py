@@ -13,7 +13,7 @@ from quditbell import (
     TwoQuditState,
     ValidationError,
     bell_expression,
-    bell_expression_bloch,
+    bloch_expectation,
     certify_state,
     check_bell_condition,
     chsh_optimal_settings,
@@ -35,7 +35,9 @@ from quditbell.bellmax import OUTCOME_GRID, WITNESS_COUNT, _lhv_values, _run_res
 from quditbell.bloch import haar_unitary
 from quditbell.cli import main as cli_main
 
-from conftest import SX, SZ, random_state, random_traceless_hermitian, rotated_ghz, singlet
+from conftest import (
+    SX, SZ, random_state, random_traceless_hermitian, read_state_file, rotated_ghz, singlet,
+)
 
 
 class TestBellExpression:
@@ -62,9 +64,12 @@ class TestBellExpression:
                 QuditObservable.from_matrix(random_traceless_hermitian(d, rng))
                 for _ in range(3)
             ]
+            a, b, btil = (o.bloch for o in obs)
+            e_ab, e_abt = bloch_expectation(t, a, b), bloch_expectation(t, a, btil)
+            e_bbt = bloch_expectation(t, b, btil)
             for sign in (1, -1):
                 direct = bell_expression(state, obs[0], obs[1], obs[2], sign)
-                quad = bell_expression_bloch(t, obs[0].bloch, obs[1].bloch, obs[2].bloch, sign)
+                quad = abs(e_ab - e_abt) + sign * e_bbt
                 assert abs(direct - quad) <= 1e-9
 
     def test_eigenvalue_range_rejected(self):
@@ -112,7 +117,7 @@ class TestBlockEmbedding:
         cert = check_bell_condition(state, b)
         assert cert.accepted and cert.sign == sign
         for obs in (a, b, btil):
-            assert_allclose(np.abs(obs.eigenvalues()), 1.0, atol=1e-12)
+            assert_allclose(np.abs(np.linalg.eigvalsh(obs.matrix)), 1.0, atol=1e-12)
 
 
 class TestScalarBound:
@@ -464,15 +469,18 @@ def test_integer_knobs_are_gated_by_name(call, name):
 @pytest.mark.parametrize(
     "call, name",
     [
-        (lambda flag: lhv_monte_carlo(1, 10, seed=flag), "seed"),
-        (lambda flag: certify_state(ghz(4), restarts=flag), "restarts"),
-        (lambda flag: MaximizeOptions(restarts=flag), "restarts"),
-        (lambda flag: TwoQuditState.from_json(json.dumps({"dim": bool(flag), "rho": []})), "dim"),
+        (lambda flag, path: lhv_monte_carlo(1, 10, seed=flag), "seed"),
+        (lambda flag, path: certify_state(ghz(4), restarts=flag), "restarts"),
+        (lambda flag, path: MaximizeOptions(restarts=flag), "restarts"),
+        (
+            lambda flag, path: read_state_file(path, json.dumps({"dim": bool(flag), "rho": []})),
+            "dim",
+        ),
     ],
 )
-def test_bool_is_not_an_integer(call, name, flag):
+def test_bool_is_not_an_integer(call, name, flag, tmp_path):
     with pytest.raises(ValidationError, match=f"{name} must be an integer"):
-        call(flag)
+        call(flag, tmp_path / "state.json")
 
 
 def test_numpy_integer_knobs_are_accepted_and_serialize():

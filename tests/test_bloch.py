@@ -270,7 +270,7 @@ class TestConstructors:
             observables.append(make_offdiag_imag_pm1(d, gammas))
         observables.append(QuditObservable.from_matrix(random_pm1_matrix(d, rng)))
         for obs in observables:
-            assert np.max(np.abs(np.abs(obs.eigenvalues()) - 1.0)) <= 1e-10
+            assert np.max(np.abs(np.abs(np.linalg.eigvalsh(obs.matrix)) - 1.0)) <= 1e-10
             assert in_pm1_shell(obs.bloch, tol=1e-10)
 
 

@@ -400,11 +400,11 @@ def test_pair_and_base64_files_give_identical_reports(tmp_path, capsys):
     rho = rotated_ghz(4, np.random.default_rng(5)).rho
     path = tmp_path / "state.json"
     reports = []
-    for payload in (
-        json.dumps({"dim": 4, "rho": complex_matrix_to_pairs(rho)}),
-        TwoQuditState.from_matrix(rho).to_json(),
+    for write in (
+        lambda: path.write_text(json.dumps({"dim": 4, "rho": complex_matrix_to_pairs(rho)})),
+        lambda: write_state(path, rho),
     ):
-        path.write_text(payload)
+        write()
         assert TwoQuditState.from_file(path).rho.tobytes() == rho.tobytes()
         code, out, err = run_cli(["certify", "--state", f"file:{path}", "--seed", "3"], capsys)
         assert code == 0, err

@@ -21,9 +21,6 @@ _SX = qb.make_offdiag_real_pm1(2, [0])
 # name -> call with the sign as the only argument left open
 SIGN_CALLS = {
     "bell_expression": lambda s: qb.bell_expression(_STATE, _SX, _SZ, _SX, s),
-    "bell_expression_bloch": lambda s: qb.bell_expression_bloch(
-        _TCORR, _SX.bloch, _SZ.bloch, _SX.bloch, s
-    ),
     "bell_condition_spectral_form": lambda s: qb.bell_condition_spectral_form(
         _TCORR, _SZ.bloch, s
     ),
@@ -121,15 +118,6 @@ def test_over_cap_state_fails_before_allocating(build):
     assert peak < 1 << 20
 
 
-@pytest.mark.parametrize("slot", range(3))
-def test_bell_expression_bloch_rejects_a_foreign_dimension(slot):
-    tcorr = qb.certify_state(qb.ghz(4)).tcorr
-    vectors = [qb.make_diag_pm1(4, [1, 1, -1, -1]).bloch] * 3
-    vectors[slot] = _SZ.bloch  # d = 2
-    with pytest.raises(qb.DimensionError, match="do not match correlation dim 4"):
-        qb.bell_expression_bloch(tcorr, *vectors, 1)
-
-
 def test_check_bell_condition_rejects_a_foreign_dimension():
     with pytest.raises(qb.DimensionError, match="match state dim 4"):
         qb.check_bell_condition(qb.ghz(4), _SZ)
@@ -174,12 +162,6 @@ TYPE_CALLS = {
     ),
     "bell_condition_spectral_form b": (lambda: qb.bell_condition_spectral_form(_TCORR, _Z, 1), "b"),
     "bell_expression Btilde": (lambda: qb.bell_expression(_STATE, _SX, _SZ, None, 1), "Btilde"),
-    "bell_expression_bloch tcorr": (
-        lambda: qb.bell_expression_bloch(None, _SX.bloch, _SZ.bloch, _SX.bloch, 1), "tcorr"
-    ),
-    "bell_expression_bloch a": (
-        lambda: qb.bell_expression_bloch(_TCORR, _Z, _SZ.bloch, _SX.bloch, 1), "a"
-    ),
     "certify_state state": (lambda: qb.certify_state(_STATE.rho), "state"),
     "correlation_matrix state": (lambda: qb.correlation_matrix(_STATE.rho), "state"),
     "chsh_optimal_settings state": (lambda: qb.chsh_optimal_settings(_STATE.rho), "state"),
@@ -229,7 +211,7 @@ def test_non_numeric_bloch_vector_is_named(call, bad):
         call(bad)
 
 
-@pytest.mark.parametrize("call", [qb.to_bloch, qb.QuditObservable.from_matrix, qb.operator_norm])
+@pytest.mark.parametrize("call", [qb.to_bloch, qb.QuditObservable.from_matrix])
 @pytest.mark.parametrize(
     "bad",
     [
@@ -247,17 +229,21 @@ def test_non_numeric_matrix_is_named(call, bad):
         call(bad)
 
 
+@pytest.mark.parametrize("call", [qb.to_bloch, qb.QuditObservable.from_matrix])
 @pytest.mark.parametrize(
     "bad, match",
     [
         # eigvalsh reads one triangle, so a non-hermitian matrix must fail before it
-        ([[1, 2], [3, 4]], r"^matrix is not hermitian: max \|M - M\^dag\| = 1\.000e\+00$"),
-        ([[np.nan, 0], [0, 1]], "^matrix entries must be finite$"),
-        (np.ones(3), r"^matrix must be a non-empty square matrix, got shape \(3,\)$"),
-        (np.zeros((2, 2, 2)), r"^matrix must be a non-empty square matrix, got shape \(2, 2, 2\)$"),
-        (np.zeros((0, 0)), r"^matrix must be a non-empty square matrix, got shape \(0, 0\)$"),
+        ([[1, 2], [3, 4]], r"^observable is not hermitian: max \|X - X\^dag\| = 1\.000e\+00$"),
+        ([[np.nan, 0], [0, 1]], "^observable entries must be finite$"),
+        (np.ones(3), r"^observable must be a non-empty square matrix, got shape \(3,\)$"),
+        (
+            np.zeros((2, 2, 2)),
+            r"^observable must be a non-empty square matrix, got shape \(2, 2, 2\)$",
+        ),
+        (np.zeros((0, 0)), r"^observable must be a non-empty square matrix, got shape \(0, 0\)$"),
     ],
 )
-def test_operator_norm_gates_its_matrix(bad, match):
+def test_observable_gates_its_matrix(call, bad, match):
     with pytest.raises(ValidationError, match=match):
-        qb.operator_norm(bad)
+        call(bad)

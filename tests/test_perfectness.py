@@ -456,6 +456,17 @@ def test_eigenspace_without_witness():
     assert abs(minus.norm_residual - expected) <= 1e-12
 
 
+def test_nan_rounding_ends_each_start_without_a_witness(monkeypatch, rng):
+    # a NaN projection must stop the start, not reach eigvalsh as a NaN matrix
+    state = rotated_ghz(4, rng)
+    monkeypatch.setattr(perfectness, "_round", lambda coords, d: np.full(coords.shape, np.nan))
+    membership = certify_state(state, restarts=2)
+    assert not membership.in_class
+    for entry in membership.sign_results:
+        assert not entry.certified
+        assert np.isfinite(entry.norm_residual) and entry.norm_residual > membership.tol
+
+
 @pytest.mark.parametrize(
     "kwargs", [{"tol": float("nan")}, {"tol": float("inf")}, {"tol": -1e-9}, {"restarts": -1}]
 )

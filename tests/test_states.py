@@ -27,10 +27,17 @@ from quditbell import (
 
 from quditbell import errors, gellmann, states
 from quditbell.bloch import haar_unitary
-from quditbell.serialize import complex_matrix_to_base64, complex_matrix_to_pairs, freeze
+from quditbell.serialize import complex_matrix_to_base64_bytes, complex_matrix_to_pairs, freeze
 from quditbell.states import cluster_eigenvalues
 
-from conftest import SY, SZ, random_state, random_traceless_hermitian, rotated_ghz
+from conftest import (
+    SY, SZ, random_state, random_traceless_hermitian, read_state_file, rotated_ghz,
+)
+
+
+def _b64(matrix):
+    """Base64 text of ``matrix`` as a state file holds it."""
+    return complex_matrix_to_base64_bytes(matrix).decode("ascii")
 
 
 class TestGhz:
@@ -331,23 +338,25 @@ class TestMemory:
         "call, bound",
         # the json.dumps writer, the loader that kept the file bytes and the base64 text, and
         # the dense hermiticity and swap checks peaked at 4.01, 6.17, 4.83 and 2.50; before
-        # CPython 3.11 base64 decoding copies the text to ASCII bytes first
+        # CPython 3.11 base64 decoding copies the text to ASCII bytes first.  An indented
+        # file is not in to_file's layout, so the JSON parser reads it.
         [
             ("to_file", 2.5),
             ("from_file", 3.1 if sys.version_info >= (3, 11) else 4.5),
-            ("from_json", 3.1 if sys.version_info >= (3, 11) else 4.0),
+            ("from_file_indent", 3.1 if sys.version_info >= (3, 11) else 4.5),
             ("from_matrix", 2.25),
         ],
     )
     def test_state_file_peak(self, call, bound, tmp_path, rng):
         state = rotated_ghz(16, rng)
-        path = tmp_path / "state.json"
+        path, indented = tmp_path / "state.json", tmp_path / "indent.json"
         state.to_file(path)
-        payload, rho = state.to_json(), state.rho.copy()
+        indented.write_text(json.dumps({"dim": 16, "rho": _b64(state.rho)}, indent=1))
+        rho = state.rho.copy()
         run = {
             "to_file": lambda: state.to_file(path),
             "from_file": lambda: TwoQuditState.from_file(path),
-            "from_json": lambda: TwoQuditState.from_json(payload),
+            "from_file_indent": lambda: TwoQuditState.from_file(indented),
             "from_matrix": lambda: TwoQuditState.from_matrix(rho),
         }[call]
         _, peak = self._peak(run)
@@ -471,18 +480,19 @@ class TestValidation:
             TwoQuditState.from_matrix(np.eye(5, dtype=complex) / 5)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_named(self, bad):
+    def test_non_finite_named(self, bad, tmp_path):
         rho = ghz(2).rho.copy()
         rho[0, 3] = bad
         with pytest.raises(ValidationError, match="finite"):
             TwoQuditState.from_matrix(rho)
+        path = tmp_path / "state.json"
         payload = {"dim": 2, "rho": complex_matrix_to_pairs(ghz(2).rho)}
         payload["rho"][3][0] = bad
         with pytest.raises(ValidationError, match="finite"):
-            TwoQuditState.from_json(json.dumps(payload))
-        payload = {"dim": 2, "rho": complex_matrix_to_base64(rho)}
+            read_state_file(path, json.dumps(payload))
+        payload = {"dim": 2, "rho": _b64(rho)}
         with pytest.raises(ValidationError, match="finite"):
-            TwoQuditState.from_json(json.dumps(payload))
+            read_state_file(path, json.dumps(payload))
 
     @pytest.mark.parametrize(
         "bad",
@@ -519,9 +529,9 @@ class TestValidation:
             ('{"dim": 2, "rho": "AAAA"}', "256 bytes of complex128, got 3"),
         ],
     )
-    def test_malformed_payload_named(self, payload, match):
+    def test_malformed_payload_named(self, payload, match, tmp_path):
         with pytest.raises(ValidationError, match=match):
-            TwoQuditState.from_json(payload)
+            read_state_file(tmp_path / "state.json", payload)
 
 
 def _state_with_spectrum(eigenvalues, rng):
@@ -610,17 +620,18 @@ def test_state_json_roundtrip(tmp_path, rng):
     assert len(pairs["rho"]) == 81
     assert len(base64.b64decode(written["rho"])) == 81 * 16
 
+    other = tmp_path / "other.json"
     for payload in (pairs, written):
-        assert np.array_equal(TwoQuditState.from_json(json.dumps(payload)).rho, state.rho)
+        assert np.array_equal(read_state_file(other, json.dumps(payload)).rho, state.rho)
         for dim in (2, 4):
             with pytest.raises(ValidationError):
-                TwoQuditState.from_json(json.dumps({**payload, "dim": dim}))
+                read_state_file(other, json.dumps({**payload, "dim": dim}))
     # one entry short
     with pytest.raises(ValidationError, match="81 \\[re, im\\] pairs"):
-        TwoQuditState.from_json(json.dumps({"dim": 3, "rho": pairs["rho"][:-1]}))
-    short = complex_matrix_to_base64(state.rho.reshape(-1)[:-1])
+        read_state_file(other, json.dumps({"dim": 3, "rho": pairs["rho"][:-1]}))
+    short = _b64(state.rho.reshape(-1)[:-1])
     with pytest.raises(ValidationError, match="1296 bytes of complex128, got 1280"):
-        TwoQuditState.from_json(json.dumps({"dim": 3, "rho": short}))
+        read_state_file(other, json.dumps({"dim": 3, "rho": short}))
 
 
 @pytest.mark.parametrize("d", [2, 3, 16])
@@ -645,8 +656,7 @@ def test_file_roundtrip_is_bitwise(d, tmp_path, rng):
 def test_written_text_is_json_dumps(d, tmp_path, rng):
     path = tmp_path / "state.json"
     for state in (ghz(d), maximally_mixed(d), random_state(d, rng)):
-        reference = json.dumps({"dim": d, "rho": complex_matrix_to_base64(state.rho)})
-        assert state.to_json() == reference
+        reference = json.dumps({"dim": d, "rho": _b64(state.rho)})
         state.to_file(path)
         assert path.read_bytes() == reference.encode()
 
@@ -684,7 +694,7 @@ def test_non_hermitian_message_carries_the_dense_residual(rng):
         TwoQuditState.from_matrix(rho)
 
 
-def test_base64_payload_runs_every_gate():
+def test_base64_payload_runs_every_gate(tmp_path):
     cases = {
         "hermitian": ghz(2).rho + np.diag([0, 0, 0, 0.1j]),
         "trace": np.eye(4, dtype=complex),
@@ -692,7 +702,7 @@ def test_base64_payload_runs_every_gate():
     }
     for match, rho in cases.items():
         with pytest.raises(ValidationError, match=match):
-            TwoQuditState.from_json(json.dumps({"dim": 2, "rho": complex_matrix_to_base64(rho)}))
+            read_state_file(tmp_path / "state.json", json.dumps({"dim": 2, "rho": _b64(rho)}))
 
 
 ESCAPED_A = "\\u0041"  # the JSON escape of "A", which strict base64 rejects
@@ -716,7 +726,9 @@ class TestLayoutReader:
         calls = self._spy(monkeypatch)
         layout = TwoQuditState.from_file(path)
         assert calls == []
-        parsed = TwoQuditState.from_json(path.read_text())  # text is read as JSON
+        indented = tmp_path / "indent.json"  # the same object in another layout: parsed as JSON
+        indented.write_text(json.dumps(json.loads(path.read_text()), indent=1))
+        parsed = TwoQuditState.from_file(indented)
         assert calls == [1]
         assert layout.rho.tobytes() == parsed.rho.tobytes() == state.rho.tobytes()
         assert layout.dim == parsed.dim == d and layout.symmetric and parsed.symmetric
@@ -748,7 +760,7 @@ class TestLayoutReader:
     )
     def test_other_files_take_the_json_path(self, edit, match, tmp_path, monkeypatch, rng):
         state = rotated_ghz(4, rng)
-        payload = edit(complex_matrix_to_base64(state.rho))
+        payload = edit(_b64(state.rho))
         path = tmp_path / "state.json"
         path.write_bytes(payload if isinstance(payload, bytes) else payload.encode())
 
