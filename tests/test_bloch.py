@@ -11,6 +11,7 @@ from quditbell import (
     bloch_ball_radius,
     build_basis,
     from_bloch,
+    haar_unitary,
     in_pm1_shell,
     make_diag_pm1,
     make_offdiag_imag_pm1,
@@ -272,6 +273,16 @@ class TestConstructors:
         for obs in observables:
             assert np.max(np.abs(np.abs(np.linalg.eigvalsh(obs.matrix)) - 1.0)) <= 1e-10
             assert in_pm1_shell(obs.bloch, tol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "eigenvalues, norm",
+    [([1.0, -1.0], 1.0), ([-0.9, 0.2, 0.7], 0.9), ([0.25, -0.25, 0.5, -0.5], 0.5)],
+)
+def test_operator_norm_is_the_largest_absolute_eigenvalue(eigenvalues, norm, rng):
+    u = haar_unitary(len(eigenvalues), rng)
+    obs = QuditObservable.from_matrix((u * eigenvalues) @ u.conj().T)
+    assert abs(obs.operator_norm - norm) <= 1e-12
 
 
 def test_observable_json_roundtrip():

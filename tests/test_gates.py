@@ -123,6 +123,20 @@ def test_check_bell_condition_rejects_a_foreign_dimension():
         qb.check_bell_condition(qb.ghz(4), _SZ)
 
 
+@pytest.mark.parametrize("slot", range(3))
+def test_bell_expression_rejects_a_foreign_dimension(slot):
+    observables = [qb.make_diag_pm1(4, [1, 1, -1, -1])] * 3
+    observables[slot] = _SZ  # d = 2
+    with pytest.raises(qb.DimensionError, match="do not match state dim 4"):
+        qb.bell_expression(qb.ghz(4), *observables, 1)
+
+
+def test_bell_condition_spectral_form_rejects_a_foreign_dimension():
+    tcorr = qb.certify_state(qb.ghz(4)).tcorr
+    with pytest.raises(qb.DimensionError, match="^Bloch dim 2 does not match correlation dim 4$"):
+        qb.bell_condition_spectral_form(tcorr, _SZ.bloch, 1)
+
+
 def test_haar_unitary_names_a_seed_passed_as_rng():
     with pytest.raises(ValidationError, match="rng must be a Generator, got int"):
         qb.haar_unitary(2, 3)
@@ -139,6 +153,14 @@ def test_chsh_value_gates_the_range_of_each_observable(slots, name):
         settings[slot] = qb.QuditObservable.from_matrix(2 * settings[slot].matrix)
     with pytest.raises(ValidationError, match=rf"^{name} has eigenvalues outside \[-1, 1\]"):
         qb.chsh_value(_STATE, *settings)
+
+
+@pytest.mark.parametrize("slot, name", [(0, "A"), (1, "B"), (2, "Btilde")])
+def test_bell_expression_gates_the_range_of_each_observable(slot, name):
+    observables = [_SX, _SZ, _SX]
+    observables[slot] = qb.QuditObservable.from_matrix(2 * observables[slot].matrix)
+    with pytest.raises(ValidationError, match=rf"^{name} has eigenvalues outside \[-1, 1\]"):
+        qb.bell_expression(_STATE, *observables, 1)
 
 
 _Z = _SZ.bloch.coords  # a plain array where a BlochVector belongs
@@ -161,6 +183,9 @@ TYPE_CALLS = {
         lambda: qb.bell_condition_spectral_form(None, _SZ.bloch, 1), "tcorr"
     ),
     "bell_condition_spectral_form b": (lambda: qb.bell_condition_spectral_form(_TCORR, _Z, 1), "b"),
+    "bell_expression state": (lambda: qb.bell_expression(_STATE.rho, _SX, _SZ, _SX, 1), "state"),
+    "bell_expression A": (lambda: qb.bell_expression(_STATE, _SX.matrix, _SZ, _SX, 1), "A"),
+    "bell_expression B": (lambda: qb.bell_expression(_STATE, _SX, _SZ.bloch, _SX, 1), "B"),
     "bell_expression Btilde": (lambda: qb.bell_expression(_STATE, _SX, _SZ, None, 1), "Btilde"),
     "certify_state state": (lambda: qb.certify_state(_STATE.rho), "state"),
     "correlation_matrix state": (lambda: qb.correlation_matrix(_STATE.rho), "state"),
@@ -211,7 +236,16 @@ def test_non_numeric_bloch_vector_is_named(call, bad):
         call(bad)
 
 
-@pytest.mark.parametrize("call", [qb.to_bloch, qb.QuditObservable.from_matrix])
+@pytest.mark.parametrize(
+    "call",
+    [
+        qb.to_bloch,
+        qb.QuditObservable.from_matrix,
+        lambda m: qb.QuditObservable.from_matrix(m).operator_norm,
+        qb.TwoQuditState.from_matrix,
+    ],
+    ids=["to_bloch", "from_matrix", "operator_norm", "TwoQuditState.from_matrix"],
+)
 @pytest.mark.parametrize(
     "bad",
     [
