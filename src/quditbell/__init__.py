@@ -17,7 +17,6 @@ from .bellmax import (
     lhv_monte_carlo,
     maximize_bell,
     scalar_bound,
-    write_trace_csv,
 )
 from .bloch import (
     BlochVector,
@@ -105,5 +104,4 @@ __all__ = [
     "product_expectation",
     "scalar_bound",
     "to_bloch",
-    "write_trace_csv",
 ]

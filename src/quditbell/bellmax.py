@@ -58,7 +58,7 @@ class MaximizeOptions:
 
     restarts: int = 64
     seed: int = 0
-    tol: float = 1e-9
+    tol: float = SET_TOL
     max_iters: int = 500
 
     def __post_init__(self):
@@ -114,15 +114,6 @@ class BellMaxReport:
                 for r in self.per_restart
             ],
         }
-
-
-def write_trace_csv(report: BellMaxReport, path) -> None:
-    """Convergence trace as ``restart,iteration,value`` rows."""
-    check_type("report", report, BellMaxReport)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("restart,iteration,value\n")
-        for restart, iteration, value in report.trace:
-            fh.write(f"{restart},{iteration},{value!r}\n")
 
 
 def bell_expression(
@@ -243,7 +234,7 @@ def maximize_bell(
 
     best = int(np.argmax(values))
     best_a = from_bloch(BlochVector(dim=d, coords=a[best]))
-    best_b = from_bloch(BlochVector(dim=d, coords=b[best]))
+    best_b = witnesses[best % len(witnesses)]  # row best of b holds its coordinates
     best_btil = from_bloch(BlochVector(dim=d, coords=btil[best]))
     direct = bell_expression(state, best_a, best_b, best_btil, sign)
     residual = abs(float(b[best] @ (tmat @ b[best])) - sign * 2.0 / d)

@@ -9,8 +9,9 @@ machine-readable reports:
 * ``lhv``       - Monte-Carlo check of the classical bound 1
 
 Exit codes: 0 success, 1 input error (a usage error included), 2 certification
-failure, 3 bound violation.  Reports are the library's ``to_dict()`` dicts, and
-this module is the one place that encodes them: the text is byte for byte
+failure, 3 bound violation (above :func:`scalar_bound`'s 3/2 + 1e-6).  Option
+defaults are the library's.  Run output is written only here: the CSV files and the
+reports, which are the library's ``to_dict()`` dicts, encoded here as byte for byte
 ``json.dumps(payload, sort_keys=True, indent=2)``, written by :func:`_dumps`,
 which lays out each list of floats (the ``[re, im]`` pairs of an observable and
 its Bloch vector, nearly all of a report) by joining the floats' ``repr``, not
@@ -28,7 +29,8 @@ from itertools import chain
 
 import numpy as np
 
-from .bellmax import MaximizeOptions, lhv_monte_carlo, maximize_bell, write_trace_csv
+from .bellmax import MaximizeOptions, lhv_monte_carlo, maximize_bell, scalar_bound
+from .bloch import SET_TOL
 from .errors import CertificationError, ValidationError
 from .perfectness import (
     DEFAULT_RESTARTS,
@@ -45,9 +47,9 @@ EXIT_INPUT_ERROR = 1
 EXIT_CERTIFICATION_FAILURE = 2
 EXIT_BOUND_VIOLATION = 3
 
-SIGNS = {"+": 1, "-": -1}  # --sign choices
+SIGNS = {"+": 1, "-": -1}  # --sign choices, and the sign keys of a certify report
 
-BOUND_LIMIT = 1.5
+BOUND_LIMIT = scalar_bound()[0]
 BOUND_TOL = 1e-6
 
 _INDENT = "  "  # json.dumps(..., indent=2)
@@ -148,7 +150,7 @@ def _emit_report(args, report: dict) -> None:
     config = {
         "command": args.command,
         "seed": args.seed,
-        "tol": getattr(args, "tol", 1e-9),
+        "tol": getattr(args, "tol", SET_TOL),
         "format": getattr(args, "format", "json"),
         "state_source": getattr(args, "state", None),
         **{key: getattr(args, key, None) for key in ("dim", "sign", "restarts", "max_iters", "models")},
@@ -201,12 +203,10 @@ def cmd_certify(args) -> int:
         _load_state(args.state, args.dim), tol=args.tol, restarts=args.restarts, seed=args.seed
     )
     report = membership.to_dict()
-    for entry in membership.sign_results:
-        if not entry.certified:
-            continue
-        observables = find_perfect_observables(membership, entry.sign, count=2)
-        key = "+" if entry.sign > 0 else "-"
-        report["signs"][key]["perfect_observables"] = [obs.to_dict() for obs in observables]
+    for key, sign in SIGNS.items():
+        if membership.for_sign(sign).certified:
+            observables = find_perfect_observables(membership, sign, count=2)
+            report["signs"][key]["perfect_observables"] = [obs.to_dict() for obs in observables]
     _emit_report(args, report)
     return EXIT_OK if membership.in_class else EXIT_CERTIFICATION_FAILURE
 
@@ -222,7 +222,9 @@ def cmd_maximize(args) -> int:
     )
     report = maximize_bell(state, sign, opts)
     if args.trace_out:
-        write_trace_csv(report, args.trace_out)
+        with open(args.trace_out, "w", encoding="utf-8") as fh:
+            fh.write("restart,iteration,value\n")
+            fh.writelines(f"{restart},{it},{value!r}\n" for restart, it, value in report.trace)
     fields = report.to_dict()
     if args.timing:
         fields["timing"] = {"wall_time_seconds": report.wall_time}
@@ -277,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="perfectness certification for both signs")
     add_state_args(p)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=SET_TOL)
     p.add_argument(
         "--restarts", type=int, default=DEFAULT_RESTARTS, help="witness-search restarts"
     )
@@ -286,9 +288,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("maximize", help="maximize the Bell combination under perfectness")
     add_state_args(p)
     p.add_argument("--sign", required=True, choices=tuple(SIGNS))
-    p.add_argument("--restarts", type=int, default=64)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--max-iters", type=int, default=500)
+    defaults = MaximizeOptions()
+    p.add_argument("--restarts", type=int, default=defaults.restarts)
+    p.add_argument("--tol", type=float, default=defaults.tol)
+    p.add_argument("--max-iters", type=int, default=defaults.max_iters)
     p.add_argument("--trace-out", default=None, help="write restart,iteration,value CSV here")
     p.add_argument("--timing", action="store_true", help="include wall time in the report")
     p.set_defaults(func=cmd_maximize)

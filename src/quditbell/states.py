@@ -410,7 +410,9 @@ def _expectation(state: TwoQuditState, x: np.ndarray, y: np.ndarray) -> complex:
 
 
 def bloch_expectation(tcorr: CorrelationMatrix, a: BlochVector, b: BlochVector) -> float:
-    """Quadratic-form path: ``(d/2) sum_{n,m} T[n,m] a_n b_m``."""
+    """Quadratic-form path ``(d/2) sum_{n,m} T[n,m] a_n b_m``: the generalized Gell-Mann
+    representation in arXiv:1905.11317 of the correlator ``tr[rho (A (x) B)]`` of the
+    observables A and B with Bloch vectors a and b, ``(d/2) <a, T b>``."""
     check_type("tcorr", tcorr, CorrelationMatrix)
     check_type("a", a, BlochVector)
     check_type("b", b, BlochVector)

@@ -28,7 +28,6 @@ from quditbell import (
     maximize_bell,
     pm1_round,
     scalar_bound,
-    write_trace_csv,
 )
 from quditbell import bellmax, bloch, perfectness
 from quditbell.bellmax import OUTCOME_GRID, WITNESS_COUNT, _lhv_values, _run_restarts, _sphere_grid
@@ -403,14 +402,6 @@ class TestMaximize:
         report = maximize_bell(ghz(4), 1, MaximizeOptions(restarts=3, seed=0, max_iters=1))
         assert [r.iterations for r in report.per_restart] == [1, 1, 1]
         assert [row[:2] for row in report.trace] == [(i, it) for i in range(3) for it in (0, 1)]
-
-    def test_trace_csv(self, tmp_path):
-        report = maximize_bell(ghz(2), 1, MaximizeOptions(restarts=2, seed=0))
-        path = tmp_path / "trace.csv"
-        write_trace_csv(report, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "restart,iteration,value"
-        assert len(lines) == len(report.trace) + 1
 
     def test_timing_field_optional(self, capsys):
         report = maximize_bell(ghz(2), 1, MaximizeOptions(restarts=2, seed=0))

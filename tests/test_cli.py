@@ -6,13 +6,25 @@ import re
 import shlex
 import sys
 import weakref
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quditbell import TwoQuditState, cli, ghz, maximally_mixed, perfectness, states
+from quditbell import (
+    MaximizeOptions,
+    TwoQuditState,
+    cli,
+    ghz,
+    maximally_mixed,
+    maximize_bell,
+    perfectness,
+    scalar_bound,
+    states,
+)
+from quditbell.bloch import SET_TOL
 from quditbell.cli import main
 from quditbell.serialize import complex_matrix_to_pairs
 
@@ -267,14 +279,17 @@ class TestMaximize:
         code, _, _ = run_cli(
             [
                 "maximize", "--state", "ghz", "--dim", "2", "--sign", "+",
-                "--restarts", "2", "--trace-out", str(trace),
+                "--restarts", "2", "--seed", "3", "--trace-out", str(trace),
             ],
             capsys,
         )
         assert code == 0
-        lines = trace.read_text().strip().splitlines()
-        assert lines[0] == "restart,iteration,value"
-        assert len(lines) > 2
+        report = maximize_bell(ghz(2), 1, MaximizeOptions(restarts=2, seed=3))
+        header, *rows = trace.read_text().split("\n")[:-1]  # the last line ends the file
+        assert header == "restart,iteration,value"
+        assert len(rows) == len(report.trace) > 2
+        for row, (restart, iteration, value) in zip(rows, report.trace):
+            assert row == f"{restart},{iteration},{value!r}"
 
     def test_timing_optional(self, capsys):
         args = ["maximize", "--state", "ghz", "--dim", "2", "--sign", "+", "--restarts", "2"]
@@ -284,15 +299,17 @@ class TestMaximize:
         wall_time = json.loads(out_timed)["report"]["timing"]["wall_time_seconds"]
         assert isinstance(wall_time, float) and wall_time > 0
 
-    @pytest.mark.parametrize("bad_value", [1.51, float("nan")])
-    def test_bound_violation_exit_code(self, monkeypatch, capsys, bad_value):
+    @pytest.mark.parametrize(
+        "value, expected", [(1.5 + 1e-6, 0), (1.5 + 2e-6, 3), (1.51, 3), (float("nan"), 3)]
+    )
+    def test_bound_violation_exit_code(self, monkeypatch, capsys, value, expected):
         import quditbell.cli as cli_mod
 
         real = cli_mod.maximize_bell
 
         def inflated(state, sign, opts):
             report = real(state, sign, opts)
-            object.__setattr__(report, "best_value", bad_value)
+            object.__setattr__(report, "best_value", value)
             return report
 
         monkeypatch.setattr(cli_mod, "maximize_bell", inflated)
@@ -300,8 +317,18 @@ class TestMaximize:
             ["maximize", "--state", "ghz", "--dim", "2", "--sign", "+", "--restarts", "2"],
             capsys,
         )
-        assert code == 3
-        assert "BOUND VIOLATION" in err
+        assert code == expected
+        assert ("BOUND VIOLATION" in err) == (expected == 3)
+
+
+def test_parser_defaults_are_the_library_defaults():
+    parser = cli.build_parser()
+    maximize = vars(parser.parse_args(["maximize", "--sign", "+"]))
+    opts = asdict(MaximizeOptions())
+    assert {key: maximize[key] for key in opts} == opts
+    certify = parser.parse_args(["certify"])
+    assert (certify.tol, certify.restarts) == (SET_TOL, perfectness.DEFAULT_RESTARTS)
+    assert cli.BOUND_LIMIT == scalar_bound()[0]
 
 
 class TestLhv:

@@ -2,7 +2,6 @@
 ``quditbell.errors``: one rule, one named error, and a plain int in reports."""
 
 import json
-import os
 import tracemalloc
 
 import numpy as np
@@ -197,7 +196,6 @@ TYPE_CALLS = {
     "find_perfect_observables membership": (
         lambda: qb.find_perfect_observables(None, 1), "membership"
     ),
-    "write_trace_csv report": (lambda: qb.write_trace_csv(None, os.devnull), "report"),
     "make_diag_pm1 signs": (lambda: qb.make_diag_pm1(4, 5), "signs"),
     "make_offdiag_real_pm1 gammas": (lambda: qb.make_offdiag_real_pm1(4, None), "gammas"),
 }
