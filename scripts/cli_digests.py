@@ -11,8 +11,13 @@ encodings (base64 and ``[[re, im], ...]`` pairs) and a noisy GHZ_4 mixture.
 
 The list covers every subcommand, JSON and CSV output, ``--out`` and
 ``--trace-out``, and exit codes 0, 1 and 2; it never passes ``--timing``, whose
-wall time differs between runs.  Compare two runs, or two versions of the
-library, with
+wall time differs between runs.
+
+No command runs the d = 2 grid oracle, so the last line digests it: the sha256
+of ``exhaustive_qubit_max(state, sign, steps).hex()``, one value a line, over
+GHZ_2 and three seeded ``U (x) U``-rotated GHZ_2 states at both signs and the
+singlet at sign -1 (eigenspaces of dimension 1, 2 and 3), each at 7, 33, 60
+and 200 steps.  Compare two runs, or two versions of the library, with
 
     python scripts/cli_digests.py > a.txt
     python scripts/cli_digests.py > b.txt
@@ -74,10 +79,17 @@ COMMANDS = [
 ]
 
 
-def write_states(directory: pathlib.Path) -> None:
-    u = haar_unitary(4, np.random.default_rng(7))
+ORACLE_STEPS = (7, 33, 60, 200)
+
+
+def rotated_ghz(d: int, rng: np.random.Generator) -> qb.TwoQuditState:
+    u = haar_unitary(d, rng)
     uu = np.kron(u, u)
-    rotated = qb.TwoQuditState.from_matrix(uu @ qb.ghz(4).rho @ uu.conj().T)
+    return qb.TwoQuditState.from_matrix(uu @ qb.ghz(d).rho @ uu.conj().T)
+
+
+def write_states(directory: pathlib.Path) -> None:
+    rotated = rotated_ghz(4, np.random.default_rng(7))
     rotated.to_file(directory / "rot4_b64.json")
     pairs = json.dumps({"dim": 4, "rho": complex_matrix_to_pairs(rotated.rho)})
     (directory / "rot4_pairs.json").write_text(pairs)
@@ -103,6 +115,19 @@ def run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def oracle_digest() -> str:
+    """sha256 over the hex of each oracle value, one a line, in case order."""
+    rng = np.random.default_rng(5)
+    states = [qb.ghz(2)] + [rotated_ghz(2, rng) for _ in range(3)]
+    psi = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
+    cases = [(state, sign) for state in states for sign in (1, -1)]
+    cases.append((qb.TwoQuditState.from_matrix(np.outer(psi, psi.conj())), -1))
+    values = [
+        qb.exhaustive_qubit_max(state, sign, steps).hex() for state, sign in cases for steps in ORACLE_STEPS
+    ]
+    return hashlib.sha256("\n".join(values).encode()).hexdigest()
+
+
 def main() -> None:
     start = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -120,6 +145,7 @@ def main() -> None:
                     (directory / name).unlink()
         finally:
             os.chdir(start)
+    print(oracle_digest(), "-", "exhaustive_qubit_max")
 
 
 if __name__ == "__main__":

@@ -273,6 +273,8 @@ _ORACLE_ROWS = 400
 # eigenspace, is this grid: calls with one grid_steps (both signs, say) compute
 # its 2 steps (steps + 1) points of trig once.  One entry, because callers repeat
 # one grid_steps.  Read-only, because every caller gets the same array.
+# Coordinate-major: the (n, 3) points are the transpose of a C-contiguous (3, n)
+# array, so `grid.T` is the oracle's b~ coordinate rows without a copy.
 # Theta-major: point (j, i) has its antipode at (steps - j, (i + steps) mod 2 steps),
 # in the second half when (j, i) is in the first, so the oracle scans the first
 # half as b against all of it as b~.
@@ -281,11 +283,11 @@ def _sphere_grid(steps: int) -> np.ndarray:
     thetas = np.linspace(0.0, np.pi, steps + 1)
     phis = np.arange(2 * steps) * (np.pi / steps)
     theta, phi = np.meshgrid(thetas, phis, indexing="ij")
-    pts = np.stack(
-        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=-1
-    ).reshape(-1, 3)
-    pts.setflags(write=False)
-    return pts
+    coords = np.stack(
+        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
+    ).reshape(3, -1)
+    coords.setflags(write=False)
+    return coords.T
 
 
 def _cpu_count() -> int:
@@ -353,8 +355,11 @@ def exhaustive_qubit_max(state: TwoQuditState, sign: int, grid_steps: int) -> fl
     One small matrix product per tile gives every pair's Gram form
     ``||T(b - b~)||^2 = ||Tb||^2 + ||Tb~||^2 - 2 <T^2 b, b~>`` (clamped at 0
     before the square root) and ``sign <b, T b~>``; the maximum is kept
-    across tiles.  A thread pool scans the tiles on every CPU this process may
-    use; the maximum is exact, so the value does not depend on the CPU count.
+    across tiles.  The b~ columns ``[b~, ||Tb~||^2, 1]`` are written row by
+    row: the coordinates from the coordinate-major sphere grid, the squared
+    norms from ``T @ grid.T``.  A thread pool scans the tiles on every CPU this
+    process may use; the maximum is exact, so the value does not depend on the
+    CPU count.
     """
     sign = check_sign(sign)
     if check_type("state", state, TwoQuditState).dim != 2:
@@ -375,14 +380,19 @@ def exhaustive_qubit_max(state: TwoQuditState, sign: int, grid_steps: int) -> fl
         b_points = grid @ subspace.T
     b_points = b_points[: len(b_points) // 2]  # the antipodes of these are the rest
 
-    # T is symmetric, so row i of `t_b` is T b_i and row j of `t_btil` is T b~_j
-    t_b, t_btil = b_points @ tmat, grid @ tmat
+    # T is symmetric, so row i of `t_b` is T b_i and column j of `t_btil` is T b~_j
+    t_b, t_btil = b_points @ tmat, tmat @ grid.T
     n_b = len(b_points)
     # against the column [b~, ||Tb~||^2, 1], the row [-2 T^2 b, 1, ||Tb||^2] of `dist`
     # gives ||T(b - b~)||^2 and the row [sign Tb, 0, 0] of `corr` gives sign <b, T b~>
     dist = np.column_stack([-2.0 * (t_b @ tmat), np.ones(n_b), np.sum(t_b * t_b, axis=1)])
     corr = np.column_stack([sign * t_b, np.zeros((n_b, 2))])
-    columns = np.vstack([grid.T, np.sum(t_btil * t_btil, axis=1), np.ones(len(grid))])
+    columns = np.empty((5, len(grid)))
+    columns[:3] = grid.T
+    np.square(t_btil, out=t_btil)
+    np.add(t_btil[0], t_btil[1], out=columns[3])  # (x^2 + y^2) + z^2, the order np.sum adds a row of 3
+    columns[3] += t_btil[2]
+    columns[4] = 1.0
     tiles = []
     for i in range(0, n_b, _ORACLE_ROWS):
         rows = np.vstack([dist[i : i + _ORACLE_ROWS], corr[i : i + _ORACLE_ROWS]])

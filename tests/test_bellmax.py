@@ -165,7 +165,7 @@ class TestExhaustiveOracle:
 
 
 def _per_b_oracle(state, sign, grid_steps):
-    """Reference: the oracle as one Python iteration per b-point."""
+    """Reference: the oracle by the direct norm, broadcast over chunks of 8 b-points."""
     tmat = correlation_matrix(state).matrix
     tmat = (tmat + tmat.T) / 2.0
     eigenvalues, vectors = np.linalg.eigh(tmat)
@@ -178,12 +178,14 @@ def _per_b_oracle(state, sign, grid_steps):
         b_points = np.cos(alphas)[:, None] * subspace[:, 0] + np.sin(alphas)[:, None] * subspace[:, 1]
     else:
         b_points = _sphere_grid(grid_steps) @ subspace.T
-    t_btil = _sphere_grid(grid_steps) @ tmat.T
+    t_btil = tmat @ _sphere_grid(grid_steps).T  # column j is T b~_j
     best = -np.inf
-    for b in b_points:
-        tb = tmat @ b
-        first = np.linalg.norm(tb[None, :] - t_btil, axis=1)
-        second = t_btil @ b
+    for i in range(0, len(b_points), 8):
+        b = b_points[i : i + 8]
+        tb = tmat @ b.T
+        # axis 0 holds the three coordinates of T b - T b~ for every (b, b~) in the chunk
+        first = np.linalg.norm(tb[:, :, None] - t_btil[:, None, :], axis=0)
+        second = b @ t_btil
         best = max(best, float(np.max(first + sign * second)))
     return best
 
@@ -344,9 +346,41 @@ class TestOracleWorkers:
         exhaustive_qubit_max(state, sign, grid_steps)
         assert sum(pairs) == b_grid(grid_steps) // 2 * (grid_steps + 1) * 2 * grid_steps
 
+    # the b~ columns of each block, joined, are [b~; ||T b~||^2; 1] over the whole
+    # sphere grid; states with eigenspaces of dimension 1, 2 and 3
+    @pytest.mark.parametrize("grid_steps", [7, 60])
+    @pytest.mark.parametrize(
+        "state, sign",
+        [
+            (rotated_ghz(2, np.random.default_rng(53)), -1),
+            (rotated_ghz(2, np.random.default_rng(53)), 1),
+            (singlet(), -1),
+        ],
+        ids=["k1", "k2", "k3"],
+    )
+    def test_columns_are_the_btilde_gram_side(self, monkeypatch, state, sign, grid_steps):
+        blocks = {}
+        tiles_max = bellmax._tiles_max
+
+        def recorded(tiles):
+            for rows, columns in tiles:
+                blocks.setdefault(id(rows), []).append(columns)
+            return tiles_max(tiles)
+
+        monkeypatch.setattr(bellmax, "_tiles_max", recorded)
+        exhaustive_qubit_max(state, sign, grid_steps)
+        tmat = correlation_matrix(state).matrix
+        tmat = (tmat + tmat.T) / 2.0
+        grid = _sphere_grid(grid_steps)
+        expected = np.vstack([grid.T, np.linalg.norm(grid @ tmat, axis=1) ** 2, np.ones(len(grid))])
+        assert blocks
+        for slices in blocks.values():
+            assert np.max(np.abs(np.hstack(slices) - expected)) <= 1e-15
+
     def test_sphere_grid_is_cached_and_read_only(self):
         grid = _sphere_grid(9)
         assert _sphere_grid(9) is grid and not grid.flags.writeable
+        assert grid.T.flags.c_contiguous
         with pytest.raises(ValueError):
             grid[0, 0] = 0.0
 
