@@ -86,7 +86,12 @@ class QuditObservable:
     bloch: BlochVector = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", freeze(np.asarray(self.matrix, dtype=complex)))
+        d = check_dim(self.dim)
+        matrix = check_numbers(self.matrix, "observable must be a matrix of numbers", shape=(d, d))
+        if check_type("bloch", self.bloch, BlochVector).dim != d:
+            raise DimensionError(f"Bloch vector has dimension {self.bloch.dim}, observable {d}")
+        object.__setattr__(self, "dim", d)
+        object.__setattr__(self, "matrix", freeze(matrix.astype(complex, copy=False)))
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray) -> "QuditObservable":

@@ -11,13 +11,13 @@ machine-readable reports:
 Exit codes: 0 success, 1 input error (a usage error included), 2 certification
 failure, 3 bound violation (above :func:`scalar_bound`'s 3/2 + 1e-6).  Option
 defaults are the library's.  Run output is written only here: the CSV files and the
-reports, which are the library's ``to_dict()`` dicts, encoded here as byte for byte
-``json.dumps(payload, sort_keys=True, indent=2)``, written by :func:`_dumps`,
-which lays out each list of floats (the ``[re, im]`` pairs of an observable and
-its Bloch vector, nearly all of a report) by joining the floats' ``repr``, not
-by the pure-Python encoder's steps per number.  Output JSON is deterministic for
-a fixed config and seed; ``--timing`` adds a separate field here, so default
-reports are byte-identical.
+reports (the library's ``to_dict()`` dicts; ``spectrum`` builds its own from
+:func:`correlation_spectrum`), encoded as byte for byte ``json.dumps(payload,
+sort_keys=True, indent=2)`` by :func:`_dumps`, which returns the text of a value with
+each dict and list laid out once and the floats' ``repr`` joined in a list of floats
+(the ``[re, im]`` pairs of an observable and its Bloch vector, nearly all of a report).
+Output JSON is deterministic for a fixed config and seed; ``--timing`` adds a
+separate field here, so default reports are byte-identical.
 """
 
 from __future__ import annotations
@@ -55,6 +55,11 @@ BOUND_TOL = 1e-6
 _INDENT = "  "  # json.dumps(..., indent=2)
 
 
+def bound_violated(value: float) -> bool:
+    """The exit-3 rule: ``value`` is above 3/2 + 1e-6, or NaN."""
+    return not value <= BOUND_LIMIT + BOUND_TOL
+
+
 def _load_state(source: str, dim: int | None) -> TwoQuditState:
     if source == "ghz":
         if dim is None:
@@ -69,38 +74,33 @@ def _load_state(source: str, dim: int | None) -> TwoQuditState:
 
 
 def _dumps(value) -> str:
-    """``json.dumps(value, sort_keys=True, indent=2)``, joined once from :func:`_write`'s pieces."""
-    pieces = []
-    _write(value, 0, pieces.append)
-    return "".join(pieces)
+    """``json.dumps(value, sort_keys=True, indent=2)``: :func:`_layout`'s pieces, joined once."""
+    return "".join(_layout(value, 0))
 
 
-def _write(value, level: int, out) -> None:
-    """Pass the text of ``value``, ``level`` indents deep, to ``out`` in pieces.
+def _layout(value, level: int):
+    """Yield the text of ``value``, ``level`` indents deep, in pieces.
 
-    Dicts, lists and tuples are laid out here, a list of finite floats or of such lists in
-    one piece (:func:`_float_lists`); any other value is ``json.dumps(value)``, whose tokens
-    are the indented encoder's.
+    A non-empty dict, list or tuple is laid out here, one item a line, the items of a list
+    of finite floats or of such lists joined by :func:`_float_items`; any other value is
+    ``json.dumps(value)``, whose tokens are the indented encoder's.
     """
-    inner = "\n" + _INDENT * (level + 1)
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        yield json.dumps(value)
+        return
+    outer, inner = ("\n" + _INDENT * (level + k) for k in range(2))
+    floats = _float_items(value, level)
+    if floats is not None:
+        yield from (f"[{inner}", floats, f"{outer}]")
+        return
     if isinstance(value, dict):
-        if not value:
-            return out("{}")
-        for i, (key, item) in enumerate(sorted(value.items())):
-            out(f"{',' if i else '{'}{inner}{_key(key)}: ")
-            _write(item, level + 1, out)
-        return out(f"\n{_INDENT * level}}}")
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return out("[]")
-        text = _float_lists(value, level)
-        if text is not None:
-            return out(text)
-        for i, item in enumerate(value):
-            out(f"{',' if i else '['}{inner}")
-            _write(item, level + 1, out)
-        return out(f"\n{_INDENT * level}]")
-    return out(json.dumps(value))
+        brackets, items = "{}", ((f"{_key(key)}: ", item) for key, item in sorted(value.items()))
+    else:
+        brackets, items = "[]", (("", item) for item in value)
+    for i, (prefix, item) in enumerate(items):
+        yield f"{',' if i else brackets[0]}{inner}{prefix}"
+        yield from _layout(item, level + 1)
+    yield outer + brackets[1]
 
 
 def _key(key) -> str:
@@ -114,13 +114,13 @@ def _key(key) -> str:
     return json.dumps(key)
 
 
-def _float_lists(value, level: int) -> str | None:
-    """The indented text of a list of finite floats, or of a list of non-empty such lists;
-    None for any other value.
+def _float_items(value, level: int) -> str | None:
+    """The joined items of a list of finite floats, or of a list of non-empty such lists,
+    laid out ``level`` indents deep; None for any other value.
 
     ``float.__repr__`` is the JSON token of a finite float, and it holds no ``n``, so an
-    ``n`` in the text marks an ``inf`` or a ``nan``.  A list of lists is laid out one row
-    at a time, and the rows are joined once.
+    ``n`` in the text marks an ``inf`` or a ``nan``.  Each row of a list of lists is laid
+    out here.
     """
     if type(value) is not list:
         return None
@@ -128,16 +128,9 @@ def _float_lists(value, level: int) -> str | None:
     nested = kinds == {list} and all(value)
     if (set(map(type, chain.from_iterable(value))) if nested else kinds) != {float}:
         return None
-    outer, middle, inner = ("\n" + _INDENT * (level + k) for k in range(3))
-    if nested:
-        parts = ["["]
-        for i, row in enumerate(value):
-            row_text = f",{inner}".join(map(repr, row))
-            parts += (f"{',' if i else ''}{middle}[{inner}", row_text, f"{middle}]")
-        parts.append(f"{outer}]")
-        text = "".join(parts)
-    else:
-        text = f"[{middle}{f',{middle}'.join(map(repr, value))}{outer}]"
+    inner, deeper = ("\n" + _INDENT * (level + k) for k in (1, 2))
+    rows = (f"[{deeper}{f',{deeper}'.join(map(repr, row))}{inner}]" for row in value)
+    text = f",{inner}".join(rows if nested else map(repr, value))
     return None if "n" in text else text
 
 
@@ -231,7 +224,7 @@ def cmd_maximize(args) -> int:
     _emit_report(args, fields)
     if any(r.hit_cap for r in report.per_restart):
         sys.stderr.write("warning: at least one restart hit the iteration cap\n")
-    if not report.best_value <= BOUND_LIMIT + BOUND_TOL:
+    if bound_violated(report.best_value):
         sys.stderr.write(
             f"BOUND VIOLATION: best value {report.best_value!r} exceeds "
             f"{BOUND_LIMIT} + {BOUND_TOL}\n"

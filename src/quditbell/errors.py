@@ -97,15 +97,18 @@ def check_dim(d, even: bool = False, cap: bool = False) -> int:
     return int(d)
 
 
-def check_numbers(value, rule: str, kinds: str = "iufc") -> np.ndarray:
+def check_numbers(value, rule: str, kinds: str = "iufc", shape: tuple | None = None) -> np.ndarray:
     """``value`` as an array whose dtype kind is in ``kinds``; ragged nesting, strings,
-    bools and objects fail with ``rule``, e.g. "state must be a matrix of numbers"."""
+    bools and objects fail with ``rule``, e.g. "state must be a matrix of numbers".  A
+    ``shape`` other than the one given (that a dimension implies) is a :class:`DimensionError`."""
     try:
         arr = np.asarray(value)
     except ValueError as exc:  # ragged nesting
         raise ValidationError(f"{rule}: {exc}") from None
     if arr.dtype.kind not in kinds:
         raise ValidationError(f"{rule}, got {arr.dtype} entries")
+    if shape is not None and arr.shape != shape:
+        raise DimensionError(f"{rule} of shape {shape}, got shape {arr.shape}")
     return arr
 
 

@@ -62,8 +62,8 @@ import numpy as np
 
 from .bloch import BlochVector, QuditObservable
 from .errors import (
-    DimensionError, ValidationError, check_dim, check_hermitian, check_int, check_type,
-    mirror_residual,
+    DimensionError, ValidationError, check_dim, check_hermitian, check_int, check_numbers,
+    check_type, mirror_residual,
 )
 from .gellmann import _apply_u, antisymmetric_rows
 from .serialize import (
@@ -95,7 +95,9 @@ class TwoQuditState:
     symmetric: bool
 
     def __post_init__(self):
-        object.__setattr__(self, "rho", freeze(np.asarray(self.rho, dtype=complex)))
+        object.__setattr__(self, "dim", check_dim(self.dim))
+        rho = check_numbers(self.rho, "state must be a matrix of numbers", shape=(self.dim**2,) * 2)
+        object.__setattr__(self, "rho", freeze(rho.astype(complex, copy=False)))
 
     @classmethod
     def from_matrix(cls, rho: np.ndarray) -> "TwoQuditState":
@@ -271,7 +273,12 @@ class CorrelationMatrix:
     symmetric: bool
 
     def __post_init__(self):
-        self.matrix = freeze(np.asarray(self.matrix, dtype=float))
+        self.dim = check_dim(self.dim)
+        shape = (self.dim**2 - 1,) * 2
+        matrix = check_numbers(self.matrix, "correlation matrix must be a real matrix", "iuf", shape)
+        if not np.isfinite(matrix).all():
+            raise ValidationError("correlation matrix entries must be finite")
+        self.matrix = freeze(matrix.astype(float, copy=False))
 
     @property
     def spectral_norm(self) -> float:

@@ -1,4 +1,5 @@
 import json
+import os
 import threading
 
 import numpy as np
@@ -271,6 +272,13 @@ class TestOracleWorkers:
             monkeypatch.setattr(bellmax, "_cpu_count", lambda: workers)
             values[workers] = [exhaustive_qubit_max(s, sign, grid_steps).hex() for s, sign in _oracle_inputs()]
         assert values[2] == values[1] and values[3] == values[1]
+
+    @pytest.mark.parametrize("reported, expected", [(3, 3), (None, 1)])
+    def test_cpu_count_without_an_affinity_mask(self, monkeypatch, reported, expected):
+        # the fallback where the OS has no sched_getaffinity: os.cpu_count(), or 1 if unknown
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: reported)
+        assert bellmax._cpu_count() == expected
 
     @pytest.fixture
     def given(self, monkeypatch):

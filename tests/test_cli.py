@@ -6,7 +6,7 @@ import re
 import shlex
 import sys
 import weakref
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -479,15 +479,32 @@ def test_malformed_state_file_is_input_error(payload, tmp_path, capsys):
     assert err.startswith("input error:")
 
 
-def _load_cli_digests():
-    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "cli_digests.py"
-    spec = importlib.util.spec_from_file_location("cli_digests", path)
+def _load_script(name):
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-CLI_DIGESTS = _load_cli_digests()
+CLI_DIGESTS = _load_script("cli_digests")
+
+
+def test_ghz_survey_warns_on_a_nan_best_value(monkeypatch, capsys):
+    # max(1.5, nan) drops a NaN in second place, and nan < -1e-6 is false: the CLI's
+    # exit-3 rule, not a gap to the larger sign, decides the warning
+    survey = _load_script("ghz_survey")
+    real = survey.maximize_bell
+
+    def nan_for_minus(state, sign, opts):
+        report = real(state, sign, opts)
+        return replace(report, best_value=math.nan) if sign == -1 else report
+
+    monkeypatch.setattr(survey, "maximize_bell", nan_for_minus)
+    monkeypatch.setattr(sys, "argv", ["ghz_survey.py", "--dims", "2", "--restarts", "2"])
+    survey.main()
+    warnings = [line for line in capsys.readouterr().out.splitlines() if "WARNING" in line]
+    assert warnings == ["    WARNING: max(-) exceeds 1.5 by nan"]
 
 
 def _indented(value) -> str:

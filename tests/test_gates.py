@@ -279,3 +279,86 @@ def test_non_numeric_matrix_is_named(call, bad):
 def test_observable_gates_its_matrix(call, bad, match):
     with pytest.raises(ValidationError, match=match):
         call(bad)
+
+
+_D4_BLOCH = qb.BlochVector(dim=4, coords=np.eye(15)[0])
+_T_NAN = np.full((3, 3), np.nan)
+
+# the three public value types, built directly: each inconsistent field is a named error,
+# never numpy's own (name -> call, error)
+DIRECT_CALLS = {
+    "state dim 3, rho 16x16": (
+        lambda: qb.correlation_matrix(qb.TwoQuditState(dim=3, rho=np.eye(16) / 16, symmetric=True)),
+        qb.DimensionError,
+    ),
+    "state dim 4, rho 15x15": (
+        lambda: qb.TwoQuditState(dim=4, rho=np.eye(15) / 15, symmetric=True),
+        qb.DimensionError,
+    ),
+    "state dim 2, rho 4x3": (
+        lambda: qb.TwoQuditState(dim=2, rho=np.ones((4, 3)), symmetric=False),
+        qb.DimensionError,
+    ),
+    "state dim 2.0": (
+        lambda: qb.TwoQuditState(dim=2.0, rho=_STATE.rho, symmetric=True),
+        qb.DimensionError,
+    ),
+    "state of strings": (
+        lambda: qb.TwoQuditState(dim=2, rho=np.full((4, 4), "a"), symmetric=True),
+        ValidationError,
+    ),
+    "observable dim 4, matrix 2x2": (
+        lambda: qb.product_expectation(
+            qb.ghz(4), *[qb.QuditObservable(dim=4, matrix=np.eye(2), bloch=_D4_BLOCH)] * 2
+        ),
+        qb.DimensionError,
+    ),
+    "observable of strings": (
+        lambda: qb.QuditObservable(dim=2, matrix=[["a", "b"], ["c", "d"]], bloch=_SZ.bloch),
+        ValidationError,
+    ),
+    "observable dim 2, Bloch vector dim 4": (
+        lambda: qb.QuditObservable(dim=2, matrix=_SZ.matrix, bloch=_D4_BLOCH),
+        qb.DimensionError,
+    ),
+    "observable with a plain Bloch array": (
+        lambda: qb.QuditObservable(dim=2, matrix=_SZ.matrix, bloch=_SZ.bloch.coords),
+        ValidationError,
+    ),
+    "correlation dim 4, T 3x3": (
+        lambda: qb.bloch_expectation(
+            qb.CorrelationMatrix(dim=4, matrix=np.eye(3), symmetric=True), _D4_BLOCH, _D4_BLOCH
+        ),
+        qb.DimensionError,
+    ),
+    "correlation dim 2.0": (
+        lambda: qb.CorrelationMatrix(dim=2.0, matrix=np.eye(3), symmetric=True),
+        qb.DimensionError,
+    ),
+    "all-NaN T": (
+        lambda: qb.correlation_spectrum(qb.CorrelationMatrix(dim=2, matrix=_T_NAN, symmetric=True)),
+        ValidationError,
+    ),
+    "complex T": (
+        lambda: qb.CorrelationMatrix(dim=2, matrix=np.eye(3) * (1 + 1j), symmetric=True),
+        ValidationError,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", DIRECT_CALLS)
+def test_direct_construction_gates_each_field(name):
+    call, error = DIRECT_CALLS[name]
+    with pytest.raises(error):
+        call()
+
+
+def test_direct_construction_keeps_raw_arrays_and_plain_dims():
+    # a NaN-bearing raw state stays constructible, for the downstream gates to reject
+    rho = np.full((4, 4), np.nan)
+    assert np.isnan(qb.TwoQuditState(dim=np.int64(2), rho=rho, symmetric=True).rho).all()
+    assert type(qb.TwoQuditState(dim=np.int64(2), rho=rho, symmetric=True).dim) is int
+    obs = qb.QuditObservable(dim=np.int64(2), matrix=_SZ.matrix, bloch=_SZ.bloch)
+    assert type(obs.dim) is int and obs.matrix is _SZ.matrix
+    tcorr = qb.CorrelationMatrix(dim=np.int64(2), matrix=np.eye(3, dtype=int), symmetric=True)
+    assert type(tcorr.dim) is int and tcorr.matrix.dtype == float
