@@ -10,18 +10,27 @@ perfectness constraint ``tr[rho (B (x) B)] = +-1``.  For states certified by
 behind that bound reduces to maximizing ``sqrt(2(1-z)) + z`` over [-1, 1].
 
 The optimizer holds B at a certified perfect observable and alternates exact
-block updates of B~ and A.  With the other two fixed, each branch of the
-absolute value is linear in the free vector, and a linear functional
-``<c, x>`` over the +-1 shell is maximized by the sign rounding of ``c``
-(:func:`quditbell.bloch.pm1_round`, Ky Fan / von Neumann; the loop calls its
-ungated core ``bloch._round``).  So B~ is the better of ``round(T(+-b - a))``
-and ``round(T(+-b + a))`` and A is ``round(T(b - b~))``; no step size is
-involved and the value never falls.
-Restart i starts from a draw seeded by ``(seed, i)``.  All restarts run in
-lockstep, stacked into arrays that go through one batched rounding per
-update; a restart leaves the batch at its fixed point.  Reports are
-deterministic in ``(seed, restarts)``; since a restart's matrix products are
-taken over the whole batch, its last bits may depend on the batch.
+block updates of B~ and A: the see-saw form of K. F. Pal and T. Vertesi,
+Phys. Rev. A 82, 022116 (2010), written on d x d matrices.  The correlators
+are traces against rho's partial traces: ``E(X, Y) = tr[X N_Y] = tr[Y P_X]``
+with ``N_Y = tr_B[rho (1 (x) Y)]`` and ``P_X = tr_A[rho (X (x) 1)]``, both
+one product with a realigned copy of rho.  With the other two fixed, each
+branch of the absolute value is linear in the free observable, and
+``tr[X H]`` over the +-1 observables is maximized by the sign rounding of
+hermitian H (Ky Fan / von Neumann; :func:`quditbell.bloch.pm1_round` gates
+the Bloch-vector form, and the loop calls the matrix core
+``bloch._round_matrix``).  So B~ is the better of ``round(sign P_B - P_A)``
+and ``round(sign P_B + P_A)``, and A is ``round(N_B - N_B~)``; no step size is
+involved and the value, ``|tr[A (N_B - N_B~)]| + sign tr[B~ P_B]``, never
+falls.  Adding a multiple of the identity leaves a rounding unchanged, so no
+traceless projection is needed; the loop multiplies by no correlation matrix
+and maps no Bloch vector.
+Restart i starts from the rounding of ``sqrt(d/2) (g . L)`` for a Gaussian g
+seeded by ``(seed, i)``.  All restarts run in lockstep, stacked into arrays
+that go through one batched rounding per update; a restart leaves the batch
+at its fixed point.  Reports are deterministic in ``(seed, restarts)``; since
+a restart's matrix products are taken over the whole batch, its last bits may
+depend on the batch.
 
 A Monte-Carlo harness over finite local-hidden-variable models checks the
 classical bound 1 on the same combination under the perfectness constraint.
@@ -38,7 +47,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bloch import SET_TOL, BlochVector, QuditObservable, _round, from_bloch
+from .bloch import SET_TOL, QuditObservable, _generator_sum, _round_matrix, from_bloch
 from .errors import DimensionError, check_int, check_range, check_sign, check_tol, check_type
 from .perfectness import _certified, certify_state, find_perfect_observables
 from .states import TwoQuditState, correlation_matrix, product_expectation
@@ -81,8 +90,8 @@ class BellMaxReport:
     dim: int
     sign: int
     best_value: float  # recomputed by direct traces
-    bloch_value: float  # value seen by the optimizer (correlation-matrix path)
-    b_perfect_residual: float
+    bloch_value: float  # value seen by the optimizer (traces against rho's partial traces)
+    b_perfect_residual: float  # |sign E(B, B) - 1| by direct traces
     restarts: int
     seed: int
     best_a: QuditObservable
@@ -145,58 +154,79 @@ def scalar_bound() -> tuple[float, float]:
 # --------------------------------------------------------------------------
 
 
+def _traces(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``Re tr[X M]`` of each pair of d x d matrices of the broadcast batches ``x`` and ``m``,
+    for hermitian X: ``sum conj(X) * M``, whose real part is the dot product of the real views."""
+    x, m = (v.view(float).reshape(v.shape[:-2] + (-1,)) for v in (x, m))
+    return np.einsum("...j,...j->...", x, m)
+
+
+def _partial_trace(y: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``vec(Y^T) @ r`` of each hermitian Y in the batch ``y`` (..., d, d), as d x d matrices."""
+    d2 = y.shape[-1] ** 2
+    return (y.conj().reshape(-1, d2) @ r).reshape(y.shape)
+
+
 def _run_restarts(
-    d: int, tmat: np.ndarray, b: np.ndarray, gauss: np.ndarray, sign: int, max_iters: int
+    rho: np.ndarray, b: np.ndarray, start: np.ndarray, sign: int, max_iters: int
 ):
-    """All restarts in lockstep; row i of ``b`` and ``gauss`` belongs to restart i.
+    """All restarts in lockstep on rho's partial traces; matrix i of the hermitian
+    batches ``b`` (the held observables B) and ``start`` belongs to restart i.
 
-    Returns the final ``a``, ``b~`` and values, the iteration counts, a mask
-    of the restarts still improving when ``max_iters`` ran out and one
-    ``[(iteration, value), ...]`` trace per restart.
+    With the realigned copy ``R[(k,b),(j,a)] = rho[jk,ab]``, ``N_Y = vec(Y^T) @ R``
+    and ``P_X = vec(X^T) @ R^T`` (as d x d matrices) give ``E(X, Y) = tr[X N_Y] =
+    tr[Y P_X]``; ``Y^T = conj(Y)`` for hermitian Y.  Returns the final A and B~
+    matrices and values, the iteration counts, a mask of the restarts still
+    improving when ``max_iters`` ran out and one ``[(iteration, value), ...]``
+    trace per restart.
     """
-    tb = b @ tmat.T
-
-    def value_of(rows: np.ndarray, a: np.ndarray, btil: np.ndarray) -> np.ndarray:
-        tbtil = btil @ tmat.T
-        first = np.abs(np.einsum("ij,ij->i", a, tb[rows] - tbtil))
-        return d / 2.0 * (first + sign * np.einsum("ij,ij->i", b[rows], tbtil))
-
-    # Rounding a Gaussian vector gives a Haar-random point of the +-1 orbit.
-    btil = _round(gauss, d)
-    a = _round(tb - btil @ tmat.T, d)
-    active = np.arange(len(b))
-    value = value_of(active, a, btil)
+    n, d = len(b), b.shape[-1]
+    realigned = rho.reshape((d,) * 4).transpose(1, 3, 0, 2).reshape(d * d, d * d)  # a copy
+    n_b, p_b = _partial_trace(b, realigned), _partial_trace(b, realigned.T)
+    # The value is |tr[A (N_B - N_B~)]| + sign tr[B~ P_B]; `diff` holds N_B - N_B~
+    # and `corr` the second term of each restart's current B~.
+    btil = _round_matrix(start)
+    diff = n_b - _partial_trace(btil, realigned)
+    corr = sign * _traces(btil, p_b)
+    a = _round_matrix(diff)
+    value = np.abs(_traces(a, diff)) + corr
+    active = np.arange(n)
     traces = [[(0, v)] for v in value.tolist()]
-    iterations = np.zeros(len(b), dtype=int)
+    iterations = np.zeros(n, dtype=int)
 
     for iteration in range(1, max_iters + 1):
         start_value = value[active]
-        a_act = a[active]
-        # |x| = max over branches sigma of sigma * x; on each branch the value
-        # is linear in b~ with gradient T(sign * b - sigma * a).  Both branches
-        # share one rounding, and sigma = +1 is tried first.
-        base = sign * b[active]
-        candidates = _round(np.concatenate([base - a_act, base + a_act]) @ tmat, d)
-        for btil2 in np.split(candidates, 2):
-            v2 = value_of(active, a_act, btil2)
-            up = v2 > value[active]
-            btil[active[up]] = btil2[up]
-            value[active[up]] = v2[up]
-        a2 = _round(tb[active] - btil[active] @ tmat.T, d)
-        v2 = value_of(active, a2, btil[active])
+        # |x| = max over branches sigma of sigma * x; on each branch the value is
+        # linear in B~ with gradient sign P_B - sigma P_A.  Both branches share one
+        # rounding, and sigma = +1 is tried first.
+        a_act, n_b_act, p_b_act = a[active], n_b[active], p_b[active]
+        p_a = _partial_trace(a_act, realigned.T)
+        candidates = _round_matrix(np.stack([sign * p_b_act - p_a, sign * p_b_act + p_a]))
+        cand_diff = n_b_act - _partial_trace(candidates, realigned)
+        cand_corr = sign * _traces(candidates, p_b_act)
+        cand_value = np.abs(_traces(a_act, cand_diff)) + cand_corr
+        for branch in range(2):
+            up = cand_value[branch] > value[active]
+            rows = active[up]
+            btil[rows] = candidates[branch][up]
+            diff[rows] = cand_diff[branch][up]
+            corr[rows] = cand_corr[branch][up]
+            value[rows] = cand_value[branch][up]
+        a2 = _round_matrix(diff[active])
+        v2 = np.abs(_traces(a2, diff[active])) + corr[active]
         up = v2 > value[active]
         a[active[up]] = a2[up]
         value[active[up]] = v2[up]
         iterations[active] = iteration
         for i, v in zip(active.tolist(), value[active].tolist()):
             traces[i].append((iteration, v))
-        # The updates are deterministic in (a, b~): an iteration that accepts
+        # The updates are deterministic in (A, B~): an iteration that accepts
         # none leaves the state, and so every later iteration, unchanged.
         active = active[value[active] != start_value]
         if active.size == 0:
             break
 
-    hit_cap = np.zeros(len(b), dtype=bool)
+    hit_cap = np.zeros(n, dtype=bool)
     hit_cap[active] = True
     return a, btil, value, iterations, hit_cap, traces
 
@@ -221,23 +251,25 @@ def maximize_bell(
     membership = certify_state(state, tol=max(opts.tol, 1e-12), seed=opts.seed)
     d = membership.dim
     witnesses = find_perfect_observables(membership, sign, min(WITNESS_COUNT, opts.restarts))
-    tmat = membership.tcorr.matrix
+    del membership  # T and its eigenvectors: the loop reads rho
     indices = range(opts.restarts)
-    b = np.stack([witnesses[i % len(witnesses)].bloch.coords for i in indices])
+    b = np.stack([witnesses[i % len(witnesses)].matrix for i in indices])
     gauss = np.stack(
         [np.random.default_rng([opts.seed, i]).standard_normal(d * d - 1) for i in indices]
     )
+    # Rounding a Gaussian matrix gives a Haar-random point of the +-1 orbit.
+    start_matrices = np.sqrt(d / 2.0) * _generator_sum(gauss, d)
     a, btil, values, iterations, hit_cap, traces = _run_restarts(
-        d, tmat, b, gauss, sign, opts.max_iters
+        state.rho, b, start_matrices, sign, opts.max_iters
     )
     values = values.tolist()
 
     best = int(np.argmax(values))
-    best_a = from_bloch(BlochVector(dim=d, coords=a[best]))
-    best_b = witnesses[best % len(witnesses)]  # row best of b holds its coordinates
-    best_btil = from_bloch(BlochVector(dim=d, coords=btil[best]))
+    best_a = QuditObservable.from_matrix(a[best])
+    best_b = witnesses[best % len(witnesses)]  # matrix best of b is its matrix
+    best_btil = QuditObservable.from_matrix(btil[best])
     direct = bell_expression(state, best_a, best_b, best_btil, sign)
-    residual = abs(float(b[best] @ (tmat @ b[best])) - sign * 2.0 / d)
+    residual = abs(sign * product_expectation(state, best_b, best_b) - 1.0)
 
     return BellMaxReport(
         dim=d,

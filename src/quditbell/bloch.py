@@ -20,6 +20,7 @@ representation of the generators; none builds the dense basis.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -247,13 +248,29 @@ def pm1_round(r: BlochVector | np.ndarray, dim: int | None = None) -> BlochVecto
     return BlochVector(dim=d, coords=_round(vec.coords, d))
 
 
-def _round(coords: np.ndarray, d: int) -> np.ndarray:
-    """:func:`pm1_round` of ``coords`` (..., d^2 - 1) at even d, ungated: one batched
-    ``eigh``, and each row equals the rounding of that row alone.  The result is the
-    real part of the traces, a strided view."""
-    _, v = np.linalg.eigh(np.sqrt(d / 2.0) * _generator_sum(coords, d))
+@functools.lru_cache(maxsize=None)
+def _pm1_signs(d: int) -> np.ndarray:
+    """The balanced +-1 diagonal of even d in ascending order, built once per d, read-only."""
     signs = np.concatenate([-np.ones(d // 2), np.ones(d // 2)])
-    return _generator_traces((v * signs) @ v.conj().swapaxes(-1, -2)).real
+    signs.setflags(write=False)
+    return signs
+
+
+def _round_matrix(matrix: np.ndarray) -> np.ndarray:
+    """Sign rounding of hermitian ``matrix`` (..., d, d) at even d, ungated: one batched
+    ``eigh`` into V, then ``V diag(-1, ..., -1, 1, ..., 1) V^dag``.  Each matrix of the
+    batch equals the rounding of that matrix alone; adding a multiple of the identity or
+    scaling by a positive number leaves the eigenvectors' order, and so the result, as is."""
+    _, v = np.linalg.eigh(matrix)
+    return (v * _pm1_signs(matrix.shape[-1])) @ v.conj().swapaxes(-1, -2)
+
+
+def _round(coords: np.ndarray, d: int) -> np.ndarray:
+    """:func:`pm1_round` of ``coords`` (..., d^2 - 1) at even d, ungated: the Bloch maps
+    around :func:`_round_matrix`, and each row equals the rounding of that row alone.
+    The witness search calls it; the maximizer rounds matrices and calls the core.  The
+    result is the real part of the traces, a strided view."""
+    return _generator_traces(_round_matrix(np.sqrt(d / 2.0) * _generator_sum(coords, d))).real
 
 
 def _listed(name: str, values) -> list:

@@ -258,7 +258,7 @@ class SpectralData:
         return next((c for c in self.clusters if abs(c.value - value) <= tol), None)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class CorrelationMatrix:
     """Real correlation matrix with lazily computed spectral data.
 
@@ -273,12 +273,12 @@ class CorrelationMatrix:
     symmetric: bool
 
     def __post_init__(self):
-        self.dim = check_dim(self.dim)
+        object.__setattr__(self, "dim", check_dim(self.dim))
         shape = (self.dim**2 - 1,) * 2
         matrix = check_numbers(self.matrix, "correlation matrix must be a real matrix", "iuf", shape)
         if not np.isfinite(matrix).all():
             raise ValidationError("correlation matrix entries must be finite")
-        self.matrix = freeze(matrix.astype(float, copy=False))
+        object.__setattr__(self, "matrix", freeze(matrix.astype(float, copy=False)))
 
     @property
     def spectral_norm(self) -> float:

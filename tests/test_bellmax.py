@@ -576,12 +576,20 @@ class TestLockstepReference:
         assert_allclose(values, reference, rtol=0, atol=1e-14)
         assert abs(report.bloch_value - max(reference)) <= 2e-15
 
+    @staticmethod
+    def _loop_args(state, sign, restarts, seed):
+        """``_run_restarts``'s arguments as ``maximize_bell`` builds them."""
+        d = state.dim
+        witnesses = find_perfect_observables(certify_state(state), sign, WITNESS_COUNT)
+        b = np.stack([witnesses[i % len(witnesses)].matrix for i in range(restarts)])
+        gauss = np.stack(
+            [np.random.default_rng([seed, i]).standard_normal(d * d - 1) for i in range(restarts)]
+        )
+        start = np.sqrt(d / 2.0) * bloch._generator_sum(gauss, d)
+        return state.rho, b, start, sign, 50
+
     def test_restart_loop_passes_no_gate(self, monkeypatch):
-        membership = certify_state(ghz(4))
-        witnesses = find_perfect_observables(membership, 1, WITNESS_COUNT)
-        b = np.stack([witnesses[i % len(witnesses)].bloch.coords for i in range(8)])
-        gauss = np.random.default_rng(0).standard_normal((8, 15))
-        args = (4, membership.tcorr.matrix, b, gauss, 1, 50)
+        args = self._loop_args(ghz(4), 1, 8, 0)
         expected = _run_restarts(*args)[2]
 
         def gate(*_):
@@ -592,6 +600,51 @@ class TestLockstepReference:
         values = _run_restarts(*args)[2]
         assert values.tobytes() == expected.tobytes()
         assert max(values) == pytest.approx(1.5, abs=1e-12)
+
+    def test_restart_loop_makes_no_bloch_map(self, monkeypatch):
+        args = self._loop_args(rotated_ghz(4, np.random.default_rng(2)), -1, 8, 1)
+        calls = []
+
+        def counted(name, original):
+            def wrapper(*a, **k):
+                calls.append(name)
+                return original(*a, **k)
+
+            return wrapper
+
+        # in bellmax too, which imports _generator_sum for the start matrices
+        for module in (bloch, bellmax):
+            for name in ("_generator_sum", "_generator_traces", "_bincount_complex"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        values = _run_restarts(*args)[2]
+        assert calls == []
+        assert max(values) == pytest.approx(1.5, abs=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 4, 6, 8])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_rotated_ghz_see_saw(self, d, sign):
+        rng = np.random.default_rng(100 + d)
+        for seed in range(3):
+            state = rotated_ghz(d, rng)
+            opts = MaximizeOptions(restarts=8, seed=seed)
+            report = maximize_bell(state, sign, opts)
+            for i in range(opts.restarts):
+                values = [v for r, _, v in report.trace if r == i]
+                assert all(b >= a for a, b in zip(values, values[1:]))
+            membership = certify_state(state, tol=opts.tol, seed=seed)
+            witnesses = find_perfect_observables(membership, sign, WITNESS_COUNT)
+            reference = max(
+                _serial_restart(
+                    d, membership.tcorr.matrix, witnesses[i % len(witnesses)].bloch.coords, sign,
+                    seed, i, opts.max_iters,
+                )
+                for i in range(opts.restarts)
+            )
+            assert report.best_value <= 1.5 + 1e-12
+            assert report.best_value >= reference - 1e-12
+            assert abs(report.best_value - report.bloch_value) <= 1e-12
+            assert report.b_perfect_residual <= 1e-12
 
     @pytest.mark.parametrize("rotated", [False, True])
     @pytest.mark.parametrize("sign", [1, -1])

@@ -197,10 +197,23 @@ class TestPm1Round:
     def test_stack_rounds_each_row_bitwise(self, d, rng):
         c = rng.standard_normal((17, d * d - 1))
         c[3] = 0.0
-        stacked = bloch._round(c, d)  # the batched core that the loops call
+        stacked = bloch._round(c, d)  # the batched rounding that the witness search calls
         single = np.stack([pm1_round(row, d).coords for row in c])
         assert stacked.shape == c.shape
         assert stacked.tobytes() == single.tobytes()
+
+    @pytest.mark.parametrize("d", [2, 4, 6, 8])
+    def test_matrix_core_ignores_identity_and_scale(self, d, rng):
+        # the see-saw rounds partial traces that are not traceless: a shift by c 1 and a
+        # positive scale leave the rounding, which is the Bloch rounding's matrix
+        h = np.stack([random_traceless_hermitian(d, rng) for _ in range(5)])
+        rounded = bloch._round_matrix(h)
+        shifted = bloch._round_matrix(2.5 * h + 0.7 * np.eye(d))
+        assert np.max(np.abs(shifted - rounded)) <= 1e-12
+        for x, row in zip(rounded, h):
+            assert_allclose(np.linalg.eigvalsh(x), bloch._pm1_signs(d), atol=1e-12)
+            coords = pm1_round(QuditObservable.from_matrix(row).bloch).coords
+            assert np.max(np.abs(QuditObservable.from_matrix(x).bloch.coords - coords)) <= 1e-12
 
     def test_stack_is_not_a_bloch_vector(self):
         with pytest.raises(ValidationError, match="needs length"):

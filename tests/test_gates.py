@@ -1,6 +1,7 @@
 """Every public entry point gates a sign or a dimension with the shared gates of
 ``quditbell.errors``: one rule, one named error, and a plain int in reports."""
 
+import dataclasses
 import json
 import tracemalloc
 
@@ -362,3 +363,16 @@ def test_direct_construction_keeps_raw_arrays_and_plain_dims():
     assert type(obs.dim) is int and obs.matrix is _SZ.matrix
     tcorr = qb.CorrelationMatrix(dim=np.int64(2), matrix=np.eye(3, dtype=int), symmetric=True)
     assert type(tcorr.dim) is int and tcorr.matrix.dtype == float
+
+
+def test_correlation_matrix_fields_are_frozen():
+    tcorr = qb.correlation_matrix(qb.ghz(2))
+    spectrum = qb.correlation_spectrum(tcorr)
+    for name, value in (("matrix", np.full((2, 5), "x")), ("dim", 3), ("symmetric", False)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(tcorr, name, value)
+    assert tcorr.matrix.shape == (3, 3) and tcorr.dim == 2 and tcorr.symmetric
+    # the cached decomposition is still the one of the unchanged T
+    assert qb.correlation_spectrum(tcorr) is spectrum
+    fresh = qb.correlation_spectrum(qb.correlation_matrix(qb.ghz(2)))
+    assert spectrum.eigenvalues.tobytes() == fresh.eigenvalues.tobytes()
