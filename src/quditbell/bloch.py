@@ -16,21 +16,24 @@ rule, eigenvalues in [-1, 1], is gated on the observable itself by
 Both directions work in O(d^2) from the entries of the sparse generator
 matrix U (:func:`quditbell.gellmann.generator_entries`), the one
 representation of the generators; none builds the dense basis.
+:class:`BlochVector` reads d from its length d^2 - 1 and :class:`QuditObservable`
+from its d x d matrix; an observable keeps both representations, checked to agree.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
     DimensionError, ValidationError, check_dim, check_hermitian, check_int, check_numbers,
-    check_sign, check_tol, check_type,
+    check_shape, check_sign, check_tol, check_type,
 )
 from .gellmann import generator_entries
-from .serialize import complex_matrix_to_pairs, freeze, real_vector_to_list
+from .serialize import complex_matrix_to_pairs, freeze
 
 # Default tolerance for set-membership tests; well above eigensolver error
 # for the dimensions this package targets (d <= 64).
@@ -61,43 +64,56 @@ def bloch_ball_radius(d: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class BlochVector:
-    """Real coefficient vector of length d^2 - 1 in the generator ordering."""
+    """Real coefficient vector in the generator ordering; d is read from its length d^2 - 1."""
 
-    dim: int
     coords: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "dim", check_dim(self.dim))
-        object.__setattr__(self, "coords", freeze(_checked_coords(self.coords, self.dim)))
+        coords = check_numbers(self.coords, "Bloch vector must be an array of real numbers", "iuf")
+        check_shape(coords, "Bloch vector", ndim=1, less=1)
+        if not np.all(np.isfinite(coords)):
+            raise ValidationError("Bloch vector coordinates must be finite")
+        object.__setattr__(self, "coords", freeze(coords.astype(float, copy=False)))
+
+    @property
+    def dim(self) -> int:
+        return math.isqrt(len(self.coords) + 1)
 
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.coords))
 
     def to_list(self) -> list[float]:
-        return real_vector_to_list(self.coords)
+        return self.coords.tolist()  # 1-D float64 by construction
 
 
 @dataclass(frozen=True, eq=False)
 class QuditObservable:
-    """Traceless hermitian matrix together with its cached Bloch vector."""
+    """Traceless hermitian matrix with its Bloch vector, both kept as computed (a round trip
+    moves last bits); construction requires ``max |M - sqrt(d/2) (r . L)| <= 1e-10``."""
 
-    dim: int
     matrix: np.ndarray = field(repr=False)
     bloch: BlochVector = field(repr=False)
 
     def __post_init__(self):
-        d = check_dim(self.dim)
-        matrix = check_numbers(self.matrix, "observable must be a matrix of numbers", shape=(d, d))
+        matrix = check_numbers(self.matrix, "observable must be a matrix of numbers")
+        d = check_shape(matrix, "observable", power=1)
         if check_type("bloch", self.bloch, BlochVector).dim != d:
             raise DimensionError(f"Bloch vector has dimension {self.bloch.dim}, observable {d}")
-        object.__setattr__(self, "dim", d)
+        gap = float(np.max(np.abs(matrix - _bloch_matrix(self.bloch))))
+        if not gap <= 1e-10:
+            raise ValidationError(
+                f"observable matrix and Bloch vector disagree: max |M - sqrt(d/2) r.L| = {gap:.3e}"
+            )
         object.__setattr__(self, "matrix", freeze(matrix.astype(complex, copy=False)))
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray) -> "QuditObservable":
-        bloch = to_bloch(matrix)
-        return cls(dim=bloch.dim, matrix=matrix, bloch=bloch)
+        return cls(matrix=matrix, bloch=to_bloch(matrix))
+
+    @property
+    def dim(self) -> int:
+        return len(self.matrix)
 
     @property
     def operator_norm(self) -> float:
@@ -109,31 +125,6 @@ class QuditObservable:
             "matrix": complex_matrix_to_pairs(self.matrix),
             "bloch": self.bloch.to_list(),
         }
-
-
-def _checked_coords(coords, d: int) -> np.ndarray:
-    """Finite float coordinates of shape (d^2 - 1,)."""
-    coords = _real_array(coords)
-    n = d * d - 1
-    if coords.shape != (n,):
-        raise ValidationError(f"Bloch vector for d={d} needs length {n}, got shape {coords.shape}")
-    if not np.all(np.isfinite(coords)):
-        raise ValidationError("Bloch vector coordinates must be finite")
-    return coords
-
-
-def _real_array(r) -> np.ndarray:
-    """``r`` as a float array; complex, string, bool or ragged ``r`` fails its numbers check."""
-    arr = check_numbers(r, "Bloch vector must be an array of real numbers", "iuf")
-    return arr.astype(float, copy=False)
-
-
-def _validate_traceless_hermitian(matrix: np.ndarray) -> np.ndarray:
-    matrix = check_hermitian(matrix, "observable", "X", _HERMITICITY_TOL)
-    trace_residual = float(abs(np.trace(matrix)))
-    if not trace_residual <= _TRACELESS_TOL:
-        raise ValidationError(f"observable is not traceless: |tr X| = {trace_residual:.3e}")
-    return matrix
 
 
 def _bincount_complex(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
@@ -172,46 +163,36 @@ def _generator_traces(matrix: np.ndarray) -> np.ndarray:
     return _bincount_complex(rows, flat[..., cols] * values, d * d - 1) / np.sqrt(2.0 * d)
 
 
-def _bloch_coords(matrix: np.ndarray) -> np.ndarray:
-    """Gated real coordinates ``tr[X L_j]/sqrt(2d)`` of a traceless hermitian X."""
-    coords = _generator_traces(_validate_traceless_hermitian(matrix))
+def to_bloch(matrix: np.ndarray) -> BlochVector:
+    """Bloch vector of a traceless hermitian matrix, ``r_j = tr[X L_j]/sqrt(2d)``."""
+    matrix = check_hermitian(matrix, "observable", "X", _HERMITICITY_TOL)
+    trace_residual = float(abs(np.trace(matrix)))
+    if not trace_residual <= _TRACELESS_TOL:
+        raise ValidationError(f"observable is not traceless: |tr X| = {trace_residual:.3e}")
+    coords = _generator_traces(matrix)
     imag = float(np.max(np.abs(coords.imag)))
     if not imag <= 1e-10:
         raise ValidationError(f"Bloch coordinates are not real: residual {imag:.3e}")
-    return coords.real
+    return BlochVector(coords.real)
 
 
-def to_bloch(matrix: np.ndarray) -> BlochVector:
-    """Bloch vector of a traceless hermitian matrix, ``r_j = tr[X L_j]/sqrt(2d)``."""
-    return _as_bloch(_bloch_coords(matrix))
+def _bloch_matrix(vec: BlochVector) -> np.ndarray:
+    """``sqrt(d/2) (r . L)``, the matrix of the Bloch vector ``vec``."""
+    return np.sqrt(vec.dim / 2.0) * _generator_sum(vec.coords, vec.dim)
 
 
 def from_bloch(r: BlochVector | np.ndarray, dim: int | None = None) -> QuditObservable:
     """Observable ``sqrt(d/2) (r . L)`` for a Bloch vector ``r``."""
     vec = _as_bloch(r, dim)
-    matrix = np.sqrt(vec.dim / 2.0) * _generator_sum(vec.coords, vec.dim)
-    return QuditObservable(dim=vec.dim, matrix=matrix, bloch=vec)
+    return QuditObservable(matrix=_bloch_matrix(vec), bloch=vec)
 
 
 def _as_bloch(r, d: int | None = None) -> BlochVector:
-    """``r`` as a validated Bloch vector; ``d`` defaults to the one the length implies.
-
-    The length check is :class:`BlochVector`'s, so a length that is not
-    d^2 - 1 raises :class:`ValidationError` instead of being read as a nearby d.
-    A :class:`BlochVector` whose own d differs from an explicit ``d`` raises
-    :class:`DimensionError`.
-    """
-    if isinstance(r, BlochVector):
-        if d is not None and check_dim(d) != r.dim:
-            raise DimensionError(f"Bloch vector has dimension {r.dim}, but dim {d} was given")
-        return r
-    arr = _real_array(r)
-    return BlochVector(dim=_implied_dim(arr.size) if d is None else d, coords=arr)
-
-
-def _implied_dim(length: int) -> int:
-    """The d >= 2 whose d^2 - 1 is nearest to ``length``."""
-    return max(2, int(round(np.sqrt(length + 1))))
+    """``r`` as a validated Bloch vector; an explicit ``d`` must be the one its length fixes."""
+    vec = r if isinstance(r, BlochVector) else BlochVector(r)
+    if d is not None and check_dim(d) != vec.dim:
+        raise DimensionError(f"Bloch vector has dimension {vec.dim}, but dim {d} was given")
+    return vec
 
 
 def in_pm1_shell(r: BlochVector | np.ndarray, tol: float = SET_TOL) -> bool:
@@ -245,7 +226,7 @@ def pm1_round(r: BlochVector | np.ndarray, dim: int | None = None) -> BlochVecto
     """
     vec = _as_bloch(r, dim)
     d = check_dim(vec.dim, even=True)
-    return BlochVector(dim=d, coords=_round(vec.coords, d))
+    return BlochVector(_round(vec.coords, d))
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,9 +1,11 @@
 """Exception types shared across the package, and the one gate per input rule.
 
-Each scalar gate returns a plain Python number, which reports can store and
-``json.dumps`` can write.  Each array gate returns the checked array:
-:func:`check_numbers` for any array, :func:`check_hermitian` for rho or an observable.
+Each scalar gate returns a plain Python number, which reports can store and ``json.dumps``
+can write, and :func:`check_shape` the d that an array's shape fixes.  Each array gate returns
+the checked array: :func:`check_numbers` for any array, :func:`check_hermitian` for a matrix.
 """
+
+import math
 
 import numpy as np
 
@@ -97,19 +99,30 @@ def check_dim(d, even: bool = False, cap: bool = False) -> int:
     return int(d)
 
 
-def check_numbers(value, rule: str, kinds: str = "iufc", shape: tuple | None = None) -> np.ndarray:
+def check_numbers(value, rule: str, kinds: str = "iufc") -> np.ndarray:
     """``value`` as an array whose dtype kind is in ``kinds``; ragged nesting, strings,
-    bools and objects fail with ``rule``, e.g. "state must be a matrix of numbers".  A
-    ``shape`` other than the one given (that a dimension implies) is a :class:`DimensionError`."""
+    bools and objects fail with ``rule``, e.g. "state must be a matrix of numbers"."""
     try:
         arr = np.asarray(value)
     except ValueError as exc:  # ragged nesting
         raise ValidationError(f"{rule}: {exc}") from None
     if arr.dtype.kind not in kinds:
         raise ValidationError(f"{rule}, got {arr.dtype} entries")
-    if shape is not None and arr.shape != shape:
-        raise DimensionError(f"{rule} of shape {shape}, got shape {arr.shape}")
     return arr
+
+
+def check_shape(arr: np.ndarray, what: str, ndim: int = 2, power: int = 2, less: int = 0) -> int:
+    """The d >= 2 for which ``arr`` has ``ndim`` axes of length ``d^power - less``, else a
+    :class:`DimensionError` naming ``what``: the shape gate of the types that read d from it."""
+    n = arr.shape[0] + less if arr.ndim else 0
+    d = math.isqrt(n) if power == 2 else n
+    if d < 2 or arr.shape != (d**power - less,) * ndim:
+        side = ("d" if power == 1 else "d^2") + (f" - {less}" if less else "")
+        shape = str((side,) * ndim).replace("'", "")
+        raise DimensionError(
+            f"{what} must have shape {shape} for an integer d >= 2, got shape {arr.shape}"
+        )
+    return d
 
 
 def mirror_residual(m: np.ndarray) -> float:

@@ -124,14 +124,28 @@ class SignWitness:
 
 @dataclass(frozen=True, eq=False)
 class ClassMembership:
-    dim: int
-    in_class: bool
-    spectral_norm: float
-    extreme_eigenvalues: tuple[float, ...]
     tol: float
     sign_results: tuple[SignWitness, ...]
     tcorr: CorrelationMatrix = field(repr=False)  # the T certified; not in to_dict
     seed: int  # of the witness search's random starts; not in to_dict
+
+    @property
+    def dim(self) -> int:
+        return self.tcorr.dim
+
+    @property
+    def in_class(self) -> bool:
+        return any(entry.certified for entry in self.sign_results)
+
+    @property
+    def spectral_norm(self) -> float:
+        return self.tcorr.spectral_norm
+
+    @property
+    def extreme_eigenvalues(self) -> tuple[float, ...]:
+        """The multiplets of T within ``tol`` of the spectral norm in absolute value."""
+        norm, clusters = self.spectral_norm, self.tcorr.spectral.clusters
+        return tuple(c.value for c in clusters if abs(abs(c.value) - norm) <= self.tol)
 
     def for_sign(self, sign: int) -> SignWitness:
         sign = check_sign(sign)
@@ -343,12 +357,8 @@ def certify_state(
     del state  # correlation_matrix gets the only reference, so it can free rho mid-build
     tcorr = correlation_matrix(held.pop())
     spectral = correlation_spectrum(tcorr)
-    norm = spectral.spectral_norm
     target = 2.0 / d
-    norm_ok = abs(norm - target) <= tol
-    extremes = tuple(
-        cluster.value for cluster in spectral.clusters if abs(abs(cluster.value) - norm) <= tol
-    )
+    norm_ok = abs(spectral.spectral_norm - target) <= tol
 
     sign_results = []
     for sign in (1, -1):
@@ -363,22 +373,13 @@ def certify_state(
             SignWitness(
                 sign=sign,
                 cluster=cluster,
-                witness=None if coords is None else BlochVector(dim=d, coords=_orient(coords)),
+                witness=None if coords is None else BlochVector(_orient(coords)),
                 norm_residual=float(best_res),
                 restarts_used=used,
             )
         )
 
-    return ClassMembership(
-        dim=d,
-        in_class=any(entry.certified for entry in sign_results),
-        spectral_norm=norm,
-        extreme_eigenvalues=extremes,
-        tol=tol,
-        sign_results=tuple(sign_results),
-        tcorr=tcorr,
-        seed=seed,
-    )
+    return ClassMembership(tol=tol, sign_results=tuple(sign_results), tcorr=tcorr, seed=seed)
 
 
 def _certified(membership: ClassMembership, sign: int) -> SignWitness:
@@ -410,18 +411,20 @@ def find_perfect_observables(
     therefore the certified witness, up to sign.  Witness eigenvectors map to
     observables through the Bloch correspondence, so each returned B has
     eigenvalues +-1 and satisfies ``tr[rho (B (x) B)] = sign`` within
-    tolerance.  Raises :class:`CertificationError` when the state is not
-    certified for the sign.
+    tolerance.  A one-dimensional eigenspace holds only the unit witnesses +-v,
+    so there the replay stops once it has both.  Raises
+    :class:`CertificationError` when the state is not certified for the sign.
     """
     sign = check_sign(sign)
     check_int("count", count, 1)
     d = check_type("membership", membership, ClassMembership).dim
     entry = _certified(membership, sign)
     budget = max(DEFAULT_RESTARTS, 4 * count, entry.restarts_used)
+    wanted = min(count, 2) if entry.cluster.multiplicity == 1 else count
     found: list[np.ndarray] = []
     for coords, _, _ in _witnesses(entry.cluster, d, sign, membership.tol, budget, membership.seed):
         if coords is not None and all(np.linalg.norm(coords - prev) >= 1e-6 for prev in found):
             found.append(coords)
-            if len(found) == count:
+            if len(found) == wanted:
                 break
-    return [from_bloch(BlochVector(dim=d, coords=c)) for c in found]
+    return [from_bloch(BlochVector(c)) for c in found]

@@ -83,10 +83,6 @@ def base64_to_complex_matrix(text: str | memoryview, shape: tuple[int, int]) -> 
     return np.frombuffer(raw, _C16).reshape(shape)
 
 
-def real_vector_to_list(vec: np.ndarray) -> list[float]:
-    return np.asarray(vec, dtype=float).reshape(-1).tolist()
-
-
 def freeze(arr: np.ndarray) -> np.ndarray:
     """Return a read-only array with ``arr``'s contents; used to make container types immutable.
 

@@ -5,16 +5,17 @@ The correlation matrix of a state ``rho`` on C^d (x) C^d is the real
 
     T[n, m] = tr[rho (L_n (x) L_m)]
 
-in the generator ordering of :mod:`quditbell.gellmann`.  For swap-invariant
-states T is symmetric.  :func:`correlation_matrix` builds T in O(d^4) as a
-change of basis with the real generator matrix U, applied directly from its
-entries (:func:`~quditbell.gellmann.generator_entries`).  U is the one
-representation of the generators the library computes with; the dense basis of
-:func:`~quditbell.gellmann.build_basis` is an expansion of U for callers and
-is built on no library path.  Expectations of observable pairs reduce to the
-quadratic form ``tr[rho (A (x) B)] = (d/2) <a, T b>`` in the Bloch vectors
-``a, b`` of A and B; both evaluation paths are exposed and cross-checked in
-the test suite.
+in the generator ordering of :mod:`quditbell.gellmann`; T is symmetric for
+swap-invariant states.  Both value types read d from their array's shape and
+compute ``symmetric`` from it on first read.  :func:`correlation_matrix` builds
+T in O(d^4) as a change of basis with the real generator matrix U, applied
+directly from its entries (:func:`~quditbell.gellmann.generator_entries`).
+U is the one representation of the generators the library computes with; the
+dense basis of :func:`~quditbell.gellmann.build_basis` is an expansion of U for
+callers and is built on no library path.  Expectations of observable pairs
+reduce to the quadratic form ``tr[rho (A (x) B)] = (d/2) <a, T b>`` in the Bloch
+vectors ``a, b`` of A and B; both evaluation paths are exposed and cross-checked
+in the test suite.
 
 Memory is what limits large d: rho holds d^4 complex entries (268 MB at d = 64).
 :func:`correlation_matrix` keeps at most three such d^4 buffers alive at once,
@@ -35,8 +36,8 @@ States from outside go through :meth:`TwoQuditState.from_matrix`.  Its
 positivity check is a Cholesky factorisation of ``rho - floor * I`` (with the
 floor ``-1e-10``), a constructive certificate that costs O(d^6) but about a
 fifth of a full ``eigvalsh``; only a state it fails on pays for the eigenvalues.
-The hermiticity and swap checks run in chunks of rows, so besides rho the gates
-hold at most two rho-sized buffers (the shifted copy and its Cholesky factor).
+The hermiticity check (and, on first read of ``symmetric``, the swap residual) runs
+in chunks of rows, so besides rho the gates hold at most two rho-sized buffers.
 :func:`ghz` and :func:`maximally_mixed` are valid and symmetric by construction
 and skip it.
 
@@ -55,6 +56,7 @@ text once decoded.  Either way the file's bytes are freed before the gates of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -63,7 +65,7 @@ import numpy as np
 from .bloch import BlochVector, QuditObservable
 from .errors import (
     DimensionError, ValidationError, check_dim, check_hermitian, check_int, check_numbers,
-    check_type, mirror_residual,
+    check_shape, check_type, mirror_residual,
 )
 from .gellmann import _apply_u, antisymmetric_rows
 from .serialize import (
@@ -88,33 +90,36 @@ CLUSTER_RTOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class TwoQuditState:
-    """Validated density matrix on C^d (x) C^d with cached swap symmetry."""
+    """Matrix on C^d (x) C^d, d read from its shape; :meth:`from_matrix` checks a density matrix."""
 
-    dim: int
     rho: np.ndarray = field(repr=False)
-    symmetric: bool
 
     def __post_init__(self):
-        object.__setattr__(self, "dim", check_dim(self.dim))
-        rho = check_numbers(self.rho, "state must be a matrix of numbers", shape=(self.dim**2,) * 2)
+        rho = check_numbers(self.rho, "state must be a matrix of numbers")
+        check_shape(rho, "state")
         object.__setattr__(self, "rho", freeze(rho.astype(complex, copy=False)))
+
+    @property
+    def dim(self) -> int:
+        return math.isqrt(len(self.rho))
+
+    @cached_property
+    def symmetric(self) -> bool:
+        """Swap symmetry, ``max |rho[jk,ab] - rho[kj,ba]| <= 1e-12``, computed on first read."""
+        return _swap_residual(self.rho, self.dim) <= _SWAP_TOL
 
     @classmethod
     def from_matrix(cls, rho: np.ndarray) -> "TwoQuditState":
-        """Validate ``rho`` as a density matrix on C^d (x) C^d and cache its swap symmetry.
+        """Validate ``rho`` as a density matrix on C^d (x) C^d.
 
-        ``rho`` must pass :func:`~quditbell.errors.check_hermitian` (to 1e-12) and have size d^2
-        (d >= 2) and unit trace.  It is positive semidefinite when ``rho - floor * I = L L^dag``
-        has a Cholesky factor, with ``floor = -1e-10``; when the factorisation fails, ``eigvalsh``
-        decides, and a minimum eigenvalue below the floor (or NaN) is rejected with that
-        eigenvalue in the message.  Any failed gate raises :class:`ValidationError`.
+        ``rho`` must pass :func:`~quditbell.errors.check_hermitian` (to 1e-12), have unit trace
+        and the shape of some d >= 2 (else :class:`DimensionError`).  It is positive semidefinite
+        when ``rho - floor * I = L L^dag`` has a Cholesky factor, with ``floor = -1e-10``; when
+        the factorisation fails, ``eigvalsh`` decides, and a minimum eigenvalue below the floor
+        (or NaN) is rejected with it in the message; other gates raise :class:`ValidationError`.
         """
         rho = check_hermitian(rho, "state", "rho", _HERM_TOL)
-        d = int(round(np.sqrt(rho.shape[0])))
-        if d * d != rho.shape[0] or d < 2:
-            raise ValidationError(
-                f"state dimension {rho.shape[0]} is not d^2 for an integer d >= 2"
-            )
+        d = check_shape(rho, "state")
         trace_res = abs(complex(np.trace(rho)) - 1.0)
         if trace_res > _TRACE_TOL:
             raise ValidationError(f"state trace differs from 1: residual {trace_res:.3e}")
@@ -128,7 +133,7 @@ class TwoQuditState:
                 raise ValidationError(
                     f"state is not positive semidefinite: min eigenvalue {min_eig:.3e}"
                 ) from None
-        return cls(dim=d, rho=rho, symmetric=_swap_residual(rho, d) <= _SWAP_TOL)
+        return cls(rho)
 
     def as_4index(self) -> np.ndarray:
         """View of rho as R[j, k, a, b] = <j,k| rho |a,b>."""
@@ -203,14 +208,14 @@ def ghz(d: int) -> TwoQuditState:
     jj = np.arange(0, d * d, d + 1)
     rho[jj[:, None], jj] = amp * amp
     rho.setflags(write=False)
-    return TwoQuditState(dim=d, rho=rho, symmetric=True)
+    return TwoQuditState(rho)
 
 
 def maximally_mixed(d: int) -> TwoQuditState:
     d = check_dim(d, cap=True)
     rho = np.eye(d * d, dtype=complex) / (d * d)
     rho.setflags(write=False)
-    return TwoQuditState(dim=d, rho=rho, symmetric=True)
+    return TwoQuditState(rho)
 
 
 @dataclass(frozen=True)
@@ -260,25 +265,30 @@ class SpectralData:
 
 @dataclass(frozen=True, eq=False)
 class CorrelationMatrix:
-    """Real correlation matrix with lazily computed spectral data.
+    """Real, finite T, d read from its shape, with lazily computed symmetry and spectral data.
 
-    The eigendecomposition is computed once, on first access, by :func:`_split_eigh`
-    (decoupled generator coordinates are exact eigenpairs; only the coupled rest goes to
-    ``np.linalg.eigh``).  Only a symmetric T has one: on any other, :attr:`spectral` and
-    :attr:`spectral_norm` raise :class:`ValidationError`.
+    :attr:`symmetric` is ``max |T - T^T| <= 1e-11``.  The eigendecomposition is computed once
+    by :func:`_split_eigh` (decoupled generator coordinates are exact eigenpairs; only the
+    coupled rest goes to ``np.linalg.eigh``).  Only a symmetric T has one: on any other,
+    :attr:`spectral` and :attr:`spectral_norm` raise :class:`ValidationError`.
     """
 
-    dim: int
     matrix: np.ndarray = field(repr=False)
-    symmetric: bool
 
     def __post_init__(self):
-        object.__setattr__(self, "dim", check_dim(self.dim))
-        shape = (self.dim**2 - 1,) * 2
-        matrix = check_numbers(self.matrix, "correlation matrix must be a real matrix", "iuf", shape)
+        matrix = check_numbers(self.matrix, "correlation matrix must be a real matrix", "iuf")
+        check_shape(matrix, "correlation matrix", less=1)
         if not np.isfinite(matrix).all():
-            raise ValidationError("correlation matrix entries must be finite")
+            raise ValidationError("correlation matrix entries are not finite")
         object.__setattr__(self, "matrix", freeze(matrix.astype(float, copy=False)))
+
+    @property
+    def dim(self) -> int:
+        return math.isqrt(len(self.matrix) + 1)
+
+    @cached_property
+    def symmetric(self) -> bool:
+        return mirror_residual(self.matrix) <= 1e-11
 
     @property
     def spectral_norm(self) -> float:
@@ -350,12 +360,12 @@ def correlation_matrix(state: TwoQuditState) -> CorrelationMatrix:
     transpose and ``P + iQ``).  ``T`` is written from ``P + iQ`` one generator block at a
     time, so the last stage holds rho, ``P + iQ`` and ``T`` (half of rho's size).  The
     reference to ``state`` is dropped once rho is permuted, so rho is freed there when the
-    caller keeps none.  The symmetry check runs in row chunks, and ``T`` is handed over
-    read-only, uncopied.
+    caller keeps none.  ``T`` is handed over read-only, uncopied; its symmetry is computed
+    on first read of :attr:`CorrelationMatrix.symmetric`.
 
     A non-zero imaginary part or a NaN or inf anywhere in ``T`` raises
-    :class:`ValidationError`; both can only come from a state built without
-    :meth:`TwoQuditState.from_matrix`.
+    :class:`ValidationError` (the latter is :class:`CorrelationMatrix`'s finite gate); both
+    can only come from a state built without :meth:`TwoQuditState.from_matrix`.
     """
     d = check_type("state", state, TwoQuditState).dim
     n = d * d - 1
@@ -386,12 +396,8 @@ def correlation_matrix(state: TwoQuditState) -> CorrelationMatrix:
     resid = float(np.max(resids))  # np.max, unlike max(), keeps a NaN
     if not resid <= 1e-12:
         raise ValidationError(f"correlation matrix has imaginary residual {resid:.3e}")
-    with np.errstate(invalid="ignore"):
-        asym = mirror_residual(t)  # NaN or inf for a NaN or inf anywhere in T
-    if not np.isfinite(asym):
-        raise ValidationError(f"correlation matrix is not finite: max |T - T^T| = {asym:.3e}")
     t.setflags(write=False)
-    return CorrelationMatrix(dim=d, matrix=t, symmetric=asym <= 1e-11)
+    return CorrelationMatrix(t)
 
 
 def product_expectation(state: TwoQuditState, a: QuditObservable, b: QuditObservable) -> float:

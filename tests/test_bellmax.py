@@ -80,10 +80,10 @@ class TestBellExpression:
             bell_expression(state, big, ok, ok, 1)
 
     def test_nan_observable_rejected(self):
+        # a NaN matrix agrees with no Bloch vector, so it never reaches bell_expression
         ok = QuditObservable.from_matrix(SZ)
-        nan = QuditObservable(dim=2, matrix=np.full((2, 2), np.nan), bloch=ok.bloch)
-        with pytest.raises(ValidationError, match="outside"):
-            bell_expression(ghz(2), nan, ok, ok, 1)
+        with pytest.raises(ValidationError, match="disagree: .* = nan$"):
+            QuditObservable(matrix=np.full((2, 2), np.nan), bloch=ok.bloch)
 
     def test_bad_sign(self):
         state = ghz(2)
@@ -596,7 +596,7 @@ class TestLockstepReference:
             raise AssertionError("a gate ran inside the restart loop")
 
         monkeypatch.setattr(bloch, "check_hermitian", gate)
-        monkeypatch.setattr(bloch, "_checked_coords", gate)
+        monkeypatch.setattr(bloch, "check_shape", gate)
         values = _run_restarts(*args)[2]
         assert values.tobytes() == expected.tobytes()
         assert max(values) == pytest.approx(1.5, abs=1e-12)
@@ -669,7 +669,7 @@ class TestLockstepReference:
             raise AssertionError("a gate ran inside the witness search")
 
         monkeypatch.setattr(bloch, "check_hermitian", gate)
-        monkeypatch.setattr(bloch, "_checked_coords", gate)
+        monkeypatch.setattr(bloch, "check_shape", gate)
         monkeypatch.setattr(bloch.QuditObservable, "from_matrix", gate)
         assert search() == expected
 

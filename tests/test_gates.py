@@ -9,8 +9,11 @@ import numpy as np
 import pytest
 
 import quditbell as qb
-from quditbell import DimensionCapError, QuditBellError, ValidationError
+from quditbell import DimensionCapError, QuditBellError, ValidationError, states
+from quditbell.errors import mirror_residual
 from quditbell.gellmann import generator_entries
+
+from conftest import random_state
 
 _STATE = qb.ghz(2)
 _MEMBERSHIP = qb.certify_state(_STATE)
@@ -81,7 +84,7 @@ DIM_CALLS = {
     "build_basis": qb.build_basis,
     "generator_entries": generator_entries,
     "bloch_ball_radius": qb.bloch_ball_radius,
-    "BlochVector": lambda d: qb.BlochVector(dim=d, coords=np.zeros(15)),
+    "BlochVector": lambda d: qb.from_bloch(qb.BlochVector(np.zeros(15)), d),
     "from_bloch": lambda d: qb.from_bloch(np.zeros(15), d),
     "pm1_round": lambda d: qb.pm1_round(np.ones(15), d),
     "make_diag_pm1": lambda d: qb.make_diag_pm1(d, [1, 1, -1, -1]),
@@ -102,7 +105,7 @@ def test_dimension_gate_rejects_non_integer_or_small_d(name, bad):
 
 def test_gated_dimensions_are_stored_as_int():
     assert type(qb.ghz(np.int64(2)).dim) is int
-    assert type(qb.BlochVector(dim=np.int64(2), coords=np.zeros(3)).dim) is int
+    assert type(qb.BlochVector(np.zeros(3)).dim) is int
     assert type(qb.make_diag_pm1(np.int64(2), [1, -1]).dim) is int
 
 
@@ -215,7 +218,7 @@ def test_type_gate_names_the_argument(name):
         qb.in_pm1_shell,
         qb.from_bloch,
         qb.pm1_round,
-        lambda r: qb.BlochVector(dim=2, coords=r),
+        qb.BlochVector,
     ],
 )
 @pytest.mark.parametrize(
@@ -282,67 +285,52 @@ def test_observable_gates_its_matrix(call, bad, match):
         call(bad)
 
 
-_D4_BLOCH = qb.BlochVector(dim=4, coords=np.eye(15)[0])
+_D4_BLOCH = qb.BlochVector(np.eye(15)[0])
 _T_NAN = np.full((3, 3), np.nan)
 
-# the three public value types, built directly: each inconsistent field is a named error,
-# never numpy's own (name -> call, error)
+# the public value types, built directly: each reads d from an array and derives its flags,
+# so a d or a flag given beside the array cannot be written (TypeError), and each bad field
+# is a named error, never numpy's own (name -> call, error)
 DIRECT_CALLS = {
-    "state dim 3, rho 16x16": (
-        lambda: qb.correlation_matrix(qb.TwoQuditState(dim=3, rho=np.eye(16) / 16, symmetric=True)),
-        qb.DimensionError,
+    "state with a dim": (lambda: qb.TwoQuditState(dim=4, rho=np.eye(16) / 16), TypeError),
+    "state rho 15x15": (lambda: qb.TwoQuditState(np.eye(15) / 15), qb.DimensionError),
+    "state rho 4x3": (lambda: qb.TwoQuditState(np.ones((4, 3))), qb.DimensionError),
+    "state rho 1x1": (lambda: qb.TwoQuditState(np.ones((1, 1))), qb.DimensionError),
+    "state of strings": (lambda: qb.TwoQuditState(np.full((4, 4), "a")), ValidationError),
+    "observable with a dim": (
+        lambda: qb.QuditObservable(dim=2, matrix=_SZ.matrix, bloch=_SZ.bloch),
+        TypeError,
     ),
-    "state dim 4, rho 15x15": (
-        lambda: qb.TwoQuditState(dim=4, rho=np.eye(15) / 15, symmetric=True),
-        qb.DimensionError,
-    ),
-    "state dim 2, rho 4x3": (
-        lambda: qb.TwoQuditState(dim=2, rho=np.ones((4, 3)), symmetric=False),
-        qb.DimensionError,
-    ),
-    "state dim 2.0": (
-        lambda: qb.TwoQuditState(dim=2.0, rho=_STATE.rho, symmetric=True),
-        qb.DimensionError,
-    ),
-    "state of strings": (
-        lambda: qb.TwoQuditState(dim=2, rho=np.full((4, 4), "a"), symmetric=True),
-        ValidationError,
-    ),
-    "observable dim 4, matrix 2x2": (
-        lambda: qb.product_expectation(
-            qb.ghz(4), *[qb.QuditObservable(dim=4, matrix=np.eye(2), bloch=_D4_BLOCH)] * 2
-        ),
+    "observable matrix 2x3": (
+        lambda: qb.QuditObservable(matrix=np.zeros((2, 3)), bloch=_SZ.bloch),
         qb.DimensionError,
     ),
     "observable of strings": (
-        lambda: qb.QuditObservable(dim=2, matrix=[["a", "b"], ["c", "d"]], bloch=_SZ.bloch),
+        lambda: qb.QuditObservable(matrix=[["a", "b"], ["c", "d"]], bloch=_SZ.bloch),
         ValidationError,
     ),
-    "observable dim 2, Bloch vector dim 4": (
-        lambda: qb.QuditObservable(dim=2, matrix=_SZ.matrix, bloch=_D4_BLOCH),
+    "observable 2x2, Bloch vector dim 4": (
+        lambda: qb.QuditObservable(matrix=_SZ.matrix, bloch=_D4_BLOCH),
         qb.DimensionError,
     ),
     "observable with a plain Bloch array": (
-        lambda: qb.QuditObservable(dim=2, matrix=_SZ.matrix, bloch=_SZ.bloch.coords),
+        lambda: qb.QuditObservable(matrix=_SZ.matrix, bloch=_SZ.bloch.coords),
         ValidationError,
     ),
-    "correlation dim 4, T 3x3": (
-        lambda: qb.bloch_expectation(
-            qb.CorrelationMatrix(dim=4, matrix=np.eye(3), symmetric=True), _D4_BLOCH, _D4_BLOCH
-        ),
-        qb.DimensionError,
+    "correlation with a dim": (lambda: qb.CorrelationMatrix(dim=2, matrix=np.eye(3)), TypeError),
+    "correlation with a symmetric flag": (
+        lambda: qb.CorrelationMatrix(matrix=np.eye(3), symmetric=True),
+        TypeError,
     ),
-    "correlation dim 2.0": (
-        lambda: qb.CorrelationMatrix(dim=2.0, matrix=np.eye(3), symmetric=True),
-        qb.DimensionError,
-    ),
-    "all-NaN T": (
-        lambda: qb.correlation_spectrum(qb.CorrelationMatrix(dim=2, matrix=_T_NAN, symmetric=True)),
-        ValidationError,
-    ),
-    "complex T": (
-        lambda: qb.CorrelationMatrix(dim=2, matrix=np.eye(3) * (1 + 1j), symmetric=True),
-        ValidationError,
+    "correlation T 3x4": (lambda: qb.CorrelationMatrix(np.zeros((3, 4))), qb.DimensionError),
+    "correlation T 4x4": (lambda: qb.CorrelationMatrix(np.eye(4)), qb.DimensionError),
+    "all-NaN T": (lambda: qb.CorrelationMatrix(_T_NAN), ValidationError),
+    "complex T": (lambda: qb.CorrelationMatrix(np.eye(3) * (1 + 1j)), ValidationError),
+    "Bloch vector with a dim": (lambda: qb.BlochVector(dim=2, coords=np.zeros(3)), TypeError),
+    "Bloch vector length 4": (lambda: qb.BlochVector(np.zeros(4)), qb.DimensionError),
+    "state with a symmetric flag": (
+        lambda: qb.TwoQuditState(rho=np.eye(4) / 4, symmetric=False),
+        TypeError,
     ),
 }
 
@@ -356,13 +344,74 @@ def test_direct_construction_gates_each_field(name):
 
 def test_direct_construction_keeps_raw_arrays_and_plain_dims():
     # a NaN-bearing raw state stays constructible, for the downstream gates to reject
-    rho = np.full((4, 4), np.nan)
-    assert np.isnan(qb.TwoQuditState(dim=np.int64(2), rho=rho, symmetric=True).rho).all()
-    assert type(qb.TwoQuditState(dim=np.int64(2), rho=rho, symmetric=True).dim) is int
-    obs = qb.QuditObservable(dim=np.int64(2), matrix=_SZ.matrix, bloch=_SZ.bloch)
-    assert type(obs.dim) is int and obs.matrix is _SZ.matrix
-    tcorr = qb.CorrelationMatrix(dim=np.int64(2), matrix=np.eye(3, dtype=int), symmetric=True)
-    assert type(tcorr.dim) is int and tcorr.matrix.dtype == float
+    state = qb.TwoQuditState(np.full((4, 4), np.nan))
+    assert np.isnan(state.rho).all() and not state.symmetric
+    assert type(state.dim) is int and state.dim == 2
+    obs = qb.QuditObservable(matrix=_SZ.matrix, bloch=_SZ.bloch)
+    assert type(obs.dim) is int and obs.dim == 2 and obs.matrix is _SZ.matrix
+    tcorr = qb.CorrelationMatrix(np.eye(3, dtype=int))
+    assert type(tcorr.dim) is int and tcorr.dim == 2 and tcorr.matrix.dtype == float
+    vec = qb.BlochVector(np.arange(15))
+    assert type(vec.dim) is int and vec.dim == 4 and vec.coords.dtype == float
+
+
+@pytest.mark.parametrize(
+    "matrix, bloch, gap",
+    [
+        (_SZ.matrix, _SZ.bloch, None),
+        (_SZ.matrix + 5e-11, _SZ.bloch, None),
+        (_SZ.matrix + 2e-10, _SZ.bloch, r"2\.000e-10"),
+        (_SZ.matrix + np.nan, _SZ.bloch, "nan"),
+        # sz's matrix with sx's vector: against sz on GHZ_2 the two correlator paths read 1 and 0
+        (_SZ.matrix, _SX.bloch, r"1\.000e\+00"),
+    ],
+    ids=["equal", "within 1e-10", "2e-10 apart", "NaN", "sz with sx's Bloch vector"],
+)
+def test_observable_matrix_and_bloch_vector_must_agree(matrix, bloch, gap):
+    if gap is None:
+        qb.QuditObservable(matrix=matrix, bloch=bloch)
+        return
+    match = rf"^observable matrix and Bloch vector disagree: max \|M - sqrt\(d/2\) r\.L\| = {gap}$"
+    with pytest.raises(ValidationError, match=match):
+        qb.QuditObservable(matrix=matrix, bloch=bloch)
+
+
+def test_asymmetric_correlation_matrix_is_never_decomposed():
+    # the flag is read from T, so an asymmetric T gets no spectrum, not that of (T + T^T) / 2
+    t = np.zeros((3, 3))
+    t[0, 1] = 1.0
+    tcorr = qb.CorrelationMatrix(t)
+    assert not tcorr.symmetric
+    with pytest.raises(ValidationError, match="^correlation matrix is not symmetric"):
+        qb.correlation_spectrum(tcorr)
+
+
+def test_maximally_mixed_state_is_symmetric_by_its_rho():
+    # the flag is read from rho, so a swap-symmetric state is never refused as asymmetric
+    state = qb.TwoQuditState(np.eye(4) / 4)
+    assert state.symmetric
+    membership = qb.certify_state(state)
+    assert not membership.in_class and membership.spectral_norm == 0.0
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_symmetric_flags_are_their_residual_rules(d):
+    rng = np.random.default_rng(40 + d)
+    x = random_state(d, rng).rho
+    antisym = x - x.reshape((d,) * 4).transpose(1, 0, 3, 2).reshape(d * d, d * d)
+    antisym /= np.max(np.abs(antisym))
+    rhos = [x, random_state(d, rng, symmetric=True).rho]
+    # swap-antisymmetric, hermitian and traceless perturbations on both sides of the 1e-12 tol
+    rhos += [rhos[1] + eps * antisym for eps in (1e-13, 4e-13, 1e-12, 4e-12, 1e-11)]
+    flags = []
+    for rho in rhos:
+        state = qb.TwoQuditState.from_matrix(rho)
+        assert state.symmetric == (states._swap_residual(state.rho, d) <= 1e-12)
+        tcorr = qb.correlation_matrix(state)
+        assert tcorr.symmetric == (mirror_residual(tcorr.matrix) <= 1e-11)
+        flags.append((state.symmetric, tcorr.symmetric))
+    assert flags[:2] == [(False, False), (True, True)]
+    assert {swap for swap, _ in flags[2:]} == {False, True}
 
 
 def test_correlation_matrix_fields_are_frozen():

@@ -95,10 +95,10 @@ class TestCheckBellCondition:
             check_bell_condition(ghz(2), QuditObservable.from_matrix(2 * SZ))
 
     def test_nan_observable_rejected(self):
+        # a NaN matrix agrees with no Bloch vector, so it never reaches check_bell_condition
         bloch = QuditObservable.from_matrix(SZ).bloch
-        nan = QuditObservable(dim=2, matrix=np.full((2, 2), np.nan), bloch=bloch)
-        with pytest.raises(ValidationError, match="operator norm"):
-            check_bell_condition(ghz(2), nan)
+        with pytest.raises(ValidationError, match="disagree: .* = nan$"):
+            QuditObservable(matrix=np.full((2, 2), np.nan), bloch=bloch)
 
     def test_json_payload(self):
         cert = check_bell_condition(ghz(2), QuditObservable.from_matrix(SZ))
@@ -331,6 +331,37 @@ class TestFindPerfectObservables:
         first = find_perfect_observables(membership, sign)[0].bloch.coords
         witness = membership.for_sign(sign).witness.coords
         assert min(np.linalg.norm(first - witness), np.linalg.norm(first + witness)) <= 1e-12
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    @pytest.mark.parametrize("count", [2, 4, 8])
+    def test_one_dimensional_eigenspace_stops_at_both_witnesses(self, monkeypatch, rotated, count):
+        state = rotated_ghz(2, np.random.default_rng(5)) if rotated else ghz(2)
+        membership = certify_state(state)
+        entry = membership.for_sign(-1)
+        assert entry.cluster.multiplicity == 1
+        # the whole replay, without stopping: it holds two distinct witnesses, +-v
+        budget = max(perfectness.DEFAULT_RESTARTS, 4 * count)
+        full = []
+        search = perfectness._witnesses
+        for coords, _, _ in search(entry.cluster, 2, -1, membership.tol, budget, membership.seed):
+            if coords is not None and all(np.linalg.norm(coords - c) >= 1e-6 for c in full):
+                full.append(coords)
+        assert len(full) == 2
+        starts = []
+
+        def counted(*args):
+            for item in search(*args):
+                starts.append(item[2])
+                yield item
+
+        monkeypatch.setattr(perfectness, "_witnesses", counted)
+        observables = find_perfect_observables(membership, -1, count=count)
+        assert starts == [0, 0]  # the two canonical starts, and no random one
+        expected = [from_bloch(c) for c in full]
+        assert [b.matrix.tobytes() for b in observables] == [b.matrix.tobytes() for b in expected]
+        assert [b.bloch.coords.tobytes() for b in observables] == [
+            b.bloch.coords.tobytes() for b in expected
+        ]
 
 
 class TestEigenspaceMapping:

@@ -197,7 +197,7 @@ class TestSparseTransform:
         rho = ghz(d).rho.copy()
         rho[entry] += bad
         with pytest.raises(ValidationError, match=match):
-            correlation_matrix(TwoQuditState(dim=d, rho=rho, symmetric=False))
+            correlation_matrix(TwoQuditState(rho))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize(
@@ -213,7 +213,7 @@ class TestSparseTransform:
         # bypasses from_matrix: a NaN or inf in rho must not yield an expectation
         rho = ghz(2).rho.copy()
         rho[0, 0] = bad
-        state = TwoQuditState(dim=2, rho=rho, symmetric=True)
+        state = TwoQuditState(rho)
         with pytest.raises(ValidationError, match="expectation is not finite"):
             call(state, QuditObservable.from_matrix(SZ))
 
@@ -476,7 +476,7 @@ class TestValidation:
             TwoQuditState.from_matrix(rho)
 
     def test_wrong_shape(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(DimensionError, match=r"^state must have shape \(d\^2, d\^2\)"):
             TwoQuditState.from_matrix(np.eye(5, dtype=complex) / 5)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
